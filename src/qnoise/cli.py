@@ -76,6 +76,13 @@ def _optional_interval(raw: dict, key: str):
     return float(value[0]), float(value[1])
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, got {text}")
+    return value
+
+
 def load_config(path: str) -> RunConfig:
     """Parse and validate a flat JSON run configuration."""
     try:
@@ -83,7 +90,7 @@ def load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

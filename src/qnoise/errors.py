@@ -5,6 +5,10 @@ class NotPositiveDefiniteError(ValueError):
     """A correlation sequence induced a covariance with a negative eigenvalue."""
 
 
+class NonFiniteError(ValueError):
+    """A density holds NaN or an infinity."""
+
+
 class NotInvertibleError(ValueError):
     """The covariance is singular, so the modular filter does not exist."""
 

@@ -55,13 +55,14 @@ def convolve(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     return np.fft.fftshift(np.fft.ifft(fa * fb)) * eps
 
 
-def fourier_basis(n_points: int) -> np.ndarray:
-    """Unitary basis V with V[k, j] = exp(-2 pi i (k-m)(j-m)/n) / sqrt(n).
+def circulant(symbol: np.ndarray) -> np.ndarray:
+    """Dense circulant matrix of a per-frequency symbol on the centered grid.
 
-    Row k is the normalized plane wave at frequency nu_k sampled on the
-    centered lags.  A matrix with per-frequency symbol s assembles as
-    V† diag(s) V, and all matrices built this way share the eigenbasis,
-    hence commute.
+    Entry (i, j) is c[(i - j) mod n] with first column
+    c = ifft(ifftshift(symbol)); this is V† diag(symbol) V in the unitary
+    basis V[k, j] = exp(-2 pi i (k-m)(j-m)/n) / sqrt(n), filled in O(n^2)
+    without forming V.  All matrices built this way commute.
     """
-    idx = time_lags(n_points)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n_points) / np.sqrt(n_points)
+    column = np.fft.ifft(np.fft.ifftshift(symbol))
+    idx = np.arange(column.size)
+    return column[np.subtract.outer(idx, idx) % column.size]

@@ -385,13 +385,12 @@ def isometry_check(
 def reflection_symmetry_check(model: StationaryModel) -> float:
     """Max asymmetry of the cross-correlation kernel under time reversal.
 
-    The cross kernel r is read off the cross covariance (its first column,
-    reordered to centered lags and stripped of the eps weight); the
-    returned residual is the sup distance between r and its lag flip,
-    which restates the symmetry of the cross covariance on kernels.
+    The cross kernel r is the quadrature kernel of the cross symbol gamma
+    (the first column of G at centered lags, without the eps weight); the
+    residual is the sup distance between r and its lag flip, which
+    restates the symmetry of the cross covariance on kernels.
     """
-    column = model.G[:, 0] / model.eps
-    r = np.fft.fftshift(column)
+    r = kernel_of(model.gamma, model.step)
     return float(np.max(np.abs(r - r[::-1])))
 
 

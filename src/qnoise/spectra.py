@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 #: Relative threshold below which tabulated density values become exact zeros.
 ZERO_SNAP = 1e-14
 
@@ -126,6 +128,8 @@ def _pair_from_kappa(grid: SpectralGrid, kappa: np.ndarray, snap: float) -> Spec
         raise ValueError(
             f"expected {grid.n_points} density values, got shape {kappa.shape}"
         )
+    if not np.isfinite(kappa).all():
+        raise NonFiniteError("density values must be finite (no NaN or infinity)")
     if np.any(kappa < 0):
         raise ValueError("density values must be nonnegative")
     if snap > 0 and kappa.size and kappa.max() > 0:

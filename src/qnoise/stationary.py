@@ -1,10 +1,11 @@
 """Canonical Hilbert-space realization of a stationary noise/reverse pair.
 
 The periodic (circulant) closure of the correlation matrix is used
-throughout: every matrix built here is diagonal in the shared discrete
-Fourier basis of :func:`qnoise.fourier.fourier_basis`, so the covariance
-of the noise and the covariance of the time-reversed noise commute
-exactly, and each derived object is one symbol-to-matrix assembly away:
+throughout: every matrix here is diagonal in one discrete Fourier basis,
+so the noise and reversed-noise covariances commute exactly and each
+object is its symbol of n per-frequency numbers.  Only symbols are
+stored; a dense matrix is filled from its symbol in O(n^2) by
+:func:`qnoise.fourier.circulant` on first access, and then cached:
 
     covariance K        <- symbol kappa(nu_k)
     reversed  K_rev     <- symbol kappa(-nu_k)       (= conj(K))
@@ -19,11 +20,12 @@ normalized spectral amplitudes reproduce K, K_rev and G with unit weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotInvertibleError, NotPositiveDefiniteError
-from .fourier import check_duality, fourier_basis, kernel_of, time_lags
+from .fourier import check_duality, circulant, kernel_of, time_lags
 from .spectra import SpectralDensityPair, _frozen
 
 #: Relative eigenvalue floor below which the covariance counts as singular.
@@ -36,6 +38,11 @@ PSD_TOL = 1e-10
 #: Relative threshold below which eigenvalues snap to exact zero, keeping
 #: vacuum supports crisp through the FFT round trip.
 EIGENVALUE_SNAP = 1e-14
+
+
+def _dense(symbol_of) -> cached_property:
+    """Read-only attribute: the circulant of ``symbol_of(self)``, built once."""
+    return cached_property(lambda self: _frozen(circulant(symbol_of(self))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,37 +100,37 @@ def correlation_sequence(pair: SpectralDensityPair, eps: float) -> CorrelationSe
 class StationaryModel:
     """Finite canonical realization of a noise and its time reverse.
 
-    All matrices are circulant and share the Fourier eigenbasis ``basis``;
-    ``eigenvalues`` holds the common symbol, ordered like the grid points
-    (entry k belongs to frequency nu_k = step*(k - (n-1)/2)).
+    ``eigenvalues`` is the covariance symbol, ordered like the grid points
+    (entry k belongs to frequency nu_k = step*(k - (n-1)/2)).  The dense
+    matrices below (L is None unless invertible) are read-only and built
+    on first access; K_rev and X_rev are exact conjugates of K and X.
     """
 
     eps: float
     step: float
     frequencies: np.ndarray
     eigenvalues: np.ndarray
-    basis: np.ndarray
-    K: np.ndarray
-    K_rev: np.ndarray
-    X: np.ndarray
-    X_rev: np.ndarray
-    G: np.ndarray
-    L: np.ndarray | None
 
     @property
     def n_points(self) -> int:
         return self.eigenvalues.size
 
-    def assemble(self, symbol: np.ndarray) -> np.ndarray:
-        """Circulant matrix V† diag(symbol) V in the shared eigenbasis."""
-        return self.basis.conj().T @ (np.asarray(symbol)[:, None] * self.basis)
-
     @property
     def invertible(self) -> bool:
-        if self.eigenvalues.size == 0:
-            return False
-        scale = float(self.eigenvalues.max())
+        scale = float(self.eigenvalues.max(initial=0.0))
         return bool(scale > 0 and float(self.eigenvalues.min()) > INVERTIBILITY_FLOOR * scale)
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """Cross symbol sqrt(kappa * kappa(-.)), the symbol of G."""
+        return np.sqrt(self.eigenvalues * self.eigenvalues[::-1])
+
+    K = _dense(lambda m: m.eigenvalues)
+    K_rev = cached_property(lambda m: _frozen(np.conj(m.K)))
+    X = _dense(lambda m: np.sqrt(m.eigenvalues))
+    X_rev = cached_property(lambda m: _frozen(np.conj(m.X)))
+    G = _dense(lambda m: m.gamma)
+    L = cached_property(lambda m: modular_matrix(m).L if m.invertible else None)
 
 
 def build_model(seq: CorrelationSequence) -> StationaryModel:
@@ -155,35 +162,11 @@ def build_model(seq: CorrelationSequence) -> StationaryModel:
             )
         eigs[np.abs(eigs) < EIGENVALUE_SNAP * scale] = 0.0
     np.clip(eigs, 0.0, None, out=eigs)
-
-    basis = fourier_basis(n)
-
-    def assemble(symbol):
-        return basis.conj().T @ (symbol[:, None] * basis)
-
-    K = assemble(eigs)
-    X = assemble(np.sqrt(eigs))
-    eigs_rev = eigs[::-1].copy()
-    G = assemble(np.sqrt(eigs * eigs_rev))
-
-    L = None
-    if scale > 0 and eigs.min() > INVERTIBILITY_FLOOR * scale:
-        L = assemble(eigs_rev / eigs)
-
-    half = (n - 1) // 2
-    frequencies = seq.step * np.arange(-half, half + 1)
     return StationaryModel(
         eps=seq.eps,
         step=seq.step,
-        frequencies=_frozen(frequencies),
+        frequencies=_frozen(seq.step * time_lags(n)),
         eigenvalues=_frozen(eigs),
-        basis=_frozen(basis),
-        K=_frozen(K),
-        K_rev=_frozen(np.conj(K)),
-        X=_frozen(X),
-        X_rev=_frozen(np.conj(X)),
-        G=_frozen(G),
-        L=None if L is None else _frozen(L),
     )
 
 
@@ -200,9 +183,10 @@ def realization_columns(model: StationaryModel) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class ModularFilter:
-    """Modular matrix L = K_rev K^-1 with its stationary filter kernels.
+    """Modular symbol lambda = kappa(-.)/kappa with its stationary filter kernels.
 
-    ``kernel_half``/``kernel_inv_half`` are the first-row kernels of
+    L = K_rev K^-1 and L_half = L^(1/2) are built from ``symbol`` on first
+    access.  ``kernel_half``/``kernel_inv_half`` are the first-row kernels of
     L^(1/2) and L^(-1/2) at centered lags, i.e. the discrete input-output
     and reversed filters.  They satisfy the modular property
     kernel_half(-t) = conj(kernel_half(t)) = kernel_inv_half(t), and their
@@ -211,14 +195,16 @@ class ModularFilter:
 
     eps: float
     lags: np.ndarray
-    L: np.ndarray
-    L_half: np.ndarray
+    symbol: np.ndarray
     kernel_half: np.ndarray
     kernel_inv_half: np.ndarray
 
     @property
     def times(self) -> np.ndarray:
         return self.eps * self.lags
+
+    L = _dense(lambda f: f.symbol)
+    L_half = _dense(lambda f: np.sqrt(f.symbol))
 
 
 def modular_matrix(model: StationaryModel) -> ModularFilter:
@@ -229,25 +215,18 @@ def modular_matrix(model: StationaryModel) -> ModularFilter:
             ``INVERTIBILITY_FLOOR`` relative to the largest (the spectrum
             has vacuum components).
     """
-    eigs = model.eigenvalues
-    scale = float(eigs.max(initial=0.0))
-    if scale <= 0 or eigs.min() <= INVERTIBILITY_FLOOR * scale:
+    if not model.invertible:
         raise NotInvertibleError(
             "covariance is singular (vacuum components present); "
             "the modular filter is undefined"
         )
-    lam = eigs[::-1] / eigs
-    L = model.assemble(lam)
-    L_half = model.assemble(np.sqrt(lam))
-    kernel_half = model.eps * kernel_of(np.sqrt(lam), model.step)
-    kernel_inv_half = model.eps * kernel_of(np.sqrt(1.0 / lam), model.step)
+    lam = model.eigenvalues[::-1] / model.eigenvalues
     return ModularFilter(
         eps=model.eps,
         lags=time_lags(model.n_points),
-        L=_frozen(L),
-        L_half=_frozen(L_half),
-        kernel_half=_frozen(kernel_half),
-        kernel_inv_half=_frozen(kernel_inv_half),
+        symbol=_frozen(lam),
+        kernel_half=_frozen(model.eps * kernel_of(np.sqrt(lam), model.step)),
+        kernel_inv_half=_frozen(model.eps * kernel_of(np.sqrt(1.0 / lam), model.step)),
     )
 
 
@@ -292,10 +271,12 @@ def spectral_amplitudes(model: StationaryModel) -> SpectralAmplitudes:
 def coefficient_norm(model: StationaryModel, zeta: np.ndarray) -> float:
     """Norm squared zeta† (K + K_rev) zeta of a test coefficient vector.
 
-    Nonnegative for every complex vector since both covariances are PSD.
+    In the Fourier basis this is sum_k (kappa_k + kappa_-k) |(F zeta)_k|^2
+    with F the unitary DFT: O(n log n), and nonnegative by construction.
     """
     zeta = np.asarray(zeta, dtype=complex)
     if zeta.shape != (model.n_points,):
         raise ValueError(f"expected {model.n_points} coefficients, got {zeta.shape}")
-    value = zeta.conj() @ ((model.K + model.K_rev) @ zeta)
-    return float(value.real)
+    eigs = model.eigenvalues
+    power = np.abs(np.fft.fftshift(np.fft.fft(zeta))) ** 2
+    return float(np.sum((eigs + eigs[::-1]) * power)) / eigs.size

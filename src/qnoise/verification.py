@@ -189,7 +189,7 @@ def modular_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]:
         return []
     out = []
     filt = stationary.modular_matrix(model)
-    lam = model.eigenvalues[::-1] / model.eigenvalues
+    lam = filt.symbol
     out.append(
         _result(
             "modular",

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qnoise.cli import load_config, main
+from qnoise.cli import ConfigError, build_pair, load_config, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = {
@@ -92,6 +93,34 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"model": "flat", "sigma2": 1.0, "n_points": 4, "step": 1.0}))
         assert run("spectrum", "--config", bad, "--out", tmp_path) == 2
+
+    def test_infinite_beta_exits_two(self, tmp_path, capsys):
+        text = CONFIGS["planck"].read_text().replace('"beta": 1.0', '"beta": Infinity')
+        assert "Infinity" in text
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run("verify", "--config", bad, "--out", tmp_path / "out") == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "corr", "verify"])
+    def test_nan_tabulated_value_exits_two(self, command, tmp_path, capsys):
+        raw = json.loads(CONFIGS["mixed"].read_text())
+        raw["values"][5] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert run(command, "--config", bad, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "finite" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_tabulated_value_past_the_parser_is_a_config_error(self):
+        config = load_config(str(CONFIGS["mixed"]))
+        values = list(config.params["values"])
+        values[5] = float("nan")
+        bad = dataclasses.replace(config, params={"values": values})
+        with pytest.raises(ConfigError, match="finite"):
+            build_pair(bad)
 
     def test_missing_config_file_exits_two(self, tmp_path):
         assert run("spectrum", "--config", tmp_path / "nope.json", "--out", tmp_path) == 2

@@ -153,6 +153,13 @@ class TestTabulatedDensity:
         with pytest.raises(ValueError, match="nonnegative"):
             qn.tabulated_density([1.0, -1e-9, 1.0], grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        grid = qn.make_grid(3, 1.0)
+        with pytest.raises(qn.NonFiniteError, match="finite"):
+            qn.tabulated_density([1.0, bad, 1.0], grid)
+        assert issubclass(qn.NonFiniteError, ValueError)
+
     def test_small_values_snap_to_zero(self):
         grid = qn.make_grid(3, 1.0)
         pair = qn.tabulated_density([0.1 * ZERO_SNAP, 1.0, 1.0], grid)

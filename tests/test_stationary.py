@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from qnoise.errors import NotInvertibleError, NotPositiveDefiniteError
 from conftest import build_chain, grid_and_eps
 from oracles import (
     dense_symbol_matrix,
+    gram_quadratic_form,
     mixed_kappa,
     slow_convolve,
     slow_kernel,
@@ -86,6 +90,28 @@ def _hand_built_sequence(values, eps):
     )
 
 
+def _check_dense_matrices(pair, grid, eps):
+    """Every dense attribute against the loop-built symbol matrix."""
+    _, model = build_chain(pair, eps)
+    expected = {"K": pair.kappa, "X": np.sqrt(pair.kappa), "G": pair.gamma}
+    if model.invertible:
+        filt = qn.modular_matrix(model)
+        lam = pair.kappa_rev / pair.kappa
+        expected.update(L=lam, L_half=np.sqrt(lam))
+        assert np.array_equal(model.L, filt.L)
+    else:
+        assert model.L is None
+    for name, symbol in expected.items():
+        matrix = getattr(filt if name == "L_half" else model, name)
+        oracle = dense_symbol_matrix(symbol, grid, eps)
+        np.testing.assert_allclose(
+            matrix, oracle, rtol=0, atol=1e-10 * np.max(symbol), err_msg=name
+        )
+    assert np.array_equal(model.K_rev, np.conj(model.K))
+    assert np.array_equal(model.X_rev, np.conj(model.X))
+    return model
+
+
 class TestBuildModel:
     def test_white_standard_noise_is_identity(self, flat_setup):
         _, pair, eps = flat_setup
@@ -104,12 +130,57 @@ class TestBuildModel:
     def test_planck_cross_covariance_against_dense_oracle(self):
         grid, eps = grid_and_eps(33, 0.25)
         pair = qn.planck_density(1.0, 1.0, grid)
-        _, model = build_chain(pair, eps)
+        model = _check_dense_matrices(pair, grid, eps)
+        assert model.invertible
         norm = pair.kappa.max()
         assert np.max(np.abs(model.G - model.G.T)) <= 1e-10 * norm
         assert np.max(np.abs(model.G.imag)) <= 1e-10 * norm
-        oracle = dense_symbol_matrix(pair.gamma, grid, eps)
-        np.testing.assert_allclose(model.G, oracle, rtol=0, atol=1e-10 * norm)
+
+    def test_mixed_dense_matrices_against_dense_oracle(self):
+        grid, eps = grid_and_eps(33, 0.25)
+        pair = qn.tabulated_density(mixed_kappa(grid), grid)
+        model = _check_dense_matrices(pair, grid, eps)
+        assert not model.invertible
+
+    def test_dense_matrices_cached_and_read_only(self, planck_setup):
+        _, pair, eps = planck_setup
+        _, model = build_chain(pair, eps)
+        filt = qn.modular_matrix(model)
+        for owner, name in ((model, "K"), (model, "K_rev"), (model, "X"),
+                            (model, "X_rev"), (model, "G"), (model, "L"),
+                            (filt, "L"), (filt, "L_half")):
+            matrix = getattr(owner, name)
+            assert getattr(owner, name) is matrix
+            assert not matrix.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(owner, name, matrix)
+
+    def test_large_grid_holds_only_symbols(self):
+        # One dense complex matrix at this size would take 16 n^2 bytes (17 GB),
+        # so fail on the stored fields first, before anything that large is tried.
+        assert [f.name for f in dataclasses.fields(qn.StationaryModel)] == [
+            "eps", "step", "frequencies", "eigenvalues"]
+        assert [f.name for f in dataclasses.fields(qn.ModularFilter)] == [
+            "eps", "lags", "symbol", "kernel_half", "kernel_inv_half"]
+        n = 2**15 + 1
+        grid, eps = grid_and_eps(n, 16.0 / (n - 1))
+        seq = qn.correlation_sequence(qn.planck_density(1.0, 1.0, grid), eps)
+        tracemalloc.start()
+        try:
+            model = qn.build_model(seq)
+            filt = qn.modular_matrix(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(
+            value.nbytes
+            for owner in (model, filt)
+            for value in vars(owner).values()
+            if isinstance(value, np.ndarray)
+        )
+        assert held <= 64 * n
+        assert peak <= 512 * n
+        assert model.invertible and filt.symbol.shape == (n,)
 
     def test_vacuum_spectrum_has_zero_cross_covariance(self, vacuum_setup):
         _, pair, eps = vacuum_setup
@@ -302,6 +373,21 @@ class TestCoefficientNorm:
         pair = qn.tabulated_density(mixed_kappa(grid), grid)
         _, model = build_chain(pair, eps)
         assert qn.coefficient_norm(model, data) >= -1e-9 * (np.abs(data).max() ** 2 + 1)
+
+    @pytest.mark.parametrize("kind", ["planck", "mixed"])
+    def test_matches_dense_gram_oracle(self, kind):
+        grid, eps = grid_and_eps(33, 0.25)
+        if kind == "planck":
+            pair = qn.planck_density(1.0, 1.0, grid)
+        else:
+            pair = qn.tabulated_density(mixed_kappa(grid), grid)
+        _, model = build_chain(pair, eps)
+        rng = np.random.default_rng(7)
+        zeta = rng.normal(size=33) + 1j * rng.normal(size=33)
+        zero = np.zeros(33, dtype=complex)
+        # zeta† K zeta + zeta† K_rev zeta, from the dense Gram blocks
+        expected = gram_quadratic_form(model, zeta, zero) + gram_quadratic_form(model, zero, zeta)
+        assert qn.coefficient_norm(model, zeta) == pytest.approx(expected, rel=1e-12)
 
     def test_shape_validation(self, flat_setup):
         _, pair, eps = flat_setup
