@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import decomposition, mode_algebra, qsi, spectra, stationary, synthesis, verification
+from . import decomposition, mode_algebra, qsi, spectra, synthesis, verification
+from .pipeline import Pipeline
 from .spectra import SpectralDensityPair, make_grid
 
 
@@ -41,6 +42,7 @@ _MODEL_KEYS = {
     "flat": {"sigma2"},
     "tabulated": {"values"},
 }
+_REQUIRED_KEYS = {"n_points", "step"}
 
 
 @dataclass(frozen=True)
@@ -56,24 +58,35 @@ class RunConfig:
     delta_prime: tuple[float, float] | None
 
 
-def _require_number(raw: dict, key: str) -> float:
-    value = raw.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    return float(value)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _optional_interval(raw: dict, key: str):
-    value = raw.get(key)
-    if value is None:
-        return None
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        raise ConfigError(f"config key {key!r} must be a [lo, hi] pair of numbers")
-    return float(value[0]), float(value[1])
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _is_interval(value) -> bool:
+    return value is None or (_is_numbers(value) and len(value) == 2)
+
+
+_NUMBER = ("a number", _is_number)
+_INTERVAL = ("a [lo, hi] pair of numbers", _is_interval)
+
+#: What the value of each key other than "model" must be: (description, test).
+_KEY_TYPES = {
+    "n_points": ("an integer", lambda value: _is_number(value) and isinstance(value, int)),
+    "step": _NUMBER,
+    "eps": _NUMBER,
+    "tol": _NUMBER,
+    "out": ("a string path", lambda value: value is None or isinstance(value, str)),
+    "delta": _INTERVAL,
+    "delta_prime": _INTERVAL,
+    "beta": _NUMBER,
+    "h": _NUMBER,
+    "sigma2": _NUMBER,
+    "values": ("a list of numbers", _is_numbers),
+}
 
 
 def _finite_number(text: str) -> float:
@@ -81,6 +94,10 @@ def _finite_number(text: str) -> float:
     if not np.isfinite(value):
         raise ConfigError(f"config numbers must be finite, got {text}")
     return value
+
+
+def _floats(value):
+    return None if value is None else tuple(float(v) for v in value)
 
 
 def load_config(path: str) -> RunConfig:
@@ -97,68 +114,51 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("config must be a JSON object")
 
     model = raw.get("model")
-    if model not in _MODEL_KEYS:
+    if not isinstance(model, str) or model not in _MODEL_KEYS:
         raise ConfigError(
             f"config key 'model' must be one of {sorted(_MODEL_KEYS)}, got {model!r}"
         )
-    allowed = _GLOBAL_KEYS | _MODEL_KEYS[model]
-    unknown = sorted(set(raw) - allowed)
+    unknown = sorted(set(raw) - _GLOBAL_KEYS - _MODEL_KEYS[model])
     if unknown:
         raise ConfigError(f"unknown config keys for model {model!r}: {unknown}")
-    missing = sorted(_MODEL_KEYS[model] - set(raw))
+    missing = sorted((_REQUIRED_KEYS | _MODEL_KEYS[model]) - set(raw))
     if missing:
         raise ConfigError(f"missing config keys for model {model!r}: {missing}")
+    for key, value in raw.items():
+        if key != "model":
+            kind, valid = _KEY_TYPES[key]
+            if not valid(value):
+                raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
 
-    n_points_raw = raw.get("n_points")
-    if not isinstance(n_points_raw, int) or isinstance(n_points_raw, bool):
-        raise ConfigError(f"config key 'n_points' must be an integer, got {n_points_raw!r}")
-    n_points = int(n_points_raw)
-    step = _require_number(raw, "step") if "step" in raw else None
-    if step is None:
-        raise ConfigError("missing config key 'step'")
+    n_points, step = raw["n_points"], float(raw["step"])
     if n_points <= 0 or step <= 0:
         raise ConfigError("n_points and step must be positive")
-
     if "eps" in raw:
-        eps = _require_number(raw, "eps")
+        eps = float(raw["eps"])
         if abs(n_points * step * eps - 1.0) > 1e-9:
             raise ConfigError(
                 f"eps breaks the duality n*step*eps = 1 (got {n_points * step * eps!r})"
             )
     else:
         eps = 1.0 / (n_points * step)
-
-    params: dict = {}
-    if model == "planck":
-        params["beta"] = _require_number(raw, "beta")
-        params["h"] = _require_number(raw, "h")
-    elif model == "flat":
-        params["sigma2"] = _require_number(raw, "sigma2")
-    else:
-        values = raw.get("values")
-        if not isinstance(values, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-        ):
-            raise ConfigError("config key 'values' must be a list of numbers")
-        params["values"] = [float(v) for v in values]
-
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("config key 'out' must be a string path")
-    tol = _require_number(raw, "tol") if "tol" in raw else 1.0
+    tol = float(raw.get("tol", 1.0))
     if tol <= 0:
         raise ConfigError("config key 'tol' must be positive")
 
+    params = {
+        key: [float(v) for v in raw[key]] if key == "values" else float(raw[key])
+        for key in sorted(_MODEL_KEYS[model])
+    }
     return RunConfig(
         model=model,
         params=params,
         n_points=n_points,
         step=step,
         eps=eps,
-        out=out,
+        out=raw.get("out"),
         tol=tol,
-        delta=_optional_interval(raw, "delta"),
-        delta_prime=_optional_interval(raw, "delta_prime"),
+        delta=_floats(raw.get("delta")),
+        delta_prime=_floats(raw.get("delta_prime")),
     )
 
 
@@ -225,18 +225,8 @@ def _check_entry(check) -> dict:
     }
 
 
-def _region_labels(pair: SpectralDensityPair) -> list[str]:
-    labels = []
-    for k in range(pair.grid.n_points):
-        if pair.n_plus[k]:
-            labels.append("N+")
-        elif pair.n_minus[k]:
-            labels.append("N-")
-        elif pair.theta[k]:
-            labels.append("Theta")
-        else:
-            labels.append("dropped")
-    return labels
+def _region_labels(pair: SpectralDensityPair) -> np.ndarray:
+    return np.select([pair.n_plus, pair.n_minus, pair.theta], ["N+", "N-", "Theta"], "dropped")
 
 
 def _kernel_rows(name: str, lags, eps: float, kernel) -> list:
@@ -246,77 +236,75 @@ def _kernel_rows(name: str, lags, eps: float, kernel) -> list:
     ]
 
 
-def cmd_spectrum(config: RunConfig, pair: SpectralDensityPair, out_dir: Path) -> int:
-    labels = _region_labels(pair)
-    rows = []
-    for k in range(pair.grid.n_points):
-        if labels[k] == "dropped":
-            continue
-        lam = pair.lambda_theta[k]
-        rows.append(
-            [
-                pair.grid.points[k],
-                pair.kappa[k],
-                pair.kappa_rev[k],
-                lam,
-                pair.gamma[k],
-                labels[k],
-            ]
-        )
+def cmd_spectrum(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
+    pair = pipe.pair
+    columns = (
+        pair.grid.points,
+        pair.kappa,
+        pair.kappa_rev,
+        pair.lambda_theta,
+        pair.gamma,
+        _region_labels(pair),
+    )
+    rows = list(zip(*(column[pair.retained] for column in columns)))
     _write_csv(out_dir / "spectrum.csv", ["nu", "kappa", "kappa_rev", "lambda", "gamma", "region"], rows)
     print(f"wrote {out_dir / 'spectrum.csv'} ({len(rows)} retained points)")
     return 0
 
 
-def cmd_corr(config: RunConfig, pair: SpectralDensityPair, out_dir: Path) -> int:
-    seq = stationary.correlation_sequence(pair, config.eps)
-    model = stationary.build_model(seq)
+def cmd_corr(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
+    seq = pipe.seq
     lags = seq.lags
     rows = []
     rows += _kernel_rows("k", lags, seq.eps, seq.values)
     rows += _kernel_rows("k_rev", lags, seq.eps, seq.reversed)
     rows += _kernel_rows("r", lags, seq.eps, seq.cross)
-    if model.invertible:
-        filt = stationary.modular_matrix(model)
-        rows += _kernel_rows("l_half", lags, seq.eps, filt.kernel_half)
-        rows += _kernel_rows("l_inv_half", lags, seq.eps, filt.kernel_inv_half)
+    if pipe.filt is not None:
+        rows += _kernel_rows("l_half", lags, seq.eps, pipe.filt.kernel_half)
+        rows += _kernel_rows("l_inv_half", lags, seq.eps, pipe.filt.kernel_inv_half)
     _write_csv(out_dir / "corr_kernels.csv", ["kernel", "j", "t", "real", "imag"], rows)
 
-    checks = verification.stationary_checks(pair, config.eps)
-    checks += verification.modular_checks(pair, config.eps)
+    checks = verification.stationary_checks(pipe) + verification.modular_checks(pipe)
     _write_json(
         out_dir / "corr_residuals.json",
         {
             "checks": [_check_entry(c) for c in checks],
             "all_pass": all(c.passed for c in checks),
-            "invertible": model.invertible,
+            "invertible": pipe.model.invertible,
         },
     )
     print(f"wrote {out_dir / 'corr_kernels.csv'} and corr_residuals.json")
     return 0
 
 
-def cmd_decompose(config: RunConfig, pair: SpectralDensityPair, out_dir: Path) -> int:
-    seq = stationary.correlation_sequence(pair, config.eps)
-    model = stationary.build_model(seq)
-    parts = decomposition.split(model, pair)
+def cmd_decompose(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
+    pair, parts = pipe.pair, pipe.parts
     estimate = decomposition.best_estimate(parts, decomposition.INPUT_TO_OUTPUT)
     residual = parts.amp_rev - estimate
-    labels = _region_labels(pair)
-    points = []
-    for k in range(pair.grid.n_points):
-        if labels[k] == "dropped":
-            continue
-        entry = {
-            "nu": pair.grid.points[k],
-            "region": labels[k],
-            "lambda": pair.lambda_theta[k] if pair.theta[k] else None,
-            "amp": parts.amp[k],
-            "amp_rev": parts.amp_rev[k],
-            "estimate_input_to_output": estimate[k],
-            "residual": residual[k],
+    columns = (
+        pair.grid.points,
+        _region_labels(pair),
+        pair.theta,
+        pair.lambda_theta,
+        parts.amp,
+        parts.amp_rev,
+        estimate,
+        residual,
+    )
+    points = [
+        {
+            "nu": nu,
+            "region": region,
+            "lambda": lam if theta else None,
+            "amp": amp,
+            "amp_rev": amp_rev,
+            "estimate_input_to_output": est,
+            "residual": res,
         }
-        points.append(entry)
+        for nu, region, theta, lam, amp, amp_rev, est, res in zip(
+            *(column[pair.retained] for column in columns)
+        )
+    ]
     residual_norm2 = pair.grid.step * float(np.sum(np.abs(residual) ** 2))
     expected = pair.grid.step * float(np.sum(pair.kappa_rev[pair.n_plus]))
     _write_json(
@@ -329,7 +317,7 @@ def cmd_decompose(config: RunConfig, pair: SpectralDensityPair, out_dir: Path) -
     )
     rows = []
     if pair.theta.any():
-        kernels = decomposition.modular_kernels_theta(pair, config.eps)
+        kernels = decomposition.modular_kernels_theta(pair, pipe.eps)
         rows += _kernel_rows("theta_half", kernels.lags, kernels.eps, kernels.half)
         rows += _kernel_rows("theta_inv_half", kernels.lags, kernels.eps, kernels.inv_half)
     _write_csv(out_dir / "decompose_kernels.csv", ["kernel", "j", "t", "real", "imag"], rows)
@@ -337,36 +325,30 @@ def cmd_decompose(config: RunConfig, pair: SpectralDensityPair, out_dir: Path) -
     return 0
 
 
-def cmd_synth(config: RunConfig, pair: SpectralDensityPair, out_dir: Path) -> int:
-    filt = synthesis.transmission_function(pair)
-    result = synthesis.synthesize(filt, filt.standard)
+def cmd_synth(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
+    pair, filt = pipe.pair, pipe.transmission
     retained = pair.retained
-    rows = []
-    max_rel = 0.0
-    for k in range(pair.grid.n_points):
-        if not retained[k]:
-            continue
-        target = pair.kappa[k]
-        reproduced = result.kappa_out[k]
-        rel = abs(reproduced - target) / target if target > 0 else abs(reproduced)
-        max_rel = max(max_rel, rel)
-        rows.append(
-            [
-                pair.grid.points[k],
-                filt.f[k],
-                filt.standard.pair.kappa[k],
-                filt.standard.pair.kappa_rev[k],
-                reproduced,
-                target,
-                rel,
-            ]
-        )
+    target = pair.kappa[retained]
+    reproduced = pipe.synthesized.kappa_out[retained]
+    positive = target > 0
+    rel = np.where(
+        positive,
+        np.abs(reproduced - target) / np.where(positive, target, 1.0),
+        np.abs(reproduced),
+    )
+    columns = (
+        pair.grid.points,
+        filt.f,
+        filt.standard.pair.kappa,
+        filt.standard.pair.kappa_rev,
+    )
+    rows = zip(*(column[retained] for column in columns), reproduced, target, rel)
     _write_csv(
         out_dir / "synth_spectrum.csv",
         ["nu", "f", "kappa_std", "kappa_rev_std", "kappa_reproduced", "kappa_target", "rel_error"],
         rows,
     )
-    time_filter = synthesis.time_domain_filter(filt, config.eps)
+    time_filter = synthesis.time_domain_filter(filt, pipe.eps)
     _write_csv(
         out_dir / "synth_kernel.csv",
         ["j", "t", "real", "imag"],
@@ -375,12 +357,13 @@ def cmd_synth(config: RunConfig, pair: SpectralDensityPair, out_dir: Path) -> in
             for i, j in enumerate(time_filter.lags)
         ],
     )
-    print(f"max relative spectrum error = {_fmt(max_rel)}")
+    print(f"max relative spectrum error = {_fmt(rel.max(initial=0.0))}")
     print(f"wrote {out_dir / 'synth_spectrum.csv'} and synth_kernel.csv")
     return 0
 
 
-def cmd_qsi(config: RunConfig, pair: SpectralDensityPair, out_dir: Path) -> int:
+def cmd_qsi(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
+    pair = pipe.pair
     grid = pair.grid
     delta_bounds = config.delta or (0.0, grid.nu_max)
     delta_prime_bounds = config.delta_prime or (-grid.nu_max / 2, grid.nu_max / 2)
@@ -397,25 +380,13 @@ def cmd_qsi(config: RunConfig, pair: SpectralDensityPair, out_dir: Path) -> int:
         for second in ("noise", "reverse")
     }
 
-    if spectra.STANDARD_VACUUM in spectra.classify(pair):
-        vacuum_pair = pair
-    else:
-        vacuum_pair = spectra.tabulated_density((grid.points < 0).astype(float), grid)
-    canonical, _ = qsi.canonical_from_vacuum(vacuum_pair)
-    flipped_delta = qsi.flipped(delta)
+    canonical, _ = pipe.canonical
     canonical_moments = {
-        "annihilation_creation": canonical.vacuum_moment(
-            canonical.annihilation, flipped_delta, canonical.creation, delta_prime
-        ).real,
-        "creation_annihilation": canonical.vacuum_moment(
-            canonical.creation, flipped_delta, canonical.annihilation, delta_prime
-        ).real,
-        "creation_creation": canonical.vacuum_moment(
-            canonical.creation, flipped_delta, canonical.creation, delta_prime
-        ).real,
-        "annihilation_annihilation": canonical.vacuum_moment(
-            canonical.annihilation, flipped_delta, canonical.annihilation, delta_prime
-        ).real,
+        f"{first}_{second}": canonical.vacuum_moment(
+            getattr(canonical, first), qsi.flipped(delta), getattr(canonical, second), delta_prime
+        ).real
+        for first in ("annihilation", "creation")
+        for second in ("creation", "annihilation")
     }
 
     sigma = np.sqrt(pair.kappa)
@@ -434,7 +405,7 @@ def cmd_qsi(config: RunConfig, pair: SpectralDensityPair, out_dir: Path) -> int:
             "integrator_second_moments": integrator,
             "canonical_vacuum_moments": canonical_moments,
             "output_second_moments": output_moments,
-            "vacuum_reference": "configured pair" if vacuum_pair is pair else "half-line indicator",
+            "vacuum_reference": "configured pair" if pipe.vacuum_pair is pair else "half-line indicator",
         },
     )
     print(f"wrote {out_dir / 'qsi_table.json'}")
@@ -472,8 +443,8 @@ def cmd_mode(n: float) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig, pair: SpectralDensityPair, out_dir: Path) -> int:
-    checks = verification.run_all(pair, config.eps, tol_factor=config.tol)
+def cmd_verify(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
+    checks = verification.run_all(pipe.pair, pipe.eps, tol_factor=config.tol)
     all_pass = all(c.passed for c in checks)
     _write_json(
         out_dir / "verify_report.json",
@@ -503,24 +474,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "and its time-reversed output process.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common], help="tabulate the configured spectrum")
-    sub.add_parser("corr", parents=[common], help="correlation and modular filter kernels")
-    sub.add_parser("decompose", parents=[common], help="vacuum/thermal split and estimates")
-    sub.add_parser("synth", parents=[common], help="standard pair and transmission function")
-    sub.add_parser("qsi", parents=[common], help="stochastic integration tables")
-    sub.add_parser("verify", parents=[common], help="run every identity check")
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     mode = sub.add_parser("mode", help="single-mode thermal pair tables")
     mode.add_argument("--n", type=float, required=True, help="occupation number (>= 0)")
     return parser
 
 
+#: The config-driven commands: (function, help text).
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "corr": cmd_corr,
-    "decompose": cmd_decompose,
-    "synth": cmd_synth,
-    "qsi": cmd_qsi,
-    "verify": cmd_verify,
+    "spectrum": (cmd_spectrum, "tabulate the configured spectrum"),
+    "corr": (cmd_corr, "correlation and modular filter kernels"),
+    "decompose": (cmd_decompose, "vacuum/thermal split and estimates"),
+    "synth": (cmd_synth, "standard pair and transmission function"),
+    "qsi": (cmd_qsi, "stochastic integration tables"),
+    "verify": (cmd_verify, "run every identity check"),
 }
 
 
@@ -535,10 +503,11 @@ def main(argv=None) -> int:
             if args.tol <= 0:
                 raise ConfigError("--tol must be positive")
             config = replace(config, tol=float(args.tol))
-        pair = build_pair(config)
+        pipe = Pipeline(build_pair(config), config.eps)
         out_dir = Path(args.out or config.out or "qnoise_out")
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, pair, out_dir)
+        command, _ = _COMMANDS[args.command]
+        return command(config, pipe, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

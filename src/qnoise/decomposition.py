@@ -104,10 +104,6 @@ class ThetaKernels:
     half: np.ndarray
     inv_half: np.ndarray
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.eps * self.lags
-
 
 def modular_kernels_theta(pair: SpectralDensityPair, eps: float) -> ThetaKernels:
     """Time kernels of lambda^(+-1/2) over the thermal support only.

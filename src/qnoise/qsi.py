@@ -411,10 +411,6 @@ class StationaryFilterKernels:
     amp_kernel: np.ndarray
     amp_kernel_rev: np.ndarray
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.eps * self.lags
-
     def coefficient_pair(self, a: np.ndarray, c: np.ndarray):
         a_kernel = kernel_of(np.asarray(a, dtype=complex), self.step)
         c_kernel = kernel_of(np.asarray(c, dtype=complex), self.step)

@@ -71,10 +71,6 @@ class CorrelationSequence:
     def lags(self) -> np.ndarray:
         return time_lags(self.n_points)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.eps * self.lags
-
 
 def correlation_sequence(pair: SpectralDensityPair, eps: float) -> CorrelationSequence:
     """Quadrature correlation samples of a density pair.
@@ -104,6 +100,8 @@ class StationaryModel:
     (entry k belongs to frequency nu_k = step*(k - (n-1)/2)).  The dense
     matrices below (L is None unless invertible) are read-only and built
     on first access; K_rev and X_rev are exact conjugates of K and X.
+    Column j of X realizes the noise at lag j and column j of X_rev its
+    time reverse: X†X = K, X_rev†X_rev = K_rev and X†X_rev = G.
     """
 
     eps: float
@@ -170,17 +168,6 @@ def build_model(seq: CorrelationSequence) -> StationaryModel:
     )
 
 
-def realization_columns(model: StationaryModel) -> tuple[np.ndarray, np.ndarray]:
-    """Column realization of the pair: (X, conj(X)).
-
-    Column j of the first array is the vector realizing the noise at lag j,
-    column j of the second realizes its time reverse; conjugation is the
-    time reversal.  The Gram identities X†X = K, conj(X)†conj(X) = K_rev
-    and X†conj(X) = G hold to rounding.
-    """
-    return model.X, model.X_rev
-
-
 @dataclass(frozen=True, eq=False)
 class ModularFilter:
     """Modular symbol lambda = kappa(-.)/kappa with its stationary filter kernels.
@@ -198,10 +185,6 @@ class ModularFilter:
     symbol: np.ndarray
     kernel_half: np.ndarray
     kernel_inv_half: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.eps * self.lags
 
     L = _dense(lambda f: f.symbol)
     L_half = _dense(lambda f: np.sqrt(f.symbol))

@@ -141,10 +141,6 @@ class TimeDomainFilter:
     lags: np.ndarray
     phi: np.ndarray
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.eps * self.lags
-
     def apply(self, chi: np.ndarray) -> np.ndarray:
         return convolve(self.phi, chi, self.eps)
 

@@ -6,16 +6,21 @@ construction makes the identity structural (mask disjointness, flip
 symmetry of stored arrays, canonical table zeros).  The functions return
 plain :class:`CheckResult` records so callers can render them as JSON or
 aggregate them into a pass/fail verdict.
+
+Every suite but the mode tables reads one :class:`~qnoise.pipeline.Pipeline`,
+so :func:`run_all` builds each stage of the chain once for all suites.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import decomposition, mode_algebra, qsi, spectra, stationary, synthesis
+from . import decomposition, mode_algebra, qsi, stationary, synthesis
 from .errors import DegenerateRecoveryError
 from .fourier import convolve, kernel_of, spectrum_of
+from .pipeline import Pipeline
 from .spectra import SpectralDensityPair, tabulated_density
 
 
@@ -38,8 +43,9 @@ def _maxabs(values) -> float:
     return float(np.max(np.abs(values))) if values.size else 0.0
 
 
-def spectra_checks(pair: SpectralDensityPair) -> list[CheckResult]:
+def spectra_checks(pipe: Pipeline) -> list[CheckResult]:
     out = []
+    pair = pipe.pair
     grid = pair.grid
     out.append(
         _result("spectra", "grid_flip_symmetry", _maxabs(grid.points + grid.points[::-1]), 0.0)
@@ -64,10 +70,9 @@ def spectra_checks(pair: SpectralDensityPair) -> list[CheckResult]:
     return out
 
 
-def stationary_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]:
+def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     out = []
-    seq = stationary.correlation_sequence(pair, eps)
-    model = stationary.build_model(seq)
+    pair, seq, model = pipe.pair, pipe.seq, pipe.model
     # floor keeps the empty spectrum finite, including when squared
     norm = max(float(model.eigenvalues.max(initial=0.0)), 1e-150)
 
@@ -100,7 +105,7 @@ def stationary_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult
         )
     )
 
-    cols, cols_rev = stationary.realization_columns(model)
+    cols, cols_rev = model.X, model.X_rev
     out.append(
         _result("stationary", "gram_noise", _maxabs(cols.conj().T @ cols - model.K) / norm, 1e-10)
     )
@@ -182,13 +187,12 @@ def stationary_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult
     return out
 
 
-def modular_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]:
-    seq = stationary.correlation_sequence(pair, eps)
-    model = stationary.build_model(seq)
-    if not model.invertible:
+def modular_checks(pipe: Pipeline) -> list[CheckResult]:
+    filt = pipe.filt
+    if filt is None:
         return []
     out = []
-    filt = stationary.modular_matrix(model)
+    model = pipe.model
     lam = filt.symbol
     out.append(
         _result(
@@ -222,11 +226,9 @@ def modular_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]:
     return out
 
 
-def decomposition_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]:
+def decomposition_checks(pipe: Pipeline) -> list[CheckResult]:
     out = []
-    seq = stationary.correlation_sequence(pair, eps)
-    model = stationary.build_model(seq)
-    parts = decomposition.split(model, pair)
+    pair, eps, parts = pipe.pair, pipe.eps, pipe.parts
 
     violations = int(np.sum((parts.amp_vac != 0) & (parts.amp_thermal != 0)))
     violations += int(np.sum(parts.amp != parts.amp_vac + parts.amp_thermal))
@@ -293,9 +295,9 @@ def decomposition_checks(pair: SpectralDensityPair, eps: float) -> list[CheckRes
     return out
 
 
-def synthesis_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]:
+def synthesis_checks(pipe: Pipeline) -> list[CheckResult]:
     out = []
-    filt = synthesis.transmission_function(pair)
+    pair, eps, filt = pipe.pair, pipe.eps, pipe.transmission
     std = filt.standard
     theta = pair.theta
     perp = pair.retained & ~theta
@@ -316,7 +318,7 @@ def synthesis_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]
         _result("synthesis", "time_kernel_real", _maxabs(filt.time_kernel.imag) / kernel_scale, 1e-12)
     )
 
-    result = synthesis.synthesize(filt, std)
+    result = pipe.synthesized
     for name, reproduced, target in (
         ("reproduce_kappa", result.kappa_out, pair.kappa),
         ("reproduce_kappa_rev", result.kappa_rev_out, pair.kappa_rev),
@@ -365,7 +367,7 @@ def synthesis_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]
         )
     )
 
-    seq = stationary.correlation_sequence(pair, eps)
+    seq = pipe.seq
     corr_scale = max(_maxabs(seq.values), 1e-300)
     out.append(
         _result(
@@ -378,16 +380,9 @@ def synthesis_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]
     return out
 
 
-def _count_cells(grid, mask1, mask2, support) -> float:
-    count = 0
-    for k in range(grid.n_points):
-        if mask1[k] and mask2[k] and support[k]:
-            count += 1
-    return grid.step * count
-
-
-def qsi_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]:
+def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     out = []
+    pair, eps = pipe.pair, pipe.eps
     grid = pair.grid
     step = grid.step
     table = qsi.integrator_table(pair)
@@ -403,11 +398,7 @@ def qsi_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]:
     moment_scale = max(step * float(pair.kappa.sum()), 1e-300)
     worst = 0.0
     for (first, second), density in densities.items():
-        expected = 0.0
-        for k in range(grid.n_points):
-            if delta[k] and delta_prime[k]:
-                expected += density[k]
-        expected *= step
+        expected = step * math.fsum(density[delta & delta_prime])
         got = table.second_moment(first, delta, second, delta_prime)
         worst = max(worst, abs(got - expected))
     out.append(_result("qsi", "integrator_moments", worst / moment_scale, 1e-12))
@@ -424,13 +415,9 @@ def qsi_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]:
     )
     out.append(_result("qsi", "disjoint_intervals_vanish", abs(disjoint), 0.0))
 
-    # Canonical table on a standard vacuum spectrum (the configured pair if
-    # it is one, else a reference half-line indicator on the same grid).
-    if spectra.STANDARD_VACUUM in spectra.classify(pair):
-        vacuum_pair = pair
-    else:
-        vacuum_pair = tabulated_density((grid.points < 0).astype(float), grid)
-    canonical, assembly = qsi.canonical_from_vacuum(vacuum_pair)
+    # Canonical table on the pipeline's standard vacuum spectrum.
+    vacuum_pair = pipe.vacuum_pair
+    canonical, assembly = pipe.canonical
     zeros = (
         abs(canonical.vacuum_moment(canonical.creation, qsi.flipped(delta), canonical.annihilation, delta_prime))
         + abs(canonical.vacuum_moment(canonical.creation, qsi.flipped(delta), canonical.creation, delta_prime))
@@ -440,7 +427,7 @@ def qsi_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]:
     pairing = canonical.vacuum_moment(
         canonical.annihilation, qsi.flipped(delta), canonical.creation, delta_prime
     )
-    expected = _count_cells(grid, delta, delta_prime, canonical.support)
+    expected = step * np.count_nonzero(delta & delta_prime & canonical.support)
     out.append(_result("qsi", "canonical_pairing", abs(pairing - expected), 0.0))
     assembled = (
         _maxabs(assembly.noise.plus - vacuum_pair.kappa)
@@ -487,8 +474,7 @@ def qsi_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]:
         out.append(_result("qsi", "canonical_roundtrip", roundtrip, 0.0))
 
     # Isometry of the mean-square integral against the Gram-matrix oracle.
-    seq = stationary.correlation_sequence(pair, eps)
-    model = stationary.build_model(seq)
+    model = pipe.model
     nu = grid.points
     a = 1.0 / (1.0 + nu**2)
     c = 1j * nu / (1.0 + nu**2)
@@ -527,10 +513,8 @@ def qsi_checks(pair: SpectralDensityPair, eps: float) -> list[CheckResult]:
     out.append(_result("qsi", "parseval_bridge", defect / parseval_scale, 1e-10))
 
     # Cross-module consistency with the synthesis spectra.
-    filt = synthesis.transmission_function(pair)
-    synthesized = synthesis.synthesize(filt, filt.standard)
     consistency = _maxabs(
-        output_pair.density("output", "output")[support] - synthesized.kappa_out[support]
+        output_pair.density("output", "output")[support] - pipe.synthesized.kappa_out[support]
     ) / density_scale
     out.append(_result("qsi", "synthesis_consistency", consistency, 1e-12))
     return out
@@ -565,13 +549,14 @@ def mode_checks() -> list[CheckResult]:
 
 def run_all(pair: SpectralDensityPair, eps: float, tol_factor: float = 1.0) -> list[CheckResult]:
     """All suites on one configuration, with optional tolerance scaling."""
+    pipe = Pipeline(pair, eps)
     results = []
-    results += spectra_checks(pair)
-    results += stationary_checks(pair, eps)
-    results += modular_checks(pair, eps)
-    results += decomposition_checks(pair, eps)
-    results += synthesis_checks(pair, eps)
-    results += qsi_checks(pair, eps)
+    results += spectra_checks(pipe)
+    results += stationary_checks(pipe)
+    results += modular_checks(pipe)
+    results += decomposition_checks(pipe)
+    results += synthesis_checks(pipe)
+    results += qsi_checks(pipe)
     results += mode_checks()
     if tol_factor != 1.0:
         results = [

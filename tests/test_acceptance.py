@@ -69,7 +69,7 @@ def test_criterion_2_gram_identities():
             _, model = build_chain(pair, eps)
             norm = float(model.eigenvalues.max())
             tol = 1e-10 * norm
-            cols, cols_rev = qn.realization_columns(model)
+            cols, cols_rev = model.X, model.X_rev
             checks = {
                 "noise_gram": np.max(np.abs(cols.conj().T @ cols - model.K)),
                 "reverse_gram": np.max(np.abs(cols_rev.conj().T @ cols_rev - model.K_rev)),

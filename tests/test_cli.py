@@ -14,6 +14,7 @@ CONFIGS = {
     "flat": REPO_ROOT / "configs" / "flat.json",
     "mixed": REPO_ROOT / "configs" / "mixed.json",
 }
+FLAT = {"model": "flat", "sigma2": 1.0, "n_points": 5, "step": 1.0}
 
 
 def run(*argv):
@@ -128,6 +129,40 @@ class TestExitCodes:
     def test_negative_mode_occupation_exits_two(self, capsys):
         assert run("mode", "--n", "-1") == 2
         assert "nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {**FLAT, "n_points": True},
+            {**FLAT, "step": "1"},
+            {key: value for key, value in FLAT.items() if key != "step"},
+            {**FLAT, "tol": 0},
+            {**FLAT, "delta": [1]},
+            {**FLAT, "out": 3},
+            {"model": "tabulated", "values": [True], "n_points": 1, "step": 1.0},
+            {"model": "planck", "h": 1.0, "n_points": 5, "step": 1.0},
+            {**FLAT, "model": "pink"},
+            {**FLAT, "model": ["flat"]},
+        ],
+        ids=[
+            "bool_n_points",
+            "string_step",
+            "missing_step",
+            "zero_tol",
+            "one_bound_delta",
+            "number_out",
+            "bool_values",
+            "missing_beta",
+            "unknown_model",
+            "list_model",
+        ],
+    )
+    def test_rejected_config_exits_two(self, raw, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert run("spectrum", "--config", bad, "--out", tmp_path / "out") == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

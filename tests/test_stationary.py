@@ -235,7 +235,7 @@ class TestRealizationColumns:
     def test_white_columns_orthonormal(self, flat_setup):
         _, pair, eps = flat_setup
         _, model = build_chain(pair, eps)
-        cols, _ = qn.realization_columns(model)
+        cols = model.X
         np.testing.assert_allclose(
             cols.conj().T @ cols, np.eye(model.n_points), rtol=0, atol=1e-12
         )
@@ -245,7 +245,7 @@ class TestRealizationColumns:
         grid, eps = grid_and_eps(n_points, 0.25)
         pair = qn.planck_density(1.0, 1.0, grid)
         _, model = build_chain(pair, eps)
-        cols, cols_rev = qn.realization_columns(model)
+        cols, cols_rev = model.X, model.X_rev
         tol = 1e-10 * pair.kappa.max()
         np.testing.assert_allclose(cols.conj().T @ cols, model.K, rtol=0, atol=tol)
         np.testing.assert_allclose(
@@ -256,7 +256,7 @@ class TestRealizationColumns:
     def test_reverse_columns_are_exact_conjugates(self, mixed_setup):
         _, pair, eps = mixed_setup
         _, model = build_chain(pair, eps)
-        cols, cols_rev = qn.realization_columns(model)
+        cols, cols_rev = model.X, model.X_rev
         assert np.array_equal(cols_rev, np.conj(cols))
 
 
