@@ -500,8 +500,8 @@ def main(argv=None) -> int:
             return cmd_mode(args.n)
         config = load_config(args.config)
         if args.tol is not None:
-            if args.tol <= 0:
-                raise ConfigError("--tol must be positive")
+            if not (np.isfinite(args.tol) and args.tol > 0):
+                raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
             config = replace(config, tol=float(args.tol))
         pipe = Pipeline(build_pair(config), config.eps)
         out_dir = Path(args.out or config.out or "qnoise_out")

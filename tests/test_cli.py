@@ -75,6 +75,13 @@ class TestExitCodes:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["all_pass"] is False
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_two(self, tol, tmp_path, capsys):
+        code = run("verify", "--config", CONFIGS["planck"], "--out", tmp_path / "out", "--tol", tol)
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
