@@ -5,157 +5,66 @@ output at second order: flip-symmetric spectra, circulant covariance
 realizations, vacuum/thermal decomposition with modular filters, linear
 synthesis from standard noise, and table-level quantum stochastic
 integration.
+
+Names load on first use: ``import qnoise`` imports none of the
+submodules, and reading a public name such as ``qnoise.build_model``
+imports its home module then.  So a program that reads one branch of the
+chain loads only that branch.
 """
-from .decomposition import (
-    INPUT_TO_OUTPUT,
-    OUTPUT_TO_INPUT,
-    ComponentSplit,
-    ThetaKernels,
-    best_estimate,
-    modular_kernels_theta,
-    split,
-)
-from .errors import (
-    DegenerateRecoveryError,
-    EmptySupportError,
-    NonFiniteError,
-    NotInvertibleError,
-    NotPositiveDefiniteError,
-    NotVacuumError,
-)
-from .mode_algebra import (
-    A,
-    A_DAG,
-    C,
-    C_DAG,
-    ModeOperator,
-    commutator,
-    expectation,
-    invert_pair,
-    thermal_pair,
-)
-from .pipeline import Pipeline
-from .qsi import (
-    CanonicalPair,
-    IntegratorTable,
-    MeasureSymbol,
-    OutputPair,
-    StationaryFilterKernels,
-    VacuumAssembly,
-    build_output_pair,
-    canonical_from_vacuum,
-    integrator_table,
-    interval_mask,
-    isometry_check,
-    recover_canonical,
-    reflection_symmetry_check,
-    time_domain_representation,
-)
-from .spectra import (
-    MIXED,
-    STANDARD_THERMAL,
-    STANDARD_VACUUM,
-    THERMAL,
-    VACUUM,
-    WHITE,
-    SpectralDensityPair,
-    SpectralGrid,
-    classify,
-    flat_density,
-    make_grid,
-    planck_density,
-    tabulated_density,
-)
-from .stationary import (
-    CorrelationSequence,
-    ModularFilter,
-    SpectralAmplitudes,
-    StationaryModel,
-    build_model,
-    coefficient_norm,
-    correlation_sequence,
-    modular_matrix,
-    spectral_amplitudes,
-)
-from .synthesis import (
-    StandardPair,
-    SynthesisResult,
-    TimeDomainFilter,
-    TransmissionFilter,
-    build_standard_pair,
-    synthesize,
-    time_domain_filter,
-    transmission_function,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "A",
-    "A_DAG",
-    "C",
-    "C_DAG",
-    "CanonicalPair",
-    "ComponentSplit",
-    "CorrelationSequence",
-    "DegenerateRecoveryError",
-    "EmptySupportError",
-    "INPUT_TO_OUTPUT",
-    "IntegratorTable",
-    "MIXED",
-    "MeasureSymbol",
-    "ModeOperator",
-    "ModularFilter",
-    "NonFiniteError",
-    "NotInvertibleError",
-    "NotPositiveDefiniteError",
-    "NotVacuumError",
-    "OUTPUT_TO_INPUT",
-    "OutputPair",
-    "Pipeline",
-    "STANDARD_THERMAL",
-    "STANDARD_VACUUM",
-    "SpectralAmplitudes",
-    "SpectralDensityPair",
-    "SpectralGrid",
-    "StandardPair",
-    "StationaryFilterKernels",
-    "StationaryModel",
-    "SynthesisResult",
-    "THERMAL",
-    "ThetaKernels",
-    "TimeDomainFilter",
-    "TransmissionFilter",
-    "VACUUM",
-    "VacuumAssembly",
-    "WHITE",
-    "best_estimate",
-    "build_model",
-    "build_output_pair",
-    "build_standard_pair",
-    "canonical_from_vacuum",
-    "classify",
-    "coefficient_norm",
-    "commutator",
-    "correlation_sequence",
-    "expectation",
-    "flat_density",
-    "integrator_table",
-    "interval_mask",
-    "invert_pair",
-    "isometry_check",
-    "make_grid",
-    "modular_kernels_theta",
-    "modular_matrix",
-    "planck_density",
-    "recover_canonical",
-    "reflection_symmetry_check",
-    "spectral_amplitudes",
-    "split",
-    "synthesize",
-    "tabulated_density",
-    "thermal_pair",
-    "time_domain_filter",
-    "time_domain_representation",
-    "transmission_function",
-]
+#: Home module of every public name.
+_EXPORTS = {
+    "decomposition": (
+        "INPUT_TO_OUTPUT", "OUTPUT_TO_INPUT", "ComponentSplit", "ThetaKernels",
+        "best_estimate", "modular_kernels_theta", "split",
+    ),
+    "errors": (
+        "DegenerateRecoveryError", "EmptySupportError", "NonFiniteError",
+        "NotInvertibleError", "NotPositiveDefiniteError", "NotVacuumError",
+    ),
+    "mode_algebra": (
+        "A", "A_DAG", "C", "C_DAG", "ModeOperator", "commutator", "expectation",
+        "invert_pair", "thermal_pair",
+    ),
+    "pipeline": ("Pipeline",),
+    "qsi": (
+        "CanonicalPair", "IntegratorTable", "MeasureSymbol", "OutputPair",
+        "StationaryFilterKernels", "VacuumAssembly", "build_output_pair",
+        "canonical_from_vacuum", "integrator_table", "interval_mask", "isometry_check",
+        "recover_canonical", "reflection_symmetry_check", "time_domain_representation",
+    ),
+    "spectra": (
+        "MIXED", "STANDARD_THERMAL", "STANDARD_VACUUM", "THERMAL", "VACUUM", "WHITE",
+        "SpectralDensityPair", "SpectralGrid", "classify", "flat_density", "make_grid",
+        "planck_density", "tabulated_density",
+    ),
+    "stationary": (
+        "CorrelationSequence", "ModularFilter", "SpectralAmplitudes", "StationaryModel",
+        "build_model", "coefficient_norm", "correlation_sequence", "modular_matrix",
+        "spectral_amplitudes",
+    ),
+    "synthesis": (
+        "StandardPair", "SynthesisResult", "TimeDomainFilter", "TransmissionFilter",
+        "build_standard_pair", "synthesize", "time_domain_filter", "transmission_function",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+#: Submodules readable as attributes of the package without importing them first.
+_SUBMODULES = frozenset(_EXPORTS) | {"fourier"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(import_module(f".{_HOME[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

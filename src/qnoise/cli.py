@@ -12,6 +12,9 @@ Optional keys: "eps", "out" (output directory), "tol" (tolerance factor
 for verify), "delta" and "delta_prime" ([lo, hi] interval bounds for the
 qsi table).  Unknown keys are rejected.
 
+Each command imports the modules it reads when it runs, so a run loads
+only its own branch of the chain.
+
 Exit codes: 0 all good, 1 a mathematical check failed (verify only),
 2 input/config error.  Identical configs produce byte-identical output
 files; floats are printed with 17 significant digits in CSV.
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import decomposition, mode_algebra, qsi, spectra, synthesis, verification
+from . import spectra
 from .pipeline import Pipeline
 from .spectra import SpectralDensityPair, make_grid
 
@@ -253,6 +256,7 @@ def cmd_spectrum(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
 
 
 def cmd_corr(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
+    from . import verification
     seq = pipe.seq
     lags = seq.lags
     rows = []
@@ -278,6 +282,7 @@ def cmd_corr(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
 
 
 def cmd_decompose(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
+    from . import decomposition
     pair, parts = pipe.pair, pipe.parts
     estimate = decomposition.best_estimate(parts, decomposition.INPUT_TO_OUTPUT)
     residual = parts.amp_rev - estimate
@@ -326,6 +331,7 @@ def cmd_decompose(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
 
 
 def cmd_synth(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
+    from . import synthesis
     pair, filt = pipe.pair, pipe.transmission
     retained = pair.retained
     target = pair.kappa[retained]
@@ -363,6 +369,7 @@ def cmd_synth(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
 
 
 def cmd_qsi(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
+    from . import qsi
     pair = pipe.pair
     grid = pair.grid
     delta_bounds = config.delta or (0.0, grid.nu_max)
@@ -413,9 +420,11 @@ def cmd_qsi(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
 
 
 def cmd_mode(n: float) -> int:
-    if n < 0:
-        raise ConfigError(f"occupation must be nonnegative, got {n}")
-    noise, reverse = mode_algebra.thermal_pair(n)
+    from . import mode_algebra
+    try:
+        noise, reverse = mode_algebra.thermal_pair(n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     ops = {"noise": noise, "reverse": reverse}
     correlations_dag_first = {
         f"{a}_dag_{b}": mode_algebra.expectation(ops[a].dagger(), ops[b]).real
@@ -444,6 +453,7 @@ def cmd_mode(n: float) -> int:
 
 
 def cmd_verify(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
+    from . import verification
     checks = verification.run_all(pipe.pair, pipe.eps, tol_factor=config.tol)
     all_pass = all(c.passed for c in checks)
     _write_json(

@@ -11,13 +11,16 @@ rather than a tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EmptySupportError
 from .fourier import check_duality, kernel_of, time_lags
 from .spectra import SpectralDensityPair, _frozen
-from .stationary import StationaryModel
+
+if TYPE_CHECKING:
+    from .stationary import StationaryModel
 
 INPUT_TO_OUTPUT = "input-to-output"
 OUTPUT_TO_INPUT = "output-to-input"

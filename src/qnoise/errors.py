@@ -6,7 +6,7 @@ class NotPositiveDefiniteError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """A density holds NaN or an infinity."""
+    """An input is NaN or infinite, or a density so large that its square is."""
 
 
 class NotInvertibleError(ValueError):

@@ -17,9 +17,12 @@ a = sqrt(n+1) b - sqrt(n) b_out, c = sqrt(n+1) b_out - sqrt(n) b.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NonFiniteError
 
 _MOMENT = np.zeros((4, 4))
 _MOMENT[0, 1] = 1.0  # <a a_dag>
@@ -71,10 +74,16 @@ def commutator(z1: ModeOperator, z2: ModeOperator) -> complex:
     return complex(z1.coefficients @ _COMMUTATOR @ z2.coefficients)
 
 
-def thermal_pair(n: float) -> tuple[ModeOperator, ModeOperator]:
-    """Noise/output mode pair at occupation n >= 0 (not necessarily integer)."""
+def _check_occupation(n: float) -> None:
+    if not math.isfinite(n):
+        raise NonFiniteError(f"occupation must be finite, got {n}")
     if n < 0:
         raise ValueError(f"occupation must be nonnegative, got {n}")
+
+
+def thermal_pair(n: float) -> tuple[ModeOperator, ModeOperator]:
+    """Noise/output mode pair at occupation n >= 0 (not necessarily integer)."""
+    _check_occupation(n)
     cold = np.sqrt(n)
     hot = np.sqrt(n + 1.0)
     noise = ModeOperator(np.array([hot, 0.0, cold, 0.0]))
@@ -86,8 +95,7 @@ def invert_pair(
     b: ModeOperator, b_out: ModeOperator, n: float
 ) -> tuple[ModeOperator, ModeOperator]:
     """Recover the vacuum modes from a thermal pair of occupation n."""
-    if n < 0:
-        raise ValueError(f"occupation must be nonnegative, got {n}")
+    _check_occupation(n)
     cold = np.sqrt(n)
     hot = np.sqrt(n + 1.0)
     mode_a = hot * b - cold * b_out

@@ -27,13 +27,16 @@ measure of a cell is the grid step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateRecoveryError, NotVacuumError
 from .fourier import check_duality, convolve, kernel_of, time_lags
 from .spectra import SpectralDensityPair, SpectralGrid, _frozen
-from .stationary import StationaryModel
+
+if TYPE_CHECKING:
+    from .stationary import StationaryModel
 
 #: Tolerance on the standard-vacuum level kappa + kappa_rev = 1.
 STANDARD_VACUUM_TOL = 1e-12

@@ -25,6 +25,7 @@ law, which are strictly positive, skip the snap).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,8 +133,12 @@ def _pair_from_kappa(grid: SpectralGrid, kappa: np.ndarray, snap: float) -> Spec
         raise NonFiniteError("density values must be finite (no NaN or infinity)")
     if np.any(kappa < 0):
         raise ValueError("density values must be nonnegative")
-    if snap > 0 and kappa.size and kappa.max() > 0:
-        kappa = np.where(kappa < snap * kappa.max(), 0.0, kappa)
+    peak = float(kappa.max(initial=0.0))
+    # Downstream code squares densities (norms, Gram products): keep that finite.
+    if not math.isfinite(peak * peak):
+        raise NonFiniteError(f"density peak {peak!r} is too large: its square overflows")
+    if snap > 0 and peak > 0:
+        kappa = np.where(kappa < snap * peak, 0.0, kappa)
     kappa_rev = kappa[::-1].copy()
 
     pos = kappa > 0

@@ -137,6 +137,13 @@ class TestExitCodes:
         assert run("mode", "--n", "-1") == 2
         assert "nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", ["nan", "inf"])
+    def test_non_finite_mode_occupation_exits_two(self, n, capsys):
+        assert run("mode", "--n", n) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "config error" in err and "finite" in err
+
     @pytest.mark.parametrize(
         "raw",
         [
@@ -150,6 +157,9 @@ class TestExitCodes:
             {"model": "planck", "h": 1.0, "n_points": 5, "step": 1.0},
             {**FLAT, "model": "pink"},
             {**FLAT, "model": ["flat"]},
+            {"model": "planck", "beta": 1e-300, "h": 1.0, "n_points": 33, "step": 0.25},
+            {"model": "flat", "sigma2": 1e308, "n_points": 33, "step": 0.25},
+            {"model": "planck", "beta": 1.0, "h": 1e306, "n_points": 33, "step": 0.25},
         ],
         ids=[
             "bool_n_points",
@@ -162,8 +172,12 @@ class TestExitCodes:
             "missing_beta",
             "unknown_model",
             "list_model",
+            "tiny_beta",
+            "huge_sigma2",
+            "huge_h",
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_rejected_config_exits_two(self, raw, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))

@@ -122,6 +122,14 @@ class TestInvertPair:
         with pytest.raises(ValueError, match="nonnegative"):
             qn.invert_pair(b, b_out, -1.0)
 
+    @pytest.mark.parametrize("n", [np.nan, np.inf])
+    def test_non_finite_occupation_rejected(self, n):
+        b, b_out = qn.thermal_pair(1.0)
+        with pytest.raises(qn.NonFiniteError, match="finite"):
+            qn.thermal_pair(n)
+        with pytest.raises(qn.NonFiniteError, match="finite"):
+            qn.invert_pair(b, b_out, n)
+
 
 class TestAlgebraProperties:
     @given(z1=coefficient_vectors, z2=coefficient_vectors)

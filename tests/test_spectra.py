@@ -160,6 +160,13 @@ class TestTabulatedDensity:
             qn.tabulated_density([1.0, bad, 1.0], grid)
         assert issubclass(qn.NonFiniteError, ValueError)
 
+    @pytest.mark.filterwarnings("error")
+    def test_peak_whose_square_overflows_rejected(self):
+        grid = qn.make_grid(3, 1.0)
+        with pytest.raises(qn.NonFiniteError, match="overflows"):
+            qn.tabulated_density([1.0, 1e155, 1.0], grid)
+        assert qn.tabulated_density([1.0, 1e150, 1.0], grid).gamma[1] == 1e150
+
     def test_small_values_snap_to_zero(self):
         grid = qn.make_grid(3, 1.0)
         pair = qn.tabulated_density([0.1 * ZERO_SNAP, 1.0, 1.0], grid)
