@@ -454,7 +454,7 @@ def cmd_mode(n: float) -> int:
 
 def cmd_verify(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     from . import verification
-    checks = verification.run_all(pipe.pair, pipe.eps, tol_factor=config.tol)
+    checks = verification.run_all(pipe, tol_factor=config.tol)
     all_pass = all(c.passed for c in checks)
     _write_json(
         out_dir / "verify_report.json",

@@ -13,6 +13,7 @@ constants.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 DUALITY_TOL = 1e-9
 
@@ -60,9 +61,16 @@ def circulant(symbol: np.ndarray) -> np.ndarray:
 
     Entry (i, j) is c[(i - j) mod n] with first column
     c = ifft(ifftshift(symbol)); this is V† diag(symbol) V in the unitary
-    basis V[k, j] = exp(-2 pi i (k-m)(j-m)/n) / sqrt(n), filled in O(n^2)
-    without forming V.  All matrices built this way commute.
+    basis V[k, j] = exp(-2 pi i (k-m)(j-m)/n) / sqrt(n), returned as the
+    O(n) view of :func:`column_circulant`.  All such matrices commute.
     """
-    column = np.fft.ifft(np.fft.ifftshift(symbol))
-    idx = np.arange(column.size)
-    return column[np.subtract.outer(idx, idx) % column.size]
+    return column_circulant(np.fft.ifft(np.fft.ifftshift(symbol)))
+
+
+def column_circulant(column: np.ndarray) -> np.ndarray:
+    """Read-only circulant with first column c, as a view over b = (c[1:], c):
+    entry (i, j) is b[n - 1 + i - j] = c[(i - j) mod n], and nothing is n x n."""
+    n = column.size
+    base = np.concatenate((column[1:], column))
+    stride = base.strides[0]
+    return as_strided(base[n - 1:], (n, n), (stride, -stride), writeable=False)

@@ -4,8 +4,9 @@ The periodic (circulant) closure of the correlation matrix is used
 throughout: every matrix here is diagonal in one discrete Fourier basis,
 so the noise and reversed-noise covariances commute exactly and each
 object is its symbol of n per-frequency numbers.  Only symbols are
-stored; a dense matrix is filled from its symbol in O(n^2) by
-:func:`qnoise.fourier.circulant` on first access, and then cached:
+stored; a dense matrix is built from its symbol on first access and then
+cached, as a read-only :func:`qnoise.fourier.circulant` view over 2n - 1
+entries (K_rev and X_rev over the conjugated first columns of K and X):
 
     covariance K        <- symbol kappa(nu_k)
     reversed  K_rev     <- symbol kappa(-nu_k)       (= conj(K))
@@ -25,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotInvertibleError, NotPositiveDefiniteError
-from .fourier import check_duality, circulant, kernel_of, time_lags
+from .fourier import check_duality, circulant, column_circulant, kernel_of, time_lags
 from .spectra import SpectralDensityPair, _frozen
 
 #: Relative eigenvalue floor below which the covariance counts as singular.
@@ -41,8 +42,8 @@ EIGENVALUE_SNAP = 1e-14
 
 
 def _dense(symbol_of) -> cached_property:
-    """Read-only attribute: the circulant of ``symbol_of(self)``, built once."""
-    return cached_property(lambda self: _frozen(circulant(symbol_of(self))))
+    """Read-only attribute: the circulant view of ``symbol_of(self)``, built once."""
+    return cached_property(lambda self: circulant(symbol_of(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +125,9 @@ class StationaryModel:
         return np.sqrt(self.eigenvalues * self.eigenvalues[::-1])
 
     K = _dense(lambda m: m.eigenvalues)
-    K_rev = cached_property(lambda m: _frozen(np.conj(m.K)))
+    K_rev = cached_property(lambda m: column_circulant(np.conj(m.K[:, 0])))
     X = _dense(lambda m: np.sqrt(m.eigenvalues))
-    X_rev = cached_property(lambda m: _frozen(np.conj(m.X)))
+    X_rev = cached_property(lambda m: column_circulant(np.conj(m.X[:, 0])))
     G = _dense(lambda m: m.gamma)
     L = cached_property(lambda m: modular_matrix(m).L if m.invertible else None)
 
@@ -238,10 +239,13 @@ def spectral_amplitudes(model: StationaryModel) -> SpectralAmplitudes:
     ``reverse`` gives K_rev, and the mixed product gives G.
     """
     lags = time_lags(model.n_points)
-    waves = np.sqrt(model.eps) * np.exp(
-        -2j * np.pi * model.eps * np.outer(model.frequencies, lags)
-    )
-    noise = np.sqrt(model.eigenvalues)[:, None] * waves
+    # exp(i phase) as cos + i sin of a real phase, cheaper than a complex exp
+    phase = (-2 * np.pi * model.eps) * np.outer(model.frequencies, lags)
+    noise = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=noise.real)
+    np.sin(phase, out=noise.imag)
+    noise *= np.sqrt(model.eps)
+    noise *= np.sqrt(model.eigenvalues)[:, None]
     reverse = np.conj(noise[::-1, :])
     return SpectralAmplitudes(
         frequencies=model.frequencies,

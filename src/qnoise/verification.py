@@ -21,9 +21,11 @@ the product checks (the Grams, the root squares, ``conjugate_inverse``,
 using ||C||_F = sqrt(n) * ||C[:, 0]||_2 where a Frobenius norm is asked
 for.  The residual is the larger of the column residual and the defects,
 so a matrix off the circulant pattern still fails.  ``amplitude_gram`` and
-``amplitude_cross`` stay full dense products: they start from explicit
-plane waves, never from :func:`qnoise.fourier.circulant` or an FFT, and so
-check every entry of K and G by a second route.
+``amplitude_cross`` compare the first columns of K and G with those of
+step * N†N and step * N†R, built from the explicit plane-wave amplitudes
+N and R: with the defects of K and G, that reaches every entry by a route
+through neither :func:`qnoise.fourier.circulant` nor an FFT.  No check
+multiplies two n x n matrices, so every suite costs O(n^2).
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import decomposition, mode_algebra, qsi, stationary, synthesis
+from . import stationary
 from .errors import DegenerateRecoveryError
 from .fourier import convolve, kernel_of, spectrum_of
 from .pipeline import Pipeline
@@ -77,6 +79,11 @@ def _circulant_column(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 def _symbol(column: np.ndarray) -> np.ndarray:
     """Spectrum of a circulant, in grid order, from its first column."""
     return np.fft.fftshift(np.fft.fft(column))
+
+
+def _adjoint_times(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """matrix† @ vector, with no conjugated copy of the matrix."""
+    return np.conj(np.conj(vector) @ matrix)
 
 
 def _frobenius(column: np.ndarray) -> float:
@@ -151,11 +158,11 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
         )
     )
 
-    gram = max(_maxabs(model.X.conj().T @ x - k), x_defect, k_defect)
+    gram = max(_maxabs(_adjoint_times(model.X, x) - k), x_defect, k_defect)
     out.append(_result("stationary", "gram_noise", gram / norm, 1e-10))
-    gram = max(_maxabs(model.X_rev.conj().T @ x_rev - k_rev), x_rev_defect, k_rev_defect)
+    gram = max(_maxabs(_adjoint_times(model.X_rev, x_rev) - k_rev), x_rev_defect, k_rev_defect)
     out.append(_result("stationary", "gram_reverse", gram / norm, 1e-10))
-    gram = max(_maxabs(model.X.conj().T @ x_rev - g), x_defect, x_rev_defect, g_defect)
+    gram = max(_maxabs(_adjoint_times(model.X, x_rev) - g), x_defect, x_rev_defect, g_defect)
     out.append(_result("stationary", "gram_cross", gram / norm, 1e-10))
     out.append(_result("stationary", "conjugation", _maxabs(model.X_rev - np.conj(model.X)), 0.0))
     squares = max(_maxabs(model.X @ x - k), x_defect, k_defect)
@@ -164,10 +171,13 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     out.append(_result("stationary", "cross_cov_symmetric", _maxabs(model.G - model.G.T) / norm, 1e-10))
     negative = max(0.0, -float(_symbol(g).real.min()), g_defect)
     out.append(_result("stationary", "cross_cov_psd", negative / norm, 1e-10))
-    mean = max(_frobenius(model.G @ g - model.K @ k_rev), g_defect, k_defect, k_rev_defect)
-    out.append(_result("stationary", "geometric_mean", mean / norm**2, 1e-9))
-    commute = max(_frobenius(model.K @ k_rev - model.K_rev @ k), k_defect, k_rev_defect)
-    out.append(_result("stationary", "covariances_commute", commute / norm**2, 1e-12))
+    # columns scaled before the products, so nothing of order norm**2 overflows
+    mean = _frobenius(model.G @ (g / norm) - model.K @ (k_rev / norm))
+    mean = max(mean, max(g_defect, k_defect, k_rev_defect) / norm)
+    out.append(_result("stationary", "geometric_mean", mean / norm, 1e-9))
+    commute = _frobenius(model.K @ (k_rev / norm) - model.K_rev @ (k / norm))
+    commute = max(commute, max(k_defect, k_rev_defect) / norm)
+    out.append(_result("stationary", "covariances_commute", commute / norm, 1e-12))
 
     amps = stationary.spectral_amplitudes(model)
     out.append(
@@ -179,22 +189,10 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
         )
     )
     step = pair.grid.step
-    out.append(
-        _result(
-            "stationary",
-            "amplitude_gram",
-            _maxabs(step * amps.noise.conj().T @ amps.noise - model.K) / norm,
-            1e-10,
-        )
-    )
-    out.append(
-        _result(
-            "stationary",
-            "amplitude_cross",
-            _maxabs(step * amps.noise.conj().T @ amps.reverse - model.G) / norm,
-            1e-10,
-        )
-    )
+    gram = max(_maxabs(step * _adjoint_times(amps.noise, amps.noise[:, 0]) - k), k_defect)
+    out.append(_result("stationary", "amplitude_gram", gram / norm, 1e-10))
+    gram = max(_maxabs(step * _adjoint_times(amps.noise, amps.reverse[:, 0]) - g), g_defect)
+    out.append(_result("stationary", "amplitude_cross", gram / norm, 1e-10))
 
     zeta = np.exp(1j * np.linspace(0.0, 3.0, model.n_points))
     out.append(
@@ -226,7 +224,7 @@ def modular_checks(pipe: Pipeline) -> list[CheckResult]:
         )
     )
     l_norm = max(_maxabs(filt.L), 1.0)
-    inverse = np.conj(filt.L) @ l_col
+    inverse = np.conj(filt.L @ np.conj(l_col))
     inverse[0] -= 1.0
     out.append(
         _result("modular", "conjugate_inverse", max(_maxabs(inverse), l_defect) / l_norm**2, 1e-12)
@@ -247,6 +245,7 @@ def modular_checks(pipe: Pipeline) -> list[CheckResult]:
 
 
 def decomposition_checks(pipe: Pipeline) -> list[CheckResult]:
+    from . import decomposition
     out = []
     pair, eps, parts = pipe.pair, pipe.eps, pipe.parts
 
@@ -316,6 +315,7 @@ def decomposition_checks(pipe: Pipeline) -> list[CheckResult]:
 
 
 def synthesis_checks(pipe: Pipeline) -> list[CheckResult]:
+    from . import synthesis
     out = []
     pair, eps, filt = pipe.pair, pipe.eps, pipe.transmission
     std = filt.standard
@@ -401,6 +401,7 @@ def synthesis_checks(pipe: Pipeline) -> list[CheckResult]:
 
 
 def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
+    from . import qsi
     out = []
     pair, eps = pipe.pair, pipe.eps
     grid = pair.grid
@@ -541,6 +542,7 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
 
 
 def mode_checks() -> list[CheckResult]:
+    from . import mode_algebra
     out = []
     for n in (0.0, 0.5, 1.0, 2.0, 10.0):
         noise, reverse = mode_algebra.thermal_pair(n)
@@ -567,9 +569,10 @@ def mode_checks() -> list[CheckResult]:
     return out
 
 
-def run_all(pair: SpectralDensityPair, eps: float, tol_factor: float = 1.0) -> list[CheckResult]:
-    """All suites on one configuration, with optional tolerance scaling."""
-    pipe = Pipeline(pair, eps)
+def run_all(pair: SpectralDensityPair | Pipeline, eps: float | None = None,
+            tol_factor: float = 1.0) -> list[CheckResult]:
+    """All suites on a pipeline, or on a pair at ``eps``, with optional tolerance scaling."""
+    pipe = pair if isinstance(pair, Pipeline) else Pipeline(pair, eps)
     results = []
     results += spectra_checks(pipe)
     results += stationary_checks(pipe)

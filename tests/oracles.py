@@ -55,6 +55,13 @@ def plane_wave_matrix(grid, eps):
     return np.sqrt(eps) * np.exp(-2j * np.pi * eps * np.outer(grid.points, lags))
 
 
+def gather_circulant(column):
+    """Circulant with this first column, filled entry by entry as an n x n array."""
+    column = np.asarray(column)
+    idx = np.arange(column.size)
+    return column[np.subtract.outer(idx, idx) % column.size]
+
+
 def dense_symbol_matrix(symbol, grid, eps):
     """Dense assembly sum_k symbol_k conj(u_i) u_j step, by explicit loops."""
     waves = plane_wave_matrix(grid, eps)

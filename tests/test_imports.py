@@ -44,7 +44,7 @@ LOADED = {
     "synth": CLI | {"fourier", "synthesis"},
     "qsi": CLI | {"fourier", "qsi"},
     "decompose": CLI | {"fourier", "stationary", "decomposition"},
-    "corr": EVERYTHING,
+    "corr": CLI | {"fourier", "stationary", "verification"},
     "verify": EVERYTHING,
 }
 

@@ -36,6 +36,29 @@ def test_corr_command_builds_the_chain_once(tmp_path, build_counts, capsys):
     assert build_counts == {"correlation_sequence": 1, "build_model": 1}
 
 
+def test_verify_command_builds_one_pipeline(tmp_path, build_counts, monkeypatch, capsys):
+    built = []
+    original = Pipeline.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Pipeline, "__init__", counted)
+    config = REPO_ROOT / "configs" / "planck.json"
+    assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
+    assert build_counts == {"correlation_sequence": 1, "build_model": 1}
+
+
+def test_run_all_reads_the_pipeline_it_is_given(planck_setup):
+    _, pair, eps = planck_setup
+    pipe = Pipeline(pair, eps)
+    results = verification.run_all(pipe)
+    assert "model" in vars(pipe) and "canonical" in vars(pipe)
+    assert results == verification.run_all(pair, eps)
+
+
 def test_stages_are_built_once_and_shared(planck_setup):
     _, pair, eps = planck_setup
     pipe = Pipeline(pair, eps)

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qnoise as qn
+from qnoise import fourier
 from qnoise.errors import NotInvertibleError, NotPositiveDefiniteError
 
 from conftest import build_chain, grid_and_eps
 from oracles import (
     dense_symbol_matrix,
+    gather_circulant,
     gram_quadratic_form,
     mixed_kappa,
+    plane_wave_matrix,
     slow_convolve,
     slow_kernel,
     slow_kernel_all,
@@ -110,6 +113,37 @@ def _check_dense_matrices(pair, grid, eps):
     assert np.array_equal(model.K_rev, np.conj(model.K))
     assert np.array_equal(model.X_rev, np.conj(model.X))
     return model
+
+
+def _owner(array):
+    """The array that owns the memory a view reads."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+class TestCirculant:
+    @pytest.mark.parametrize("n", [1, 3, 9, 33, 257])
+    def test_bit_equal_to_the_gather_read_only_and_linear_in_memory(self, n):
+        rng = np.random.default_rng(n)
+        for symbol in (rng.uniform(0.1, 2.0, n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+            matrix = fourier.circulant(symbol)
+            expected = gather_circulant(np.fft.ifft(np.fft.ifftshift(symbol)))
+            assert matrix.shape == (n, n)
+            assert np.array_equal(np.array(matrix).view(np.uint64), expected.view(np.uint64))
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 0.0
+            owner = _owner(matrix)
+            assert owner.flags.owndata and owner.size <= 2 * n
+
+    def test_conjugates_are_exact_views(self, planck_setup, mixed_setup):
+        for _, pair, eps in (planck_setup, mixed_setup):
+            _, model = build_chain(pair, eps)
+            n = model.n_points
+            for matrix, conjugate in ((model.K, model.K_rev), (model.X, model.X_rev)):
+                assert np.array_equal(conjugate, np.conj(matrix))
+                assert _owner(conjugate).size <= 2 * n
 
 
 class TestBuildModel:
@@ -345,6 +379,13 @@ class TestSpectralAmplitudes:
             rtol=0,
             atol=tol,
         )
+
+    @pytest.mark.parametrize("n, step", [(9, 0.5), (33, 0.25), (65, 0.25), (129, 1.0 / 3), (513, 16.0 / 512)])
+    def test_noise_is_the_complex_exponential_bit_for_bit(self, n, step):
+        grid, eps = grid_and_eps(n, step)
+        _, model = build_chain(qn.planck_density(1.0, 1.0, grid), eps)
+        expected = np.sqrt(model.eigenvalues)[:, None] * plane_wave_matrix(grid, eps)
+        assert np.array_equal(qn.spectral_amplitudes(model).noise, expected)
 
     def test_star_involution_exact(self, mixed_setup):
         _, pair, eps = mixed_setup

@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import qnoise as qn
 from qnoise import fourier, stationary, verification
+from qnoise.pipeline import Pipeline
+
+from oracles import gather_circulant
 
 
 @pytest.mark.parametrize("setup_name", ["planck_setup", "flat_setup", "mixed_setup", "vacuum_setup"])
@@ -78,13 +84,51 @@ def test_entry_off_the_circulant_pattern_fails_dft_consistency(planck_setup, mon
     # One entry above the diagonal, off the first column: a Hermitian
     # eigensolver that reads only the lower triangle would miss it.
     def perturbed(symbol):
-        matrix = fourier.circulant(symbol)
+        matrix = np.array(fourier.circulant(symbol))
         matrix[1, 3] += 1e-6 * np.abs(matrix).max()
         return matrix
 
     monkeypatch.setattr(stationary, "circulant", perturbed)
     _, pair, eps = planck_setup
     assert not _verdicts(pair, eps)["stationary/dft_consistency"]
+
+
+def test_first_column_of_k_off_the_amplitudes_fails_amplitude_gram(planck_setup, monkeypatch):
+    # K stays an exact circulant, so only its first column can carry the error.
+    _, pair, eps = planck_setup
+    eigenvalues = Pipeline(pair, eps).model.eigenvalues
+
+    def perturbed(symbol):
+        column = np.fft.ifft(np.fft.ifftshift(symbol))
+        if np.array_equal(symbol, eigenvalues):
+            column[2] += 1e-6 * np.abs(column).max()
+        return gather_circulant(column)
+
+    monkeypatch.setattr(stationary, "circulant", perturbed)
+    assert not _verdicts(pair, eps)["stationary/amplitude_gram"]
+
+
+def test_run_all_allocates_no_more_than_five_dense_matrices():
+    n = 1025
+    step = 16.0 / (n - 1)
+    pair = qn.planck_density(1.0, 1.0, qn.make_grid(n, step))
+    tracemalloc.start()
+    try:
+        results = verification.run_all(pair, 1.0 / (n * step))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results)
+    assert peak <= 5 * 16 * n**2
+
+
+@pytest.mark.filterwarnings("error")
+def test_product_checks_do_not_overflow_on_a_huge_density():
+    # norm**2 = 1e300 is finite but the products of K with its column are not.
+    grid = qn.make_grid(33, 0.25)
+    verdicts = _verdicts(qn.flat_density(1e150, grid), 1.0 / (33 * 0.25))
+    assert verdicts["stationary/geometric_mean"]
+    assert verdicts["stationary/covariances_commute"]
 
 
 def test_run_all_calls_no_eigensolver(planck_setup, monkeypatch):
