@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 #: Home module of every public name.
 _EXPORTS = {
     "decomposition": (
-        "INPUT_TO_OUTPUT", "OUTPUT_TO_INPUT", "ComponentSplit", "ThetaKernels",
-        "best_estimate", "modular_kernels_theta", "split",
+        "INPUT_TO_OUTPUT", "OUTPUT_TO_INPUT", "ComponentSplit", "best_estimate",
+        "modular_kernels_theta", "split",
     ),
     "errors": (
         "DegenerateRecoveryError", "EmptySupportError", "NonFiniteError",
@@ -31,10 +31,9 @@ _EXPORTS = {
     ),
     "pipeline": ("Pipeline",),
     "qsi": (
-        "CanonicalPair", "IntegratorTable", "MeasureSymbol", "OutputPair",
-        "StationaryFilterKernels", "VacuumAssembly", "build_output_pair",
-        "canonical_from_vacuum", "integrator_table", "interval_mask", "isometry_check",
-        "recover_canonical", "reflection_symmetry_check", "time_domain_representation",
+        "CanonicalPair", "IntegratorTable", "MeasureSymbol", "OutputPair", "VacuumAssembly",
+        "build_output_pair", "canonical_from_vacuum", "integrator_table", "interval_mask",
+        "isometry_check", "recover_canonical", "reflection_symmetry_check",
     ),
     "spectra": (
         "MIXED", "STANDARD_THERMAL", "STANDARD_VACUUM", "THERMAL", "VACUUM", "WHITE",

@@ -323,8 +323,8 @@ def cmd_decompose(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     rows = []
     if pair.theta.any():
         kernels = decomposition.modular_kernels_theta(pair, pipe.eps)
-        rows += _kernel_rows("theta_half", kernels.lags, kernels.eps, kernels.half)
-        rows += _kernel_rows("theta_inv_half", kernels.lags, kernels.eps, kernels.inv_half)
+        rows += _kernel_rows("theta_half", kernels.lags, kernels.eps, kernels.kernel_half)
+        rows += _kernel_rows("theta_inv_half", kernels.lags, kernels.eps, kernels.kernel_inv_half)
     _write_csv(out_dir / "decompose_kernels.csv", ["kernel", "j", "t", "real", "imag"], rows)
     print(f"wrote {out_dir / 'decompose_report.json'} and decompose_kernels.csv")
     return 0

@@ -11,16 +11,13 @@ rather than a tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EmptySupportError
-from .fourier import check_duality, kernel_of, time_lags
+from .fourier import check_duality
 from .spectra import SpectralDensityPair, _frozen
-
-if TYPE_CHECKING:
-    from .stationary import StationaryModel
+from .stationary import ModularFilter, StationaryModel, _masked_filter
 
 INPUT_TO_OUTPUT = "input-to-output"
 OUTPUT_TO_INPUT = "output-to-input"
@@ -98,24 +95,13 @@ def best_estimate(split_result: ComponentSplit, direction: str) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ThetaKernels:
-    """Modular filter kernels restricted to the thermal support."""
-
-    eps: float
-    lags: np.ndarray
-    half: np.ndarray
-    inv_half: np.ndarray
-
-
-def modular_kernels_theta(pair: SpectralDensityPair, eps: float) -> ThetaKernels:
-    """Time kernels of lambda^(+-1/2) over the thermal support only.
+def modular_kernels_theta(pair: SpectralDensityPair, eps: float) -> ModularFilter:
+    """Modular filter of lambda over the thermal support only.
 
     The modular function is taken as exactly zero off theta (no
-    extrapolation across the support boundary).  Satisfies the modular
-    property half(-t) = conj(half(t)) = inv_half(t), and the plain
-    circular convolution of the two kernels is the kernel of the theta
-    indicator.
+    extrapolation across the support boundary).  The kernels keep the
+    modular property of :class:`~qnoise.stationary.ModularFilter`, and their
+    plain circular convolution is the kernel of the theta indicator.
 
     Raises:
         EmptySupportError: if the thermal support is empty.
@@ -124,13 +110,4 @@ def modular_kernels_theta(pair: SpectralDensityPair, eps: float) -> ThetaKernels
     check_duality(grid.n_points, grid.step, eps)
     if not pair.theta.any():
         raise EmptySupportError("thermal support is empty; no modular kernels exist")
-    lam_half = np.zeros(grid.n_points)
-    lam_inv_half = np.zeros(grid.n_points)
-    lam_half[pair.theta] = np.sqrt(pair.lambda_theta[pair.theta])
-    lam_inv_half[pair.theta] = np.sqrt(1.0 / pair.lambda_theta[pair.theta])
-    return ThetaKernels(
-        eps=float(eps),
-        lags=_frozen(time_lags(grid.n_points)),
-        half=_frozen(eps * kernel_of(lam_half, grid.step)),
-        inv_half=_frozen(eps * kernel_of(lam_inv_half, grid.step)),
-    )
+    return _masked_filter(pair.lambda_theta, pair.theta, eps, grid.step)

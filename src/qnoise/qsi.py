@@ -31,8 +31,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateRecoveryError, NotVacuumError
-from .fourier import check_duality, convolve, kernel_of, time_lags
+from .errors import DegenerateRecoveryError, NonFiniteError, NotVacuumError
+from .fourier import kernel_of
 from .spectra import SpectralDensityPair, SpectralGrid, _frozen
 
 if TYPE_CHECKING:
@@ -269,6 +269,7 @@ def build_output_pair(
         reverse(D) = integral over D of sigma_rev A_minus + sigma A_plus
 
     Raises:
+        NonFiniteError: for NaN or infinite amplitudes.
         ValueError: for negative amplitudes or a broken flip relation
             sigma_rev(nu) = sigma(-nu).
     """
@@ -277,6 +278,8 @@ def build_output_pair(
     n = canonical.grid.n_points
     if sigma.shape != (n,) or sigma_rev.shape != (n,):
         raise ValueError(f"amplitudes must have shape ({n},)")
+    if not (np.isfinite(sigma).all() and np.isfinite(sigma_rev).all()):
+        raise NonFiniteError("output amplitudes must be finite (no NaN or infinity)")
     if np.any(sigma < 0) or np.any(sigma_rev < 0):
         raise ValueError("output amplitudes must be nonnegative")
     scale = float(sigma.max(initial=0.0))
@@ -395,50 +398,3 @@ def reflection_symmetry_check(model: StationaryModel) -> float:
     """
     r = kernel_of(model.gamma, model.step)
     return float(np.max(np.abs(r - r[::-1])))
-
-
-@dataclass(frozen=True, eq=False)
-class StationaryFilterKernels:
-    """Time kernels of a spectral amplitude and its reverse.
-
-    ``amp_kernel`` is the quadrature kernel of sigma; ``amp_kernel_rev``
-    is its exact lag flip (the reverse amplitude transforms to the
-    time-reflected kernel).  :meth:`coefficient_pair` turns spectral test
-    coefficients (a, c) into the time-domain integrand pair whose spectra
-    are (a sigma_rev + c sigma, a sigma + c sigma_rev).
-    """
-
-    eps: float
-    step: float
-    lags: np.ndarray
-    amp_kernel: np.ndarray
-    amp_kernel_rev: np.ndarray
-
-    def coefficient_pair(self, a: np.ndarray, c: np.ndarray):
-        a_kernel = kernel_of(np.asarray(a, dtype=complex), self.step)
-        c_kernel = kernel_of(np.asarray(c, dtype=complex), self.step)
-        phi_minus = convolve(a_kernel, self.amp_kernel_rev, self.eps) + convolve(
-            c_kernel, self.amp_kernel, self.eps
-        )
-        phi_plus = convolve(a_kernel, self.amp_kernel, self.eps) + convolve(
-            c_kernel, self.amp_kernel_rev, self.eps
-        )
-        return phi_minus, phi_plus
-
-
-def time_domain_representation(
-    sigma: np.ndarray, grid: SpectralGrid, eps: float
-) -> StationaryFilterKernels:
-    """Stationary filter kernels realizing the amplitude ``sigma`` in time."""
-    check_duality(grid.n_points, grid.step, eps)
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (grid.n_points,):
-        raise ValueError(f"sigma must have shape ({grid.n_points},)")
-    amp_kernel = kernel_of(sigma, grid.step)
-    return StationaryFilterKernels(
-        eps=float(eps),
-        step=grid.step,
-        lags=_frozen(time_lags(grid.n_points)),
-        amp_kernel=_frozen(amp_kernel),
-        amp_kernel_rev=_frozen(amp_kernel[::-1].copy()),
-    )

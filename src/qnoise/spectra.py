@@ -65,10 +65,6 @@ class SpectralGrid:
     step: float
     points: np.ndarray
 
-    def flip(self, values: np.ndarray) -> np.ndarray:
-        """Per-point values of nu -> values of -nu (index reversal)."""
-        return values[::-1].copy()
-
     @property
     def nu_max(self) -> float:
         return float(self.points[-1])
@@ -79,12 +75,15 @@ def make_grid(n_points: int, step: float) -> SpectralGrid:
 
     Raises:
         ValueError: if ``n_points`` is even or < 3, or ``step`` <= 0.
+        NonFiniteError: if ``step`` is NaN or infinite.
     """
     if int(n_points) != n_points:
         raise ValueError(f"n_points must be an integer, got {n_points}")
     n_points = int(n_points)
     if n_points < 3 or n_points % 2 == 0:
         raise ValueError(f"n_points must be an odd integer >= 3, got {n_points}")
+    if not math.isfinite(step):
+        raise NonFiniteError(f"step must be finite, got {step}")
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     half = (n_points - 1) // 2
@@ -118,9 +117,6 @@ class SpectralDensityPair:
     def retained(self) -> np.ndarray:
         """Mask of points carrying any signal (kappa + kappa_rev > 0)."""
         return self.n_plus | self.n_minus | self.theta
-
-    def flip(self, values: np.ndarray) -> np.ndarray:
-        return self.grid.flip(values)
 
 
 def _pair_from_kappa(grid: SpectralGrid, kappa: np.ndarray, snap: float) -> SpectralDensityPair:

@@ -12,7 +12,7 @@ entries (K_rev and X_rev over the conjugated first columns of K and X):
     reversed  K_rev     <- symbol kappa(-nu_k)       (= conj(K))
     root      X = K^1/2 <- symbol sqrt(kappa)
     cross     G         <- symbol gamma = sqrt(kappa * kappa(-.))
-    modular   L         <- symbol kappa(-.)/kappa    (K invertible only)
+    modular   L         <- symbol kappa(-.)/kappa    (on a ModularFilter)
 
 With the duality n*step*eps = 1 the quadrature constant collapses to one:
 K = eps * circulant(k_j) has eigenvalues exactly {kappa(nu_k)}, and the
@@ -99,8 +99,8 @@ class StationaryModel:
 
     ``eigenvalues`` is the covariance symbol, ordered like the grid points
     (entry k belongs to frequency nu_k = step*(k - (n-1)/2)).  The dense
-    matrices below (L is None unless invertible) are read-only and built
-    on first access; K_rev and X_rev are exact conjugates of K and X.
+    matrices below are read-only and built on first access; K_rev and
+    X_rev are exact conjugates of K and X.
     Column j of X realizes the noise at lag j and column j of X_rev its
     time reverse: X†X = K, X_rev†X_rev = K_rev and X†X_rev = G.
     """
@@ -129,7 +129,6 @@ class StationaryModel:
     X = _dense(lambda m: np.sqrt(m.eigenvalues))
     X_rev = cached_property(lambda m: column_circulant(np.conj(m.X[:, 0])))
     G = _dense(lambda m: m.gamma)
-    L = cached_property(lambda m: modular_matrix(m).L if m.invertible else None)
 
 
 def build_model(seq: CorrelationSequence) -> StationaryModel:
@@ -173,12 +172,16 @@ def build_model(seq: CorrelationSequence) -> StationaryModel:
 class ModularFilter:
     """Modular symbol lambda = kappa(-.)/kappa with its stationary filter kernels.
 
-    L = K_rev K^-1 and L_half = L^(1/2) are built from ``symbol`` on first
-    access.  ``kernel_half``/``kernel_inv_half`` are the first-row kernels of
+    The symbol lives on a support mask and is exactly zero off it: the
+    whole grid for :func:`modular_matrix`, the thermal support for
+    :func:`qnoise.decomposition.modular_kernels_theta`.  L = K_rev K^-1 and
+    L_half = L^(1/2) are built from ``symbol`` on first access.
+    ``kernel_half``/``kernel_inv_half`` are the first-row kernels of
     L^(1/2) and L^(-1/2) at centered lags, i.e. the discrete input-output
     and reversed filters.  They satisfy the modular property
     kernel_half(-t) = conj(kernel_half(t)) = kernel_inv_half(t), and their
-    plain circular convolution is the unit kernel delta_{j0}.
+    plain circular convolution is eps times the kernel of the support
+    indicator (the unit kernel delta_{j0} on the whole grid).
     """
 
     eps: float
@@ -189,6 +192,22 @@ class ModularFilter:
 
     L = _dense(lambda f: f.symbol)
     L_half = _dense(lambda f: np.sqrt(f.symbol))
+
+
+def _masked_filter(lam: np.ndarray, support: np.ndarray, eps: float, step: float) -> ModularFilter:
+    """The one builder of lambda^(+-1/2) kernels: the modular filter of ``lam``
+    on ``support``, exactly zero off it (``lam`` is read only on ``support``)."""
+    half = np.zeros(lam.size)
+    inv_half = np.zeros(lam.size)
+    half[support] = np.sqrt(lam[support])
+    inv_half[support] = np.sqrt(1.0 / lam[support])
+    return ModularFilter(
+        eps=float(eps),
+        lags=_frozen(time_lags(lam.size)),
+        symbol=_frozen(np.where(support, lam, 0.0)),
+        kernel_half=_frozen(eps * kernel_of(half, step)),
+        kernel_inv_half=_frozen(eps * kernel_of(inv_half, step)),
+    )
 
 
 def modular_matrix(model: StationaryModel) -> ModularFilter:
@@ -205,13 +224,7 @@ def modular_matrix(model: StationaryModel) -> ModularFilter:
             "the modular filter is undefined"
         )
     lam = model.eigenvalues[::-1] / model.eigenvalues
-    return ModularFilter(
-        eps=model.eps,
-        lags=time_lags(model.n_points),
-        symbol=_frozen(lam),
-        kernel_half=_frozen(model.eps * kernel_of(np.sqrt(lam), model.step)),
-        kernel_inv_half=_frozen(model.eps * kernel_of(np.sqrt(1.0 / lam), model.step)),
-    )
+    return _masked_filter(lam, np.ones(lam.size, dtype=bool), model.eps, model.step)
 
 
 @dataclass(frozen=True, eq=False)

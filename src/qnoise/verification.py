@@ -26,6 +26,11 @@ step * N†N and step * N†R, built from the explicit plane-wave amplitudes
 N and R: with the defects of K and G, that reaches every entry by a route
 through neither :func:`qnoise.fourier.circulant` nor an FFT.  No check
 multiplies two n x n matrices, so every suite costs O(n^2).
+
+Scaled residuals divide by their scale once: a circulant defect by the
+density scale, like the column residual it is maxed with, and
+``qsi/reflection_symmetry`` the cross kernel's flip asymmetry by its lag-0
+value step * sum(gamma), which bounds every lag as gamma >= 0.
 """
 from __future__ import annotations
 
@@ -172,11 +177,9 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     negative = max(0.0, -float(_symbol(g).real.min()), g_defect)
     out.append(_result("stationary", "cross_cov_psd", negative / norm, 1e-10))
     # columns scaled before the products, so nothing of order norm**2 overflows
-    mean = _frobenius(model.G @ (g / norm) - model.K @ (k_rev / norm))
-    mean = max(mean, max(g_defect, k_defect, k_rev_defect) / norm)
+    mean = max(_frobenius(model.G @ (g / norm) - model.K @ (k_rev / norm)), g_defect, k_defect, k_rev_defect)
     out.append(_result("stationary", "geometric_mean", mean / norm, 1e-9))
-    commute = _frobenius(model.K @ (k_rev / norm) - model.K_rev @ (k / norm))
-    commute = max(commute, max(k_defect, k_rev_defect) / norm)
+    commute = max(_frobenius(model.K @ (k_rev / norm) - model.K_rev @ (k / norm)), k_defect, k_rev_defect)
     out.append(_result("stationary", "covariances_commute", commute / norm, 1e-12))
 
     amps = stationary.spectral_amplitudes(model)
@@ -300,14 +303,13 @@ def decomposition_checks(pipe: Pipeline) -> list[CheckResult]:
 
     if pair.theta.any():
         kernels = decomposition.modular_kernels_theta(pair, eps)
-        half_scale = max(_maxabs(kernels.half), 1e-300)
-        defect = max(
-            _maxabs(kernels.half[::-1] - np.conj(kernels.half)),
-            _maxabs(np.conj(kernels.half) - kernels.inv_half),
+        half, inv_half = kernels.kernel_half, kernels.kernel_inv_half
+        defect = max(_maxabs(half[::-1] - np.conj(half)), _maxabs(np.conj(half) - inv_half))
+        out.append(
+            _result("decomposition", "theta_kernel_modular", defect / max(_maxabs(half), 1e-300), 1e-10)
         )
-        out.append(_result("decomposition", "theta_kernel_modular", defect / half_scale, 1e-10))
         indicator_kernel = eps * kernel_of(pair.theta.astype(float), pair.grid.step)
-        conv = convolve(kernels.half, kernels.inv_half, 1.0)
+        conv = convolve(half, inv_half, 1.0)
         out.append(
             _result("decomposition", "theta_kernel_convolution", _maxabs(conv - indicator_kernel), 1e-9)
         )
@@ -410,18 +412,13 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     delta = qsi.interval_mask(grid, 0.0, grid.nu_max)
     delta_prime = qsi.interval_mask(grid, -grid.nu_max / 2, grid.nu_max / 2)
 
-    densities = {
-        ("noise", "noise"): pair.kappa,
-        ("noise", "reverse"): pair.gamma,
-        ("reverse", "noise"): pair.gamma,
-        ("reverse", "reverse"): pair.kappa_rev,
-    }
     moment_scale = max(step * float(pair.kappa.sum()), 1e-300)
     worst = 0.0
-    for (first, second), density in densities.items():
-        expected = step * math.fsum(density[delta & delta_prime])
-        got = table.second_moment(first, delta, second, delta_prime)
-        worst = max(worst, abs(got - expected))
+    for first in ("noise", "reverse"):
+        for second in ("noise", "reverse"):
+            expected = step * math.fsum(table.density(first, second)[delta & delta_prime])
+            got = table.second_moment(first, delta, second, delta_prime)
+            worst = max(worst, abs(got - expected))
     out.append(_result("qsi", "integrator_moments", worst / moment_scale, 1e-12))
 
     if pair.theta.any():
@@ -519,11 +516,16 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     )
     out.append(_result("qsi", "isometry_gram_oracle", defect / scale, 1e-9))
 
-    out.append(_result("qsi", "reflection_symmetry", qsi.reflection_symmetry_check(model), 1e-10))
+    r_scale = max(step * float(model.gamma.sum()), 1e-300)
+    out.append(
+        _result("qsi", "reflection_symmetry", qsi.reflection_symmetry_check(model) / r_scale, 1e-10)
+    )
 
-    # Fourier-Parseval bridge of the time-domain filter coefficients.
-    kernels = qsi.time_domain_representation(sigma, grid, eps)
-    phi_minus, phi_plus = kernels.coefficient_pair(a, c)
+    # Fourier-Parseval bridge of the coefficient kernels; sigma_rev's kernel is the lag flip of sigma's.
+    amp_kernel = kernel_of(sigma, step)
+    a_kernel, c_kernel = kernel_of(a, step), kernel_of(c, step)
+    phi_minus = convolve(a_kernel, amp_kernel[::-1], eps) + convolve(c_kernel, amp_kernel, eps)
+    phi_plus = convolve(a_kernel, amp_kernel, eps) + convolve(c_kernel, amp_kernel[::-1], eps)
     f_minus = a * sigma_rev + c * sigma
     f_plus = a * sigma + c * sigma_rev
     parseval_scale = max(_maxabs(f_plus), _maxabs(f_minus), 1e-300)

@@ -108,33 +108,42 @@ class TestModularKernelsTheta:
         kernels = qn.modular_kernels_theta(pair, eps)
         unit = np.zeros(pair.grid.n_points)
         unit[(pair.grid.n_points - 1) // 2] = 1.0
-        np.testing.assert_allclose(kernels.half, unit, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(kernels.inv_half, unit, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kernels.kernel_half, unit, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kernels.kernel_inv_half, unit, rtol=0, atol=1e-12)
 
     def test_planck_kernels_match_direct_sum(self, planck_setup):
         grid, pair, eps = planck_setup
         kernels = qn.modular_kernels_theta(pair, eps)
         expected = eps * slow_kernel_all(np.exp(grid.points / 2), grid, eps)
         scale = np.max(np.abs(expected))
-        np.testing.assert_allclose(kernels.half, expected, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(kernels.kernel_half, expected, rtol=0, atol=1e-12 * scale)
 
     def test_modular_property(self, mixed_setup):
         _, pair, eps = mixed_setup
         kernels = qn.modular_kernels_theta(pair, eps)
-        scale = np.max(np.abs(kernels.half))
+        scale = np.max(np.abs(kernels.kernel_half))
         np.testing.assert_allclose(
-            kernels.half[::-1], np.conj(kernels.half), rtol=0, atol=1e-10 * scale
+            kernels.kernel_half[::-1], np.conj(kernels.kernel_half), rtol=0, atol=1e-10 * scale
         )
         np.testing.assert_allclose(
-            np.conj(kernels.half), kernels.inv_half, rtol=0, atol=1e-10 * scale
+            np.conj(kernels.kernel_half), kernels.kernel_inv_half, rtol=0, atol=1e-10 * scale
         )
 
     def test_convolution_gives_support_kernel(self, mixed_setup):
         _, pair, eps = mixed_setup
         kernels = qn.modular_kernels_theta(pair, eps)
-        conv = slow_convolve(kernels.half, kernels.inv_half, 1.0)
+        conv = slow_convolve(kernels.kernel_half, kernels.kernel_inv_half, 1.0)
         indicator = eps * kernel_of(pair.theta.astype(float), pair.grid.step)
         np.testing.assert_allclose(conv, indicator, rtol=0, atol=1e-9)
+
+    def test_symbol_is_lambda_on_theta_and_zero_off_it(self, mixed_setup):
+        _, pair, eps = mixed_setup
+        kernels = qn.modular_kernels_theta(pair, eps)
+        assert isinstance(kernels, qn.ModularFilter)
+        theta = pair.theta
+        assert theta.any() and not theta.all()
+        assert np.array_equal(kernels.symbol[theta], pair.lambda_theta[theta])
+        assert not kernels.symbol[~theta].any()
 
     def test_empty_support_rejected(self, vacuum_setup):
         _, pair, eps = vacuum_setup

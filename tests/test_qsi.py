@@ -3,8 +3,8 @@ import pytest
 
 import qnoise as qn
 from qnoise import qsi
-from qnoise.errors import DegenerateRecoveryError, NotVacuumError
-from qnoise.fourier import kernel_of, spectrum_of
+from qnoise.errors import DegenerateRecoveryError, NonFiniteError, NotVacuumError
+from qnoise.fourier import convolve, kernel_of, spectrum_of
 
 from conftest import build_chain, grid_and_eps
 from oracles import gram_quadratic_form, riemann_moment
@@ -233,6 +233,15 @@ class TestOutputPair:
         with pytest.raises(ValueError, match="nonnegative"):
             qn.build_output_pair(canonical, sigma, sigma[::-1].copy())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_amplitude_rejected(self, flat_setup, value):
+        grid, pair, _ = flat_setup
+        _, canonical, _ = vacuum_canonical(grid)
+        sigma = np.sqrt(pair.kappa).copy()
+        sigma[3] = value
+        with pytest.raises(NonFiniteError, match="finite"):
+            qn.build_output_pair(canonical, sigma, sigma[::-1].copy())
+
 
 class TestRecoverCanonical:
     def test_planck_roundtrip_exact_off_zero(self, planck_setup):
@@ -352,14 +361,25 @@ class TestReflectionSymmetry:
         assert qn.reflection_symmetry_check(model) == 0.0
 
 
+def coefficient_pair(sigma, a, c, step, eps):
+    """Time kernels of the integrand pair with spectra
+    (a sigma_rev + c sigma, a sigma + c sigma_rev), as ``qsi/parseval_bridge``
+    builds them: the reverse amplitude's kernel is the lag flip of sigma's."""
+    amp = kernel_of(sigma, step)
+    a_kernel, c_kernel = kernel_of(a, step), kernel_of(c, step)
+    phi_minus = convolve(a_kernel, amp[::-1], eps) + convolve(c_kernel, amp, eps)
+    phi_plus = convolve(a_kernel, amp, eps) + convolve(c_kernel, amp[::-1], eps)
+    return phi_minus, phi_plus
+
+
 class TestTimeDomainRepresentation:
     def test_flat_amplitude_kernel_is_delta(self, flat_setup):
         grid, pair, eps = flat_setup
-        kernels = qn.time_domain_representation(np.ones(grid.n_points), grid, eps)
+        ones = np.ones(grid.n_points)
         center = (grid.n_points - 1) // 2
-        assert kernels.amp_kernel[center].real == pytest.approx(1.0 / eps, rel=1e-12)
+        assert kernel_of(ones, grid.step)[center].real == pytest.approx(1.0 / eps, rel=1e-12)
         c = 1.0 / (1.0 + grid.points**2)
-        _, phi_plus = kernels.coefficient_pair(np.zeros(grid.n_points), c)
+        _, phi_plus = coefficient_pair(ones, np.zeros(grid.n_points), c, grid.step, eps)
         c_kernel = kernel_of(c, grid.step)
         np.testing.assert_allclose(phi_plus, c_kernel, rtol=0, atol=1e-12 * np.max(np.abs(c_kernel)))
 
@@ -367,10 +387,9 @@ class TestTimeDomainRepresentation:
         grid, pair, eps = planck_setup
         sigma = np.sqrt(pair.kappa)
         sigma_rev = np.sqrt(pair.kappa_rev)
-        kernels = qn.time_domain_representation(sigma, grid, eps)
         a = np.ones(grid.n_points)
         c = np.zeros(grid.n_points)
-        phi_minus, phi_plus = kernels.coefficient_pair(a, c)
+        phi_minus, phi_plus = coefficient_pair(sigma, a, c, grid.step, eps)
         scale = np.max(sigma_rev)
         np.testing.assert_allclose(
             spectrum_of(phi_plus, eps), a * sigma, rtol=0, atol=1e-10 * scale
@@ -382,22 +401,11 @@ class TestTimeDomainRepresentation:
     def test_reversal_swaps_coefficient_roles(self, mixed_setup):
         grid, pair, eps = mixed_setup
         sigma = np.sqrt(pair.kappa)
-        kernels = qn.time_domain_representation(sigma, grid, eps)
         # real symmetric test function: its kernel is real and even
         a = np.exp(-grid.points**2)
         c = 1.0 / (1.0 + grid.points**4)
-        phi_minus, phi_plus = kernels.coefficient_pair(a, c)
-        swapped_minus, swapped_plus = kernels.coefficient_pair(c, a)
+        phi_minus, phi_plus = coefficient_pair(sigma, a, c, grid.step, eps)
+        swapped_minus, swapped_plus = coefficient_pair(sigma, c, a, grid.step, eps)
         scale = np.max(np.abs(phi_plus))
         np.testing.assert_allclose(phi_plus[::-1], swapped_plus, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(phi_minus[::-1], swapped_minus, rtol=0, atol=1e-12 * scale)
-
-    def test_reverse_kernel_is_exact_flip(self, planck_setup):
-        grid, pair, eps = planck_setup
-        kernels = qn.time_domain_representation(np.sqrt(pair.kappa), grid, eps)
-        assert np.array_equal(kernels.amp_kernel_rev, kernels.amp_kernel[::-1])
-
-    def test_shape_validation(self, flat_setup):
-        grid, _, eps = flat_setup
-        with pytest.raises(ValueError, match="shape"):
-            qn.time_domain_representation(np.ones(5), grid, eps)

@@ -36,6 +36,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="step"):
             qn.make_grid(5, 0.0)
 
+    @pytest.mark.parametrize("step", [np.inf, -np.inf, np.nan])
+    def test_non_finite_step_rejected(self, step):
+        with pytest.raises(qn.NonFiniteError, match="step must be finite"):
+            qn.make_grid(5, step)
+
     @given(
         half=st.integers(min_value=1, max_value=40),
         step=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),

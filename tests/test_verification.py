@@ -124,11 +124,13 @@ def test_run_all_allocates_no_more_than_five_dense_matrices():
 
 @pytest.mark.filterwarnings("error")
 def test_product_checks_do_not_overflow_on_a_huge_density():
-    # norm**2 = 1e300 is finite but the products of K with its column are not.
+    # norm**2 = 1e300 is finite but the products of K with its column are not;
+    # the cross kernel's flip asymmetry is judged relative to its lag-0 value, 1e150.
     grid = qn.make_grid(33, 0.25)
     verdicts = _verdicts(qn.flat_density(1e150, grid), 1.0 / (33 * 0.25))
     assert verdicts["stationary/geometric_mean"]
     assert verdicts["stationary/covariances_commute"]
+    assert all(verdicts.values()), [name for name, ok in verdicts.items() if not ok]
 
 
 def test_run_all_calls_no_eigensolver(planck_setup, monkeypatch):
@@ -139,3 +141,30 @@ def test_run_all_calls_no_eigensolver(planck_setup, monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     _, pair, eps = planck_setup
     assert all(_verdicts(pair, eps).values())
+
+
+def _planck_times(scale):
+    grid = qn.make_grid(33, 0.25)
+    return qn.tabulated_density(qn.planck_density(1.0, 1.0, grid).kappa * scale, grid), 1.0 / (33 * 0.25)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e140])
+def test_entry_of_k_rev_off_the_circulant_pattern_fails_at_any_scale(scale):
+    # The defect is an entry difference, so it is divided by the density scale once.
+    pipe = Pipeline(*_planck_times(scale))
+    k_rev = np.array(pipe.model.K_rev)
+    k_rev[1, 3] += 1e-6 * np.abs(k_rev).max()
+    pipe.model.__dict__["K_rev"] = k_rev
+    verdicts = {r.check: r.passed for r in verification.stationary_checks(pipe)}
+    assert not verdicts["geometric_mean"]
+    assert not verdicts["covariances_commute"]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e140])
+def test_asymmetric_cross_kernel_fails_reflection_symmetry_at_any_scale(scale, monkeypatch):
+    def skewed(model):
+        gamma = np.sqrt(model.eigenvalues * model.eigenvalues[::-1])
+        return gamma * (1.0 + 1e-6 * (model.frequencies > 0))
+
+    monkeypatch.setattr(stationary.StationaryModel, "gamma", property(skewed))
+    assert not _verdicts(*_planck_times(scale))["qsi/reflection_symmetry"]
