@@ -47,6 +47,8 @@ FLIP_TOL = 1e-12
 
 def interval_mask(grid: SpectralGrid, lo: float, hi: float) -> np.ndarray:
     """Cells of the grid whose center lies in [lo, hi] (inclusive)."""
+    if np.isnan(lo) or np.isnan(hi):
+        raise NonFiniteError(f"interval bound is NaN: lo = {lo}, hi = {hi}")
     if lo > hi:
         raise ValueError(f"empty interval: lo = {lo} > hi = {hi}")
     return _frozen((grid.points >= lo) & (grid.points <= hi))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from qnoise.stationary import spectral_amplitudes
+
 
 def slow_kernel(values, grid, eps, lag):
     """Direct quadrature sum step * sum_k values_k exp(2 pi i nu_k eps j)."""
@@ -97,3 +99,47 @@ def gram_quadratic_form(model, zeta, xi):
         + xi.conj() @ (model.K_rev @ xi)
     )
     return float(value.real)
+
+
+def _maxabs(values):
+    values = np.asarray(values)
+    return float(np.max(np.abs(values))) if values.size else 0.0
+
+
+def circulant_defect(matrix):
+    """Largest violation of circulant form, read from all n^2 entries."""
+    matrix = np.asarray(matrix)
+    return max(
+        _maxabs(matrix[1:, 1:] - matrix[:-1, :-1]),
+        _maxabs(matrix[0, 1:] - matrix[-1, :-1]),
+    )
+
+
+def dense_elementwise_residuals(pipe):
+    """The residuals of the verify checks that read a circulant by its
+    diagonals (conjugation, cross_cov_imag, cross_cov_symmetric and the
+    max |L| scale of the modular checks) or skip a dense difference
+    (star_involution), each computed from every entry."""
+    model = pipe.model
+    norm = max(float(model.eigenvalues.max(initial=0.0)), 1e-150)
+    amps = spectral_amplitudes(model)
+    out = {
+        "stationary/conjugation": _maxabs(model.X_rev - np.conj(model.X)),
+        "stationary/cross_cov_imag": _maxabs(model.G.imag) / norm,
+        "stationary/cross_cov_symmetric": _maxabs(model.G - model.G.T) / norm,
+        "stationary/star_involution": _maxabs(amps.reverse - np.conj(amps.noise[::-1, :])),
+    }
+    filt = pipe.filt
+    if filt is not None:
+        l_norm = max(_maxabs(filt.L), 1.0)
+        l_col = filt.L[:, 0]
+        inverse = np.conj(filt.L @ np.conj(l_col))
+        inverse[0] -= 1.0
+        out["modular/conjugate_inverse"] = max(_maxabs(inverse), circulant_defect(filt.L)) / l_norm**2
+        squares = max(
+            _maxabs(filt.L_half @ filt.L_half[:, 0] - l_col),
+            circulant_defect(filt.L_half),
+            circulant_defect(filt.L),
+        )
+        out["modular/root_squares"] = squares / l_norm
+    return out

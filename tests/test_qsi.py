@@ -27,6 +27,15 @@ class TestIntervalMask:
         with pytest.raises(ValueError, match="empty"):
             qn.interval_mask(grid, 1.0, 0.0)
 
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (-1.0, np.nan), (np.nan, np.nan)])
+    def test_nan_bound_rejected(self, lo, hi):
+        with pytest.raises(NonFiniteError, match="NaN"):
+            qn.interval_mask(qn.make_grid(5, 1.0), lo, hi)
+
+    def test_infinite_bounds_accepted(self):
+        grid = qn.make_grid(5, 1.0)
+        assert qn.interval_mask(grid, -np.inf, np.inf).all()
+
     def test_flip_of_mask(self):
         grid = qn.make_grid(5, 0.5)
         mask = qn.interval_mask(grid, 0.0, 1.0)

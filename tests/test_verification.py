@@ -7,7 +7,7 @@ import qnoise as qn
 from qnoise import fourier, stationary, verification
 from qnoise.pipeline import Pipeline
 
-from oracles import gather_circulant
+from oracles import circulant_defect, dense_elementwise_residuals, gather_circulant
 
 
 @pytest.mark.parametrize("setup_name", ["planck_setup", "flat_setup", "mixed_setup", "vacuum_setup"])
@@ -108,8 +108,7 @@ def test_first_column_of_k_off_the_amplitudes_fails_amplitude_gram(planck_setup,
     assert not _verdicts(pair, eps)["stationary/amplitude_gram"]
 
 
-def test_run_all_allocates_no_more_than_five_dense_matrices():
-    n = 1025
+def _traced_planck_run_all(n):
     step = 16.0 / (n - 1)
     pair = qn.planck_density(1.0, 1.0, qn.make_grid(n, step))
     tracemalloc.start()
@@ -118,8 +117,23 @@ def test_run_all_allocates_no_more_than_five_dense_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return results, peak
+
+
+def test_run_all_allocates_no_more_than_five_dense_matrices():
+    n = 1025
+    results, peak = _traced_planck_run_all(n)
     assert all(r.passed for r in results)
     assert peak <= 5 * 16 * n**2
+
+
+def test_run_all_peak_is_the_amplitudes_and_one_copy():
+    # N and R take two complex n x n arrays and star_involution one more;
+    # no check takes an n x n difference of the circulant views.
+    n = 1025
+    results, peak = _traced_planck_run_all(n)
+    assert all(r.passed for r in results)
+    assert peak <= 3.5 * 16 * n**2
 
 
 @pytest.mark.filterwarnings("error")
@@ -168,3 +182,63 @@ def test_asymmetric_cross_kernel_fails_reflection_symmetry_at_any_scale(scale, m
 
     monkeypatch.setattr(stationary.StationaryModel, "gamma", property(skewed))
     assert not _verdicts(*_planck_times(scale))["qsi/reflection_symmetry"]
+
+
+@pytest.mark.parametrize("name", ["K", "K_rev", "X", "X_rev", "G", "L", "L_half"])
+def test_circulant_column_skips_only_the_toeplitz_scan_of_a_view(name, planck_setup):
+    _, pair, eps = planck_setup
+    pipe = Pipeline(pair, eps)
+    view = getattr(pipe.filt if name.startswith("L") else pipe.model, name)
+    copy = np.array(view)
+    assert copy.strides[0] != -copy.strides[1]  # a dense copy takes the scan
+    for matrix in (view, view.T, copy):
+        column, defect = verification._circulant_column(matrix)
+        assert column.tobytes() == np.ascontiguousarray(matrix[:, 0]).tobytes()
+        assert defect == circulant_defect(matrix) == 0.0
+
+
+@pytest.mark.parametrize(
+    "name, delta, check",
+    [
+        ("X_rev", 1.0, "conjugation"),
+        ("G", 1.0, "cross_cov_symmetric"),  # [1, 3] moves and [3, 1] does not
+        ("G", 1j, "cross_cov_imag"),
+    ],
+)
+def test_dense_entry_off_the_diagonals_fails(name, delta, check, planck_setup):
+    # [1, 3] is on neither the first row nor the first column, so only the
+    # circulant defect of the dense copy sees it.
+    _, pair, eps = planck_setup
+    pipe = Pipeline(pair, eps)
+    matrix = np.array(getattr(pipe.model, name))
+    matrix[1, 3] += delta * 1e-6 * np.abs(matrix).max()
+    pipe.model.__dict__[name] = matrix
+    assert not {r.check: r.passed for r in verification.stationary_checks(pipe)}[check]
+
+
+@pytest.mark.parametrize("setup_name", ["planck_setup", "flat_setup", "mixed_setup", "vacuum_setup"])
+def test_elementwise_checks_match_their_dense_formulas_bit_for_bit(setup_name, request):
+    _, pair, eps = request.getfixturevalue(setup_name)
+    pipe = Pipeline(pair, eps)
+    expected = dense_elementwise_residuals(pipe)
+    got = {
+        f"{r.suite}/{r.check}": r.residual
+        for r in verification.stationary_checks(pipe) + verification.modular_checks(pipe)
+    }
+    assert {name: got[name] for name in expected} == expected
+
+
+def test_reverse_amplitude_off_the_star_involution_fails(planck_setup, monkeypatch):
+    built = stationary.spectral_amplitudes
+
+    def perturbed(model):
+        amps = built(model)
+        reverse = np.array(amps.reverse)
+        reverse[2, 5] += 1e-9
+        return stationary.SpectralAmplitudes(amps.frequencies, amps.lags, amps.noise, reverse)
+
+    monkeypatch.setattr(stationary, "spectral_amplitudes", perturbed)
+    _, pair, eps = planck_setup
+    star = {r.check: r for r in verification.stationary_checks(Pipeline(pair, eps))}["star_involution"]
+    assert not star.passed
+    assert star.residual == pytest.approx(1e-9, rel=1e-6)
