@@ -13,26 +13,23 @@ so :func:`run_all` builds each stage of the chain once for all suites.
 Every dense matrix the model and the modular filter expose (K, K_rev, X,
 X_rev, G, L, L_half) is a circulant, so its 2n - 1 diagonals fix every
 entry, and no check on them calls a LAPACK eigensolver.  Each such check
-first measures the matrix's exact defect from circulant structure.  Its
-Toeplitz part is zero by layout on the strided views of
-:func:`qnoise.fourier.circulant`, which store entry (i + 1, j + 1) in the
-cell of (i, j), so only the O(n) wrap is read; a dense copy is scanned
-entry by entry.  Each check then reads the first column or the diagonals:
-the elementwise checks (``conjugation``, ``cross_cov_imag``,
-``cross_cov_symmetric`` and the max |L| of ``modular``) read the diagonals
-in O(n); the spectrum checks (``dft_consistency``, ``cross_cov_psd``,
-``modular/spectrum_match``) take the DFT of the column in grid order; and
-the product checks (the Grams, the root squares, ``conjugate_inverse``,
-``geometric_mean``, ``covariances_commute``) take one matrix-vector product,
-using ||C||_F = sqrt(n) * ||C[:, 0]||_2 where a Frobenius norm is asked
-for.  The residual is the larger of the column or diagonal residual and
-the defects, so a matrix off the circulant pattern still fails.
+first measures the matrix's exact defect from circulant structure: only
+the O(n) wrap on the views of :func:`qnoise.fourier.circulant`, whose
+entry (i + 1, j + 1) is the cell of (i, j), and every entry of a dense
+copy.  The elementwise checks (``conjugation``, ``cross_cov_imag``,
+``cross_cov_symmetric``, the max |L| of ``modular``) then read the
+diagonals; the spectrum checks (``dft_consistency``, ``cross_cov_psd``,
+``modular/spectrum_match``) take the DFT of the first column in grid
+order; the product checks (the Grams, the root squares,
+``conjugate_inverse``, ``geometric_mean``, ``covariances_commute``) take
+one matrix-vector product, using ||C||_F = sqrt(n) * ||C[:, 0]||_2 for a
+Frobenius norm.  The residual is the largest of that and the defects, a
+NaN in any of them included, so a matrix off the circulant pattern fails.
 ``amplitude_gram`` and ``amplitude_cross`` compare the first columns of K
 and G with those of step * N†N and step * N†R, built from the explicit
 plane-wave amplitudes N and R: with the defects of K and G, that reaches
-every entry by a route through neither :func:`qnoise.fourier.circulant`
-nor an FFT.  No check multiplies two n x n matrices; what costs O(n^2) is
-the matrix-vector products and the amplitude matrices N and R.
+every entry by a route through neither ``circulant`` nor an FFT.  No check
+multiplies two n x n matrices; matrix-vector products, N and R cost O(n^2).
 
 Scaled residuals divide by their scale once: a circulant defect by the
 density scale, like the column residual it is maxed with, and
@@ -72,20 +69,24 @@ def _maxabs(values) -> float:
     return float(np.max(np.abs(values))) if values.size else 0.0
 
 
+def _worst(*terms: float) -> float:
+    """The largest term, or NaN if any is NaN (``max`` drops a NaN that is not first)."""
+    return float(np.max(terms))
+
+
 def _circulant_column(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """First column of a dense matrix and its exact defect from circulant form.
 
     A matrix is circulant exactly when each entry equals its down-right
     neighbour and its first row is its last row shifted right by one; the
-    defect is the largest violation, so it is zero for every matrix filled
-    by :func:`qnoise.fourier.circulant` and nonzero for any entry off the
-    pattern.  Once the defect is known, the first column fixes the matrix.
-    A view whose strides cancel (every circulant view and its transpose)
-    stores (i + 1, j + 1) in the cell of (i, j), so only its wrap is read.
+    defect is the largest violation, zero for every circulant and nonzero
+    off the pattern; with it, the first column fixes the matrix.  A view
+    whose strides cancel (a circulant view or its transpose) stores entry
+    (i + 1, j + 1) in the cell of (i, j), so only its wrap is read.
     """
     defect = _maxabs(matrix[0, 1:] - matrix[-1, :-1])
     if matrix.strides[0] != -matrix.strides[1]:
-        defect = max(_maxabs(matrix[1:, 1:] - matrix[:-1, :-1]), defect)
+        defect = _worst(_maxabs(matrix[1:, 1:] - matrix[:-1, :-1]), defect)
     return matrix[:, 0], defect
 
 
@@ -152,7 +153,7 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
         )
     )
     r_scale = max(_maxabs(seq.cross), 1e-300)
-    cross_defect = max(_maxabs(seq.cross.imag), _maxabs(seq.cross - seq.cross[::-1]))
+    cross_defect = _worst(_maxabs(seq.cross.imag), _maxabs(seq.cross - seq.cross[::-1]))
     out.append(_result("stationary", "cross_real_even", cross_defect / r_scale, 1e-12))
     out.append(
         _result(
@@ -171,31 +172,31 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
         _result(
             "stationary",
             "dft_consistency",
-            max(_maxabs(_symbol(k) - model.eigenvalues), k_defect) / norm,
+            _worst(_maxabs(_symbol(k) - model.eigenvalues), k_defect) / norm,
             1e-12,
         )
     )
 
-    gram = max(_maxabs(_adjoint_times(model.X, x) - k), x_defect, k_defect)
+    gram = _worst(_maxabs(_adjoint_times(model.X, x) - k), x_defect, k_defect)
     out.append(_result("stationary", "gram_noise", gram / norm, 1e-10))
-    gram = max(_maxabs(_adjoint_times(model.X_rev, x_rev) - k_rev), x_rev_defect, k_rev_defect)
+    gram = _worst(_maxabs(_adjoint_times(model.X_rev, x_rev) - k_rev), x_rev_defect, k_rev_defect)
     out.append(_result("stationary", "gram_reverse", gram / norm, 1e-10))
-    gram = max(_maxabs(_adjoint_times(model.X, x_rev) - g), x_defect, x_rev_defect, g_defect)
+    gram = _worst(_maxabs(_adjoint_times(model.X, x_rev) - g), x_defect, x_rev_defect, g_defect)
     out.append(_result("stationary", "gram_cross", gram / norm, 1e-10))
     conjugation = _maxabs(_diagonals(model.X_rev) - np.conj(_diagonals(model.X)))
-    out.append(_result("stationary", "conjugation", max(conjugation, x_defect, x_rev_defect), 0.0))
-    squares = max(_maxabs(model.X @ x - k), x_defect, k_defect)
+    out.append(_result("stationary", "conjugation", _worst(conjugation, x_defect, x_rev_defect), 0.0))
+    squares = _worst(_maxabs(model.X @ x - k), x_defect, k_defect)
     out.append(_result("stationary", "root_squares", squares / norm, 1e-10))
     g_diagonals = _diagonals(model.G)
-    out.append(_result("stationary", "cross_cov_imag", max(_maxabs(g_diagonals.imag), g_defect) / norm, 1e-10))
-    asymmetry = max(_maxabs(g_diagonals - g_diagonals[::-1]), g_defect)
+    out.append(_result("stationary", "cross_cov_imag", _worst(_maxabs(g_diagonals.imag), g_defect) / norm, 1e-10))
+    asymmetry = _worst(_maxabs(g_diagonals - g_diagonals[::-1]), g_defect)
     out.append(_result("stationary", "cross_cov_symmetric", asymmetry / norm, 1e-10))
-    negative = max(0.0, -float(_symbol(g).real.min()), g_defect)
+    negative = _worst(0.0, -float(_symbol(g).real.min()), g_defect)
     out.append(_result("stationary", "cross_cov_psd", negative / norm, 1e-10))
     # columns scaled before the products, so nothing of order norm**2 overflows
-    mean = max(_frobenius(model.G @ (g / norm) - model.K @ (k_rev / norm)), g_defect, k_defect, k_rev_defect)
+    mean = _worst(_frobenius(model.G @ (g / norm) - model.K @ (k_rev / norm)), g_defect, k_defect, k_rev_defect)
     out.append(_result("stationary", "geometric_mean", mean / norm, 1e-9))
-    commute = max(_frobenius(model.K @ (k_rev / norm) - model.K_rev @ (k / norm)), k_defect, k_rev_defect)
+    commute = _worst(_frobenius(model.K @ (k_rev / norm) - model.K_rev @ (k / norm)), k_defect, k_rev_defect)
     out.append(_result("stationary", "covariances_commute", commute / norm, 1e-12))
 
     amps = stationary.spectral_amplitudes(model)
@@ -204,9 +205,9 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
         star = _maxabs(amps.reverse - np.conj(amps.noise[::-1, :]))
     out.append(_result("stationary", "star_involution", star, 0.0))
     step = pair.grid.step
-    gram = max(_maxabs(step * _adjoint_times(amps.noise, amps.noise[:, 0]) - k), k_defect)
+    gram = _worst(_maxabs(step * _adjoint_times(amps.noise, amps.noise[:, 0]) - k), k_defect)
     out.append(_result("stationary", "amplitude_gram", gram / norm, 1e-10))
-    gram = max(_maxabs(step * _adjoint_times(amps.noise, amps.reverse[:, 0]) - g), g_defect)
+    gram = _worst(_maxabs(step * _adjoint_times(amps.noise, amps.reverse[:, 0]) - g), g_defect)
     out.append(_result("stationary", "amplitude_cross", gram / norm, 1e-10))
 
     zeta = np.exp(1j * np.linspace(0.0, 3.0, model.n_points))
@@ -234,7 +235,7 @@ def modular_checks(pipe: Pipeline) -> list[CheckResult]:
         _result(
             "modular",
             "spectrum_match",
-            max(_maxabs(_symbol(l_col) - lam), l_defect) / float(lam.max()),
+            _worst(_maxabs(_symbol(l_col) - lam), l_defect) / float(lam.max()),
             1e-10,
         )
     )
@@ -242,10 +243,10 @@ def modular_checks(pipe: Pipeline) -> list[CheckResult]:
     inverse = np.conj(filt.L @ np.conj(l_col))
     inverse[0] -= 1.0
     out.append(
-        _result("modular", "conjugate_inverse", max(_maxabs(inverse), l_defect) / l_norm**2, 1e-12)
+        _result("modular", "conjugate_inverse", _worst(_maxabs(inverse), l_defect) / l_norm**2, 1e-12)
     )
     half_scale = max(_maxabs(filt.kernel_half), 1e-300)
-    modular_defect = max(
+    modular_defect = _worst(
         _maxabs(filt.kernel_half[::-1] - np.conj(filt.kernel_half)),
         _maxabs(np.conj(filt.kernel_half) - filt.kernel_inv_half),
     )
@@ -254,7 +255,7 @@ def modular_checks(pipe: Pipeline) -> list[CheckResult]:
     unit[(model.n_points - 1) // 2] = 1.0
     conv = convolve(filt.kernel_half, filt.kernel_inv_half, 1.0)
     out.append(_result("modular", "kernel_convolution_unit", _maxabs(conv - unit), 1e-9))
-    squares = max(_maxabs(filt.L_half @ l_half_col - l_col), l_half_defect, l_defect)
+    squares = _worst(_maxabs(filt.L_half @ l_half_col - l_col), l_half_defect, l_defect)
     out.append(_result("modular", "root_squares", squares / l_norm, 1e-10))
     return out
 

@@ -108,7 +108,8 @@ def test_first_column_of_k_off_the_amplitudes_fails_amplitude_gram(planck_setup,
     assert not _verdicts(pair, eps)["stationary/amplitude_gram"]
 
 
-def _traced_planck_run_all(n):
+def test_run_all_allocates_no_more_than_five_dense_matrices():
+    n = 1025
     step = 16.0 / (n - 1)
     pair = qn.planck_density(1.0, 1.0, qn.make_grid(n, step))
     tracemalloc.start()
@@ -117,22 +118,10 @@ def _traced_planck_run_all(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return results, peak
-
-
-def test_run_all_allocates_no_more_than_five_dense_matrices():
-    n = 1025
-    results, peak = _traced_planck_run_all(n)
     assert all(r.passed for r in results)
     assert peak <= 5 * 16 * n**2
-
-
-def test_run_all_peak_is_the_amplitudes_and_one_copy():
     # N and R take two complex n x n arrays and star_involution one more;
     # no check takes an n x n difference of the circulant views.
-    n = 1025
-    results, peak = _traced_planck_run_all(n)
-    assert all(r.passed for r in results)
     assert peak <= 3.5 * 16 * n**2
 
 
@@ -203,17 +192,41 @@ def test_circulant_column_skips_only_the_toeplitz_scan_of_a_view(name, planck_se
         ("X_rev", 1.0, "conjugation"),
         ("G", 1.0, "cross_cov_symmetric"),  # [1, 3] moves and [3, 1] does not
         ("G", 1j, "cross_cov_imag"),
+        ("X", np.nan, "conjugation"),
+        ("G", np.nan, "cross_cov_symmetric"),
+        ("G", np.nan, "cross_cov_imag"),
     ],
 )
 def test_dense_entry_off_the_diagonals_fails(name, delta, check, planck_setup):
     # [1, 3] is on neither the first row nor the first column, so only the
-    # circulant defect of the dense copy sees it.
+    # circulant defect of the dense copy sees it; a NaN defect must not be
+    # dropped by the max that combines it with the diagonal residual.
     _, pair, eps = planck_setup
     pipe = Pipeline(pair, eps)
     matrix = np.array(getattr(pipe.model, name))
     matrix[1, 3] += delta * 1e-6 * np.abs(matrix).max()
     pipe.model.__dict__[name] = matrix
     assert not {r.check: r.passed for r in verification.stationary_checks(pipe)}[check]
+
+
+@pytest.mark.parametrize("where", [(1, 3), (0, -1), (-1, 0)])
+def test_nan_anywhere_in_a_dense_copy_gives_a_nan_defect(where, planck_setup):
+    # (1, 3) is read only by the Toeplitz scan, (0, -1) and (-1, 0) only by the wrap.
+    _, pair, eps = planck_setup
+    matrix = np.array(Pipeline(pair, eps).model.K)
+    matrix[where] = np.nan
+    assert np.isnan(verification._circulant_column(matrix)[1])
+
+
+def test_nan_in_the_column_of_a_circulant_view_fails_the_cross_checks(planck_setup):
+    _, pair, eps = planck_setup
+    pipe = Pipeline(pair, eps)
+    column = np.array(pipe.model.G[:, 0])
+    column[2] = np.nan
+    pipe.model.__dict__["G"] = fourier.column_circulant(column)
+    verdicts = {r.check: r.passed for r in verification.stationary_checks(pipe)}
+    for check in ("cross_cov_imag", "cross_cov_symmetric", "cross_cov_psd", "gram_cross"):
+        assert not verdicts[check], check
 
 
 @pytest.mark.parametrize("setup_name", ["planck_setup", "flat_setup", "mixed_setup", "vacuum_setup"])
