@@ -227,44 +227,101 @@ def modular_matrix(model: StationaryModel) -> ModularFilter:
     return _masked_filter(lam, np.ones(lam.size, dtype=bool), model.eps, model.step)
 
 
+#: Rows nu_k >= 0 of the plane-wave sums evaluated at a time, in two
+#: (rows, n) float buffers: the sums take O(n) memory.
+_PLANE_WAVE_ROWS = 256
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralAmplitudes:
-    """Per-lag spectral amplitudes of the pair.
+    """Spectral amplitudes of the pair, stored as their symbols.
 
-    ``noise[k, j]`` is the amplitude of the noise at lag j and frequency
-    nu_k, sqrt(kappa(nu_k)) * u_j(nu_k) with the normalized plane wave
-    u_j(nu) = sqrt(eps) * exp(-2 pi i nu eps j); ``reverse`` carries the
-    time-reversed amplitudes, constructed as the exact star involution
-    (conjugate + frequency flip) of ``noise``.
+    The amplitude of the noise at lag j and frequency nu_k is
+    ``noise_symbol[k] * u_j(nu_k)``: the symbol sqrt(kappa(nu_k)) times the
+    normalized plane wave u_j(nu) = sqrt(eps) * exp(-2 pi i nu eps j), whose
+    sqrt(eps) makes the amplitude sqrt(eps * kappa) times a unit phase.
+    ``reverse_symbol`` is the star involution (conjugate + frequency flip)
+    of ``noise_symbol``, so the reverse amplitudes are the star involution
+    of the noise amplitudes.  The dense (n, n) arrays ``noise`` and
+    ``reverse`` are read-only and built on first read; nothing else here
+    is n x n.
     """
 
+    eps: float
     frequencies: np.ndarray
     lags: np.ndarray
-    noise: np.ndarray
-    reverse: np.ndarray
+    noise_symbol: np.ndarray
+    reverse_symbol: np.ndarray
+
+    def _waves(self) -> np.ndarray:
+        """u_j(nu_k) as an (n, n) array."""
+        # exp(i phase) as cos + i sin of a real phase, cheaper than a complex exp
+        phase = (-2 * np.pi * self.eps) * np.outer(self.frequencies, self.lags)
+        waves = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=waves.real)
+        np.sin(phase, out=waves.imag)
+        waves *= np.sqrt(self.eps)
+        return waves
+
+    @cached_property
+    def noise(self) -> np.ndarray:
+        """noise[k, j] = noise_symbol[k] * u_j(nu_k)."""
+        return _frozen(self._waves() * self.noise_symbol[:, None])
+
+    @cached_property
+    def reverse(self) -> np.ndarray:
+        """reverse[k, j] = reverse_symbol[k] * conj(u_j(nu_-k)), which is
+        reverse_symbol[k] * u_j(nu_k) and, bit for bit, conj(noise[::-1, :])."""
+        return _frozen(np.conj(self._waves()[::-1]) * self.reverse_symbol[:, None])
+
+    def first_column_grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """First columns of noise† noise and noise† reverse, with no n x n array.
+
+        Entry d of each is eps * sum_k w_k exp(2 pi i nu_k eps d), with the
+        weights w = |noise_symbol|^2 and conj(noise_symbol) * reverse_symbol.
+        The grid is flip-exact (nu_-k = -nu_k), so each pair k, -k folds
+        onto nu_k >= 0 as (w_k + w_-k) cos + i (w_k - w_-k) sin, nu = 0
+        counted once: only those rows take a cosine and a sine, a fixed
+        block of rows at a time.
+        """
+        n = self.frequencies.size
+        mid = (n - 1) // 2
+        a, b = self.noise_symbol, self.reverse_symbol
+        weights = self.eps * np.array([np.conj(a) * a, np.conj(a) * b])
+        plus = weights[:, mid:] + weights[:, mid::-1]
+        minus = weights[:, mid:] - weights[:, mid::-1]
+        plus[:, 0] = weights[:, mid]  # nu = 0 is its own partner
+        nu = self.frequencies[mid:]
+        lags = np.arange(n)
+        phase = np.empty((min(nu.size, _PLANE_WAVE_ROWS), n))
+        cos = np.empty_like(phase)
+        sums = 0.0
+        for start in range(0, nu.size, _PLANE_WAVE_ROWS):
+            count = min(_PLANE_WAVE_ROWS, nu.size - start)
+            rows = slice(start, start + count)
+            theta, cos_theta = phase[:count], cos[:count]
+            np.multiply.outer(nu[rows], lags, out=theta)
+            theta *= 2 * np.pi * self.eps
+            np.cos(theta, out=cos_theta)
+            sin_theta = np.sin(theta, out=theta)
+            sums = sums + plus[:, rows] @ cos_theta + 1j * (minus[:, rows] @ sin_theta)
+        return sums[0], sums[1]
 
 
 def spectral_amplitudes(model: StationaryModel) -> SpectralAmplitudes:
-    """Spectral representation of the realization.
+    """Spectral representation of the realization, as amplitude symbols.
 
     Discrete inner products with weight ``step`` reproduce the model
     matrices: sum_k conj(noise[k,i]) noise[k,j] step = K_ij, the same with
     ``reverse`` gives K_rev, and the mixed product gives G.
     """
-    lags = time_lags(model.n_points)
-    # exp(i phase) as cos + i sin of a real phase, cheaper than a complex exp
-    phase = (-2 * np.pi * model.eps) * np.outer(model.frequencies, lags)
-    noise = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=noise.real)
-    np.sin(phase, out=noise.imag)
-    noise *= np.sqrt(model.eps)
-    noise *= np.sqrt(model.eigenvalues)[:, None]
-    reverse = np.conj(noise[::-1, :])
+    noise_symbol = np.sqrt(model.eigenvalues)
     return SpectralAmplitudes(
+        eps=model.eps,
         frequencies=model.frequencies,
-        lags=_frozen(lags),
-        noise=_frozen(noise),
-        reverse=_frozen(reverse),
+        lags=_frozen(time_lags(model.n_points)),
+        noise_symbol=_frozen(noise_symbol),
+        reverse_symbol=_frozen(np.conj(noise_symbol[::-1])),
     )
 
 

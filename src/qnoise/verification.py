@@ -26,10 +26,15 @@ one matrix-vector product, using ||C||_F = sqrt(n) * ||C[:, 0]||_2 for a
 Frobenius norm.  The residual is the largest of that and the defects, a
 NaN in any of them included, so a matrix off the circulant pattern fails.
 ``amplitude_gram`` and ``amplitude_cross`` compare the first columns of K
-and G with those of step * N†N and step * N†R, built from the explicit
-plane-wave amplitudes N and R: with the defects of K and G, that reaches
-every entry by a route through neither ``circulant`` nor an FFT.  No check
-multiplies two n x n matrices; matrix-vector products, N and R cost O(n^2).
+and G with those of step * N†N and step * N†R, where N and R are the
+plane-wave amplitudes of the stored amplitude symbols: each entry is a
+direct plane-wave sum, folded onto nu >= 0 and taken a block of rows at a
+time, so N and R are never built.  With the defects of K and G, that
+reaches every entry by a route through neither ``circulant`` nor an FFT;
+``star_involution`` compares the stored reverse symbol with the flipped
+noise symbol.  No check multiplies two n x n matrices or holds an n x n
+array: the matrix-vector products and the plane-wave sums take O(n^2)
+time but only O(n * block) memory.
 
 Scaled residuals divide by their scale once: a circulant defect by the
 density scale, like the column residual it is maxed with, and
@@ -70,8 +75,12 @@ def _maxabs(values) -> float:
 
 
 def _worst(*terms: float) -> float:
-    """The largest term, or NaN if any is NaN (``max`` drops a NaN that is not first)."""
-    return float(np.max(terms))
+    """The largest term, or NaN if any is NaN (``max`` drops a NaN that is not first).
+
+    Every multi-term residual is combined here; adding 0.0 turns the -0.0
+    that ``np.max`` may pick among zeros into 0.0, as ``max(0.0, ...)`` gave.
+    """
+    return float(np.max(terms)) + 0.0
 
 
 def _circulant_column(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -200,14 +209,13 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     out.append(_result("stationary", "covariances_commute", commute / norm, 1e-12))
 
     amps = stationary.spectral_amplitudes(model)
-    star = 0.0  # equal arrays need no dense difference; NaN is never equal
-    if not np.array_equal(amps.reverse, np.conj(amps.noise[::-1, :])):
-        star = _maxabs(amps.reverse - np.conj(amps.noise[::-1, :]))
+    star = _maxabs(amps.reverse_symbol - np.conj(amps.noise_symbol[::-1]))
     out.append(_result("stationary", "star_involution", star, 0.0))
     step = pair.grid.step
-    gram = _worst(_maxabs(step * _adjoint_times(amps.noise, amps.noise[:, 0]) - k), k_defect)
+    noise_gram, cross_gram = amps.first_column_grams()
+    gram = _worst(_maxabs(step * noise_gram - k), k_defect)
     out.append(_result("stationary", "amplitude_gram", gram / norm, 1e-10))
-    gram = _worst(_maxabs(step * _adjoint_times(amps.noise, amps.reverse[:, 0]) - g), g_defect)
+    gram = _worst(_maxabs(step * cross_gram - g), g_defect)
     out.append(_result("stationary", "amplitude_cross", gram / norm, 1e-10))
 
     zeta = np.exp(1j * np.linspace(0.0, 3.0, model.n_points))
@@ -215,7 +223,7 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
         _result(
             "stationary",
             "test_norm_nonnegative",
-            max(0.0, -stationary.coefficient_norm(model, zeta)),
+            _worst(0.0, -stationary.coefficient_norm(model, zeta)),
             0.0,
         )
     )
@@ -317,7 +325,7 @@ def decomposition_checks(pipe: Pipeline) -> list[CheckResult]:
     if pair.theta.any():
         kernels = decomposition.modular_kernels_theta(pair, eps)
         half, inv_half = kernels.kernel_half, kernels.kernel_inv_half
-        defect = max(_maxabs(half[::-1] - np.conj(half)), _maxabs(np.conj(half) - inv_half))
+        defect = _worst(_maxabs(half[::-1] - np.conj(half)), _maxabs(np.conj(half) - inv_half))
         out.append(
             _result("decomposition", "theta_kernel_modular", defect / max(_maxabs(half), 1e-300), 1e-10)
         )
@@ -363,12 +371,12 @@ def synthesis_checks(pipe: Pipeline) -> list[CheckResult]:
         if positive.any():
             rel = _maxabs((reproduced[positive] - target[positive]) / target[positive])
         exact_zero = _maxabs(reproduced[~positive])
-        out.append(_result("synthesis", name, max(rel, exact_zero), 1e-10))
+        out.append(_result("synthesis", name, _worst(rel, exact_zero), 1e-10))
     gamma_out = result.out_amp * result.out_amp_rev
     rel = 0.0
     if theta.any():
         rel = _maxabs((gamma_out[theta] - pair.gamma[theta]) / pair.gamma[theta])
-    out.append(_result("synthesis", "reproduce_gamma", max(rel, _maxabs(gamma_out[~theta])), 1e-10))
+    out.append(_result("synthesis", "reproduce_gamma", _worst(rel, _maxabs(gamma_out[~theta])), 1e-10))
     sigma_scale = max(_maxabs(filt.target_sigma), 1e-300)
     out.append(
         _result(
@@ -426,13 +434,13 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     delta_prime = qsi.interval_mask(grid, -grid.nu_max / 2, grid.nu_max / 2)
 
     moment_scale = max(step * float(pair.kappa.sum()), 1e-300)
-    worst = 0.0
+    defects = []
     for first in ("noise", "reverse"):
         for second in ("noise", "reverse"):
             expected = step * math.fsum(table.density(first, second)[delta & delta_prime])
             got = table.second_moment(first, delta, second, delta_prime)
-            worst = max(worst, abs(got - expected))
-    out.append(_result("qsi", "integrator_moments", worst / moment_scale, 1e-12))
+            defects.append(abs(got - expected))
+    out.append(_result("qsi", "integrator_moments", _worst(*defects) / moment_scale, 1e-12))
 
     if pair.theta.any():
         lam_defect = _maxabs(
@@ -478,11 +486,11 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
         ("reverse", "reverse"): sigma_rev * sigma_rev,
     }
     density_scale = max(_maxabs(sigma) ** 2, 1e-300)
-    worst = 0.0
-    for (first, second), expected in expected_densities.items():
-        got = output_pair.density(first, second)
-        worst = max(worst, _maxabs(got[support] - expected[support]))
-    out.append(_result("qsi", "output_table", worst / density_scale, 1e-12))
+    defects = [
+        _maxabs(output_pair.density(first, second)[support] - expected[support])
+        for (first, second), expected in expected_densities.items()
+    ]
+    out.append(_result("qsi", "output_table", _worst(*defects) / density_scale, 1e-12))
 
     degenerate = support & (sigma_rev == sigma)
     if degenerate.any():
@@ -496,7 +504,7 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     if recoverable.any():
         recovered = qsi.recover_canonical(output_pair, where=recoverable)
         on = recoverable
-        roundtrip = max(
+        roundtrip = _worst(
             _maxabs(recovered.creation.plus[on] - 1.0),
             _maxabs(recovered.creation.minus[on]),
             _maxabs(recovered.annihilation.minus[on] - 1.0),
@@ -510,7 +518,7 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     a = 1.0 / (1.0 + nu**2)
     c = 1j * nu / (1.0 + nu**2)
     forward, backward = qsi.isometry_check(a, c, pair)
-    out.append(_result("qsi", "isometry_nonnegative", max(0.0, -forward, -backward), 0.0))
+    out.append(_result("qsi", "isometry_nonnegative", _worst(0.0, -forward, -backward), 0.0))
     zeta = np.sqrt(eps) * kernel_of(a, step)
     xi = np.sqrt(eps) * kernel_of(c, step)
 
@@ -524,7 +532,7 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
         return float(value.real)
 
     scale = max(abs(forward), abs(backward), 1e-300)
-    defect = max(
+    defect = _worst(
         abs(forward - gram(zeta, xi)), abs(backward - gram(np.conj(zeta), np.conj(xi)))
     )
     out.append(_result("qsi", "isometry_gram_oracle", defect / scale, 1e-9))
@@ -542,7 +550,7 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     f_minus = a * sigma_rev + c * sigma
     f_plus = a * sigma + c * sigma_rev
     parseval_scale = max(_maxabs(f_plus), _maxabs(f_minus), 1e-300)
-    defect = max(
+    defect = _worst(
         _maxabs(spectrum_of(phi_minus, eps) - f_minus),
         _maxabs(spectrum_of(phi_plus, eps) - f_plus),
     )
@@ -563,7 +571,7 @@ def mode_checks() -> list[CheckResult]:
         noise, reverse = mode_algebra.thermal_pair(n)
         noise_dag = noise.dagger()
         reverse_dag = reverse.dagger()
-        worst = max(
+        worst = _worst(
             abs(mode_algebra.expectation(noise_dag, noise) - n),
             abs(mode_algebra.expectation(noise, noise_dag) - (n + 1.0)),
             abs(mode_algebra.expectation(reverse_dag, reverse) - (n + 1.0)),
@@ -576,7 +584,7 @@ def mode_checks() -> list[CheckResult]:
         )
         out.append(_result("mode", f"thermal_table_n={n:g}", worst, 1e-12))
         mode_a, mode_c = mode_algebra.invert_pair(noise, reverse, n)
-        roundtrip = max(
+        roundtrip = _worst(
             _maxabs(mode_a.coefficients - mode_algebra.A.coefficients),
             _maxabs(mode_c.coefficients - mode_algebra.C.coefficients),
         )

@@ -118,16 +118,13 @@ def circulant_defect(matrix):
 def dense_elementwise_residuals(pipe):
     """The residuals of the verify checks that read a circulant by its
     diagonals (conjugation, cross_cov_imag, cross_cov_symmetric and the
-    max |L| scale of the modular checks) or skip a dense difference
-    (star_involution), each computed from every entry."""
+    max |L| scale of the modular checks), each computed from every entry."""
     model = pipe.model
     norm = max(float(model.eigenvalues.max(initial=0.0)), 1e-150)
-    amps = spectral_amplitudes(model)
     out = {
         "stationary/conjugation": _maxabs(model.X_rev - np.conj(model.X)),
         "stationary/cross_cov_imag": _maxabs(model.G.imag) / norm,
         "stationary/cross_cov_symmetric": _maxabs(model.G - model.G.T) / norm,
-        "stationary/star_involution": _maxabs(amps.reverse - np.conj(amps.noise[::-1, :])),
     }
     filt = pipe.filt
     if filt is not None:
@@ -143,3 +140,22 @@ def dense_elementwise_residuals(pipe):
         )
         out["modular/root_squares"] = squares / l_norm
     return out
+
+
+def dense_amplitude_residuals(pipe):
+    """The amplitude checks of verify from the dense (n, n) amplitudes N and
+    R: the first columns of step * N†N and step * N†R against those of K
+    and G (with their circulant defects, read from every entry), and
+    R - conj(N[::-1])."""
+    model = pipe.model
+    norm = max(float(model.eigenvalues.max(initial=0.0)), 1e-150)
+    amps = spectral_amplitudes(model)
+    noise, reverse = amps.noise, amps.reverse
+    step = pipe.pair.grid.step
+    gram = step * noise.conj().T @ noise[:, 0]
+    cross = step * noise.conj().T @ reverse[:, 0]
+    return {
+        "stationary/star_involution": _maxabs(reverse - np.conj(noise[::-1, :])),
+        "stationary/amplitude_gram": max(_maxabs(gram - model.K[:, 0]), circulant_defect(model.K)) / norm,
+        "stationary/amplitude_cross": max(_maxabs(cross - model.G[:, 0]), circulant_defect(model.G)) / norm,
+    }

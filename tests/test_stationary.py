@@ -383,11 +383,23 @@ class TestSpectralAmplitudes:
         expected = np.sqrt(model.eigenvalues)[:, None] * plane_wave_matrix(grid, eps)
         assert np.array_equal(qn.spectral_amplitudes(model).noise, expected)
 
+    @pytest.mark.parametrize("n", [9, 65, 513, 1025])  # 513 and 1025 take 2 and 3 blocks of rows
+    def test_first_column_grams_are_the_dense_products(self, n):
+        grid, eps = grid_and_eps(n, 16.0 / (n - 1))
+        _, model = build_chain(qn.planck_density(1.0, 1.0, grid), eps)
+        amps = qn.spectral_amplitudes(model)
+        gram, cross = amps.first_column_grams()
+        tol = 1e-14 * model.eigenvalues.max() / grid.step
+        np.testing.assert_allclose(gram, amps.noise.conj().T @ amps.noise[:, 0], rtol=0, atol=tol)
+        np.testing.assert_allclose(cross, amps.noise.conj().T @ amps.reverse[:, 0], rtol=0, atol=tol)
+
     def test_star_involution_exact(self, mixed_setup):
         _, pair, eps = mixed_setup
         _, model = build_chain(pair, eps)
         amps = qn.spectral_amplitudes(model)
         assert np.array_equal(amps.reverse, np.conj(amps.noise[::-1, :]))
+        assert np.array_equal(amps.reverse_symbol, np.conj(amps.noise_symbol[::-1]))
+        assert not (amps.noise.flags.writeable or amps.reverse.flags.writeable)
 
     def test_white_noise_amplitudes_coincide(self, flat_setup):
         _, pair, eps = flat_setup

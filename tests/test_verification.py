@@ -1,13 +1,20 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import qnoise as qn
-from qnoise import fourier, stationary, verification
+from qnoise import fourier, qsi, stationary, verification
 from qnoise.pipeline import Pipeline
 
-from oracles import circulant_defect, dense_elementwise_residuals, gather_circulant
+from oracles import (
+    circulant_defect,
+    dense_amplitude_residuals,
+    dense_elementwise_residuals,
+    gather_circulant,
+    mixed_kappa,
+)
 
 
 @pytest.mark.parametrize("setup_name", ["planck_setup", "flat_setup", "mixed_setup", "vacuum_setup"])
@@ -108,21 +115,53 @@ def test_first_column_of_k_off_the_amplitudes_fails_amplitude_gram(planck_setup,
     assert not _verdicts(pair, eps)["stationary/amplitude_gram"]
 
 
-def test_run_all_allocates_no_more_than_five_dense_matrices():
-    n = 1025
-    step = 16.0 / (n - 1)
-    pair = qn.planck_density(1.0, 1.0, qn.make_grid(n, step))
+def test_first_column_of_g_off_the_amplitudes_fails_amplitude_cross(planck_setup, monkeypatch):
+    # G stays an exact circulant, so only its first column can carry the error.
+    _, pair, eps = planck_setup
+    gamma = Pipeline(pair, eps).model.gamma
+
+    def perturbed(symbol):
+        column = np.fft.ifft(np.fft.ifftshift(symbol))
+        if np.array_equal(symbol, gamma):
+            column[2] += 1e-6 * np.abs(column).max()
+        return gather_circulant(column)
+
+    monkeypatch.setattr(stationary, "circulant", perturbed)
+    assert not _verdicts(pair, eps)["stationary/amplitude_cross"]
+
+
+def _grid_pair(model, n):
+    step = 16.0 / (n - 1)  # nu_max = 8
+    grid = qn.make_grid(n, step)
+    pair = qn.planck_density(1.0, 1.0, grid) if model == "planck" else qn.flat_density(1.0, grid)
+    return pair, 1.0 / (n * step)
+
+
+def _traced_planck_run_all(n):
+    pair, eps = _grid_pair("planck", n)
     tracemalloc.start()
     try:
-        results = verification.run_all(pair, 1.0 / (n * step))
+        results = verification.run_all(pair, eps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert all(r.passed for r in results)
+    return peak
+
+
+def test_run_all_allocates_no_more_than_five_dense_matrices():
+    n = 1025
+    peak = _traced_planck_run_all(n)
     assert peak <= 5 * 16 * n**2
-    # N and R take two complex n x n arrays and star_involution one more;
-    # no check takes an n x n difference of the circulant views.
     assert peak <= 3.5 * 16 * n**2
+    # No check holds an n x n array: the amplitude sums take two blocks of
+    # plane-wave rows, and no check takes a difference of the circulant views.
+    assert peak <= 0.5 * 16 * n**2
+
+
+def test_run_all_memory_stays_below_one_dense_matrix_at_n_4097():
+    n = 4097
+    assert _traced_planck_run_all(n) <= 0.15 * 16 * n**2
 
 
 @pytest.mark.filterwarnings("error")
@@ -246,12 +285,59 @@ def test_reverse_amplitude_off_the_star_involution_fails(planck_setup, monkeypat
 
     def perturbed(model):
         amps = built(model)
-        reverse = np.array(amps.reverse)
-        reverse[2, 5] += 1e-9
-        return stationary.SpectralAmplitudes(amps.frequencies, amps.lags, amps.noise, reverse)
+        reverse_symbol = np.array(amps.reverse_symbol)
+        reverse_symbol[2] += 1e-9
+        return dataclasses.replace(amps, reverse_symbol=reverse_symbol)
 
     monkeypatch.setattr(stationary, "spectral_amplitudes", perturbed)
     _, pair, eps = planck_setup
     star = {r.check: r for r in verification.stationary_checks(Pipeline(pair, eps))}["star_involution"]
     assert not star.passed
     assert star.residual == pytest.approx(1e-9, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "setup_name, model, n",
+    [(name, None, None) for name in ("planck_setup", "flat_setup", "mixed_setup", "vacuum_setup")]
+    + [(None, model, n) for model in ("planck", "flat") for n in (9, 33, 65, 129, 513, 1025)],
+)
+def test_amplitude_checks_match_the_dense_amplitude_matrices(setup_name, model, n, request):
+    if setup_name is None:
+        pair, eps = _grid_pair(model, n)
+    else:
+        _, pair, eps = request.getfixturevalue(setup_name)
+    pipe = Pipeline(pair, eps)
+    expected = dense_amplitude_residuals(pipe)
+    got = {f"{r.suite}/{r.check}": r.residual for r in verification.stationary_checks(pipe)}
+    assert got["stationary/star_involution"] == expected["stationary/star_involution"] == 0.0
+    for name, value in expected.items():
+        assert abs(got[name] - value) <= 1e-14, name
+
+
+def test_nan_at_a_zero_target_cell_fails_reproduce_kappa():
+    # The exact-zero term sees the NaN; it must not be dropped by the max
+    # that combines it with the relative error on the positive cells.
+    grid = qn.make_grid(33, 0.25)
+    pipe = Pipeline(qn.tabulated_density(mixed_kappa(grid), grid), 1.0 / (33 * 0.25))
+    result = pipe.synthesized
+    kappa_out = np.array(result.kappa_out)
+    kappa_out[np.flatnonzero(pipe.pair.kappa == 0.0)[0]] = np.nan
+    pipe.__dict__["synthesized"] = dataclasses.replace(result, kappa_out=kappa_out)
+    reproduce = {r.check: r for r in verification.synthesis_checks(pipe)}["reproduce_kappa"]
+    assert not reproduce.passed
+
+
+def test_nan_coefficient_norm_fails_test_norm_nonnegative(planck_setup, monkeypatch):
+    monkeypatch.setattr(stationary, "coefficient_norm", lambda model, zeta: np.nan)
+    _, pair, eps = planck_setup
+    verdicts = {r.check: r.passed for r in verification.stationary_checks(Pipeline(pair, eps))}
+    assert not verdicts["test_norm_nonnegative"]
+
+
+def test_nan_isometry_value_fails_the_isometry_checks(planck_setup, monkeypatch):
+    built = qsi.isometry_check
+    monkeypatch.setattr(qsi, "isometry_check", lambda a, c, pair: (built(a, c, pair)[0], np.nan))
+    _, pair, eps = planck_setup
+    verdicts = {r.check: r.passed for r in verification.qsi_checks(Pipeline(pair, eps))}
+    assert not verdicts["isometry_nonnegative"]
+    assert not verdicts["isometry_gram_oracle"]
