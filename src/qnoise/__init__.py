@@ -41,9 +41,8 @@ _EXPORTS = {
         "planck_density", "tabulated_density",
     ),
     "stationary": (
-        "CorrelationSequence", "ModularFilter", "SpectralAmplitudes", "StationaryModel",
+        "CorrelationSequence", "ModularFilter", "StationaryModel", "amplitude_grams",
         "build_model", "coefficient_norm", "correlation_sequence", "modular_matrix",
-        "spectral_amplitudes",
     ),
     "synthesis": (
         "StandardPair", "SynthesisResult", "TimeDomainFilter", "TransmissionFilter",

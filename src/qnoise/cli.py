@@ -144,6 +144,8 @@ def load_config(path: str) -> RunConfig:
             )
     else:
         eps = 1.0 / (n_points * step)
+    if not 0.0 < eps < np.inf:
+        raise ConfigError(f"eps must be finite and positive, got {eps!r}")
     tol = float(raw.get("tol", 1.0))
     if tol <= 0:
         raise ConfigError("config key 'tol' must be positive")
@@ -261,7 +263,7 @@ def cmd_corr(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     lags = seq.lags
     rows = []
     rows += _kernel_rows("k", lags, seq.eps, seq.values)
-    rows += _kernel_rows("k_rev", lags, seq.eps, seq.reversed)
+    rows += _kernel_rows("k_rev", lags, seq.eps, seq.values[::-1])
     rows += _kernel_rows("r", lags, seq.eps, seq.cross)
     if pipe.filt is not None:
         rows += _kernel_rows("l_half", lags, seq.eps, pipe.filt.kernel_half)

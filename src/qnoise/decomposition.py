@@ -33,7 +33,7 @@ class ComponentSplit:
     ``amp`` = sqrt(kappa) splits into ``amp_vac`` (supported on n_minus,
     the points whose reverse density vanishes) plus ``amp_thermal``
     (supported on theta); ``amp_rev`` splits dually with the vacuum part
-    on n_plus.  The projector masks are carried along.
+    on n_plus.  The projectors are the support masks of ``pair``.
     """
 
     pair: SpectralDensityPair
@@ -43,9 +43,6 @@ class ComponentSplit:
     amp_thermal: np.ndarray
     amp_rev_vac: np.ndarray
     amp_rev_thermal: np.ndarray
-    proj_n_plus: np.ndarray
-    proj_n_minus: np.ndarray
-    proj_theta: np.ndarray
 
 
 def split(model: StationaryModel, pair: SpectralDensityPair) -> ComponentSplit:
@@ -70,9 +67,6 @@ def split(model: StationaryModel, pair: SpectralDensityPair) -> ComponentSplit:
         amp_thermal=_frozen(np.where(pair.theta, amp, 0.0)),
         amp_rev_vac=_frozen(np.where(pair.n_plus, amp_rev, 0.0)),
         amp_rev_thermal=_frozen(np.where(pair.theta, amp_rev, 0.0)),
-        proj_n_plus=pair.n_plus,
-        proj_n_minus=pair.n_minus,
-        proj_theta=pair.theta,
     )
 
 
@@ -87,9 +81,9 @@ def best_estimate(split_result: ComponentSplit, direction: str) -> np.ndarray:
     is the symmetric statement with sqrt(lambda)^-1 and n_minus.
     """
     if direction == INPUT_TO_OUTPUT:
-        return _frozen(np.where(split_result.proj_theta, split_result.amp_rev, 0.0))
+        return _frozen(np.where(split_result.pair.theta, split_result.amp_rev, 0.0))
     if direction == OUTPUT_TO_INPUT:
-        return _frozen(np.where(split_result.proj_theta, split_result.amp, 0.0))
+        return _frozen(np.where(split_result.pair.theta, split_result.amp, 0.0))
     raise ValueError(
         f"direction must be {INPUT_TO_OUTPUT!r} or {OUTPUT_TO_INPUT!r}, got {direction!r}"
     )

@@ -35,7 +35,7 @@ from .errors import NonFiniteError
 #: Relative threshold below which tabulated density values become exact zeros.
 ZERO_SNAP = 1e-14
 
-#: Default tolerance for the classification identities.
+#: Tolerance of the classification identities.
 CLASSIFY_TOL = 1e-12
 
 VACUUM = "vacuum"
@@ -75,15 +75,15 @@ def make_grid(n_points: int, step: float) -> SpectralGrid:
 
     Raises:
         ValueError: if ``n_points`` is even or < 3, or ``step`` <= 0.
-        NonFiniteError: if ``step`` is NaN or infinite.
+        NonFiniteError: if ``step`` or the span ``n_points * step`` is not finite.
     """
     if int(n_points) != n_points:
         raise ValueError(f"n_points must be an integer, got {n_points}")
     n_points = int(n_points)
     if n_points < 3 or n_points % 2 == 0:
         raise ValueError(f"n_points must be an odd integer >= 3, got {n_points}")
-    if not math.isfinite(step):
-        raise NonFiniteError(f"step must be finite, got {step}")
+    if not math.isfinite(n_points * float(step)):
+        raise NonFiniteError(f"step must be finite, and so must n_points * step; got step {step}")
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     half = (n_points - 1) // 2
@@ -210,7 +210,7 @@ def tabulated_density(kappa_values, grid: SpectralGrid) -> SpectralDensityPair:
     return _pair_from_kappa(grid, kappa_values, snap=ZERO_SNAP)
 
 
-def classify(pair: SpectralDensityPair, tol: float = CLASSIFY_TOL) -> frozenset:
+def classify(pair: SpectralDensityPair) -> frozenset:
     """Labels describing the noise type.
 
     Returns a frozenset drawn from {vacuum, standard-vacuum, thermal,
@@ -236,15 +236,15 @@ def classify(pair: SpectralDensityPair, tol: float = CLASSIFY_TOL) -> frozenset:
     kap_rev = pair.kappa_rev[retained]
     if not has_theta:
         labels.add(VACUUM)
-        if np.max(np.abs(kap + kap_rev - 1.0)) <= tol:
+        if np.max(np.abs(kap + kap_rev - 1.0)) <= CLASSIFY_TOL:
             labels.add(STANDARD_VACUUM)
     elif not has_vacuum_points:
         labels.add(THERMAL)
-        if np.max(np.abs(kap * kap_rev - 1.0)) <= tol:
+        if np.max(np.abs(kap * kap_rev - 1.0)) <= CLASSIFY_TOL:
             labels.add(STANDARD_THERMAL)
         scale = float(kap.max())
-        flat = (kap.max() - kap.min()) <= tol * scale
-        if flat and np.max(np.abs(kap - kap_rev)) <= tol * scale:
+        flat = (kap.max() - kap.min()) <= CLASSIFY_TOL * scale
+        if flat and np.max(np.abs(kap - kap_rev)) <= CLASSIFY_TOL * scale:
             labels.add(WHITE)
     else:
         labels.add(MIXED)

@@ -17,6 +17,9 @@ entries (K_rev and X_rev over the conjugated first columns of K and X):
 With the duality n*step*eps = 1 the quadrature constant collapses to one:
 K = eps * circulant(k_j) has eigenvalues exactly {kappa(nu_k)}, and the
 normalized spectral amplitudes reproduce K, K_rev and G with unit weight.
+The amplitudes are not stored either: the noise amplitude is the root
+symbol sqrt(kappa) times a plane wave, the reverse amplitude its star
+involution, and :func:`amplitude_grams` sums their Grams from the root.
 """
 from __future__ import annotations
 
@@ -53,15 +56,14 @@ class CorrelationSequence:
     Attributes:
         eps: time step; t_j = eps * j.
         step: frequency spacing of the originating grid (1 / (n * eps)).
-        values: k_j, Hermitian in the lag (k_{-j} = conj(k_j)).
-        reversed: reversed-noise correlations, defined as k_{-j} exactly.
+        values: k_j, Hermitian in the lag (k_{-j} = conj(k_j)); the
+            reversed-noise correlations are their lag flip values[::-1].
         cross: symmetric real cross-correlation r_j from the gamma density.
     """
 
     eps: float
     step: float
     values: np.ndarray
-    reversed: np.ndarray
     cross: np.ndarray
 
     @property
@@ -77,8 +79,7 @@ def correlation_sequence(pair: SpectralDensityPair, eps: float) -> CorrelationSe
     """Quadrature correlation samples of a density pair.
 
     k_j = step * sum_k kappa(nu_k) exp(2 pi i nu_k eps j), and likewise for
-    the cross density; the reversed sequence is the exact lag flip of the
-    forward one.  Requires the grid/time duality n*step*eps = 1.
+    the cross density.  Requires the grid/time duality n*step*eps = 1.
     """
     grid = pair.grid
     check_duality(grid.n_points, grid.step, eps)
@@ -88,7 +89,6 @@ def correlation_sequence(pair: SpectralDensityPair, eps: float) -> CorrelationSe
         eps=float(eps),
         step=grid.step,
         values=_frozen(values),
-        reversed=_frozen(values[::-1].copy()),
         cross=_frozen(cross),
     )
 
@@ -232,97 +232,49 @@ def modular_matrix(model: StationaryModel) -> ModularFilter:
 _PLANE_WAVE_ROWS = 256
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralAmplitudes:
-    """Spectral amplitudes of the pair, stored as their symbols.
+def _amplitude_roots(model: StationaryModel) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the noise and reverse amplitudes: sqrt(kappa) and its star involution."""
+    root = np.sqrt(model.eigenvalues)
+    return root, np.conj(root[::-1])
 
-    The amplitude of the noise at lag j and frequency nu_k is
-    ``noise_symbol[k] * u_j(nu_k)``: the symbol sqrt(kappa(nu_k)) times the
-    normalized plane wave u_j(nu) = sqrt(eps) * exp(-2 pi i nu eps j), whose
-    sqrt(eps) makes the amplitude sqrt(eps * kappa) times a unit phase.
-    ``reverse_symbol`` is the star involution (conjugate + frequency flip)
-    of ``noise_symbol``, so the reverse amplitudes are the star involution
-    of the noise amplitudes.  The dense (n, n) arrays ``noise`` and
-    ``reverse`` are read-only and built on first read; nothing else here
-    is n x n.
+
+def amplitude_grams(model: StationaryModel) -> tuple[np.ndarray, np.ndarray]:
+    """First columns of N†N and N†R, with no n x n array.
+
+    The spectral amplitudes of the noise and its reverse are
+    N[k, j] = a_k u_j(nu_k) and R[k, j] = b_k u_j(nu_k), with the roots a, b
+    of :func:`_amplitude_roots` and the normalized plane wave
+    u_j(nu) = sqrt(eps) exp(-2 pi i nu eps j).  So R = conj(N[::-1]) on the
+    flip-exact grid, and step N†N = K, step R†R = K_rev, step N†R = G.
+
+    Entry d of each column is eps * sum_k w_k exp(2 pi i nu_k eps d), with
+    the weights w = |a|^2 and conj(a) * b.  As nu_-k = -nu_k, each pair
+    k, -k folds onto nu_k >= 0 as (w_k + w_-k) cos + i (w_k - w_-k) sin,
+    nu = 0 counted once: only those rows take a cosine and a sine, a fixed
+    block of rows at a time.
     """
-
-    eps: float
-    frequencies: np.ndarray
-    lags: np.ndarray
-    noise_symbol: np.ndarray
-    reverse_symbol: np.ndarray
-
-    def _waves(self) -> np.ndarray:
-        """u_j(nu_k) as an (n, n) array."""
-        # exp(i phase) as cos + i sin of a real phase, cheaper than a complex exp
-        phase = (-2 * np.pi * self.eps) * np.outer(self.frequencies, self.lags)
-        waves = np.empty(phase.shape, dtype=complex)
-        np.cos(phase, out=waves.real)
-        np.sin(phase, out=waves.imag)
-        waves *= np.sqrt(self.eps)
-        return waves
-
-    @cached_property
-    def noise(self) -> np.ndarray:
-        """noise[k, j] = noise_symbol[k] * u_j(nu_k)."""
-        return _frozen(self._waves() * self.noise_symbol[:, None])
-
-    @cached_property
-    def reverse(self) -> np.ndarray:
-        """reverse[k, j] = reverse_symbol[k] * conj(u_j(nu_-k)), which is
-        reverse_symbol[k] * u_j(nu_k) and, bit for bit, conj(noise[::-1, :])."""
-        return _frozen(np.conj(self._waves()[::-1]) * self.reverse_symbol[:, None])
-
-    def first_column_grams(self) -> tuple[np.ndarray, np.ndarray]:
-        """First columns of noise† noise and noise† reverse, with no n x n array.
-
-        Entry d of each is eps * sum_k w_k exp(2 pi i nu_k eps d), with the
-        weights w = |noise_symbol|^2 and conj(noise_symbol) * reverse_symbol.
-        The grid is flip-exact (nu_-k = -nu_k), so each pair k, -k folds
-        onto nu_k >= 0 as (w_k + w_-k) cos + i (w_k - w_-k) sin, nu = 0
-        counted once: only those rows take a cosine and a sine, a fixed
-        block of rows at a time.
-        """
-        n = self.frequencies.size
-        mid = (n - 1) // 2
-        a, b = self.noise_symbol, self.reverse_symbol
-        weights = self.eps * np.array([np.conj(a) * a, np.conj(a) * b])
-        plus = weights[:, mid:] + weights[:, mid::-1]
-        minus = weights[:, mid:] - weights[:, mid::-1]
-        plus[:, 0] = weights[:, mid]  # nu = 0 is its own partner
-        nu = self.frequencies[mid:]
-        lags = np.arange(n)
-        phase = np.empty((min(nu.size, _PLANE_WAVE_ROWS), n))
-        cos = np.empty_like(phase)
-        sums = 0.0
-        for start in range(0, nu.size, _PLANE_WAVE_ROWS):
-            count = min(_PLANE_WAVE_ROWS, nu.size - start)
-            rows = slice(start, start + count)
-            theta, cos_theta = phase[:count], cos[:count]
-            np.multiply.outer(nu[rows], lags, out=theta)
-            theta *= 2 * np.pi * self.eps
-            np.cos(theta, out=cos_theta)
-            sin_theta = np.sin(theta, out=theta)
-            sums = sums + plus[:, rows] @ cos_theta + 1j * (minus[:, rows] @ sin_theta)
-        return sums[0], sums[1]
-
-
-def spectral_amplitudes(model: StationaryModel) -> SpectralAmplitudes:
-    """Spectral representation of the realization, as amplitude symbols.
-
-    Discrete inner products with weight ``step`` reproduce the model
-    matrices: sum_k conj(noise[k,i]) noise[k,j] step = K_ij, the same with
-    ``reverse`` gives K_rev, and the mixed product gives G.
-    """
-    noise_symbol = np.sqrt(model.eigenvalues)
-    return SpectralAmplitudes(
-        eps=model.eps,
-        frequencies=model.frequencies,
-        lags=_frozen(time_lags(model.n_points)),
-        noise_symbol=_frozen(noise_symbol),
-        reverse_symbol=_frozen(np.conj(noise_symbol[::-1])),
-    )
+    n = model.n_points
+    mid = (n - 1) // 2
+    a, b = _amplitude_roots(model)
+    weights = model.eps * np.array([np.conj(a) * a, np.conj(a) * b])
+    plus = weights[:, mid:] + weights[:, mid::-1]
+    minus = weights[:, mid:] - weights[:, mid::-1]
+    plus[:, 0] = weights[:, mid]  # nu = 0 is its own partner
+    nu = model.frequencies[mid:]
+    lags = np.arange(n)
+    phase = np.empty((min(nu.size, _PLANE_WAVE_ROWS), n))
+    cos = np.empty_like(phase)
+    sums = 0.0
+    for start in range(0, nu.size, _PLANE_WAVE_ROWS):
+        count = min(_PLANE_WAVE_ROWS, nu.size - start)
+        rows = slice(start, start + count)
+        theta, cos_theta = phase[:count], cos[:count]
+        np.multiply.outer(nu[rows], lags, out=theta)
+        theta *= 2 * np.pi * model.eps
+        np.cos(theta, out=cos_theta)
+        sin_theta = np.sin(theta, out=theta)
+        sums = sums + plus[:, rows] @ cos_theta + 1j * (minus[:, rows] @ sin_theta)
+    return sums[0], sums[1]
 
 
 def coefficient_norm(model: StationaryModel, zeta: np.ndarray) -> float:

@@ -33,13 +33,13 @@ class StandardPair:
     """The standard density pair of a target, with its amplitudes.
 
     ``amp`` is the standard noise amplitude (1 on n_minus of the target,
-    lambda^(-1/4) on theta); ``amp_rev`` is its exact frequency flip.  The
-    squared amplitudes are the densities of ``pair`` bit for bit.
+    lambda^(-1/4) on theta); the reverse amplitude is its exact frequency
+    flip ``amp[::-1]``.  The squared amplitudes are the densities of
+    ``pair`` bit for bit.
     """
 
     pair: SpectralDensityPair
     amp: np.ndarray
-    amp_rev: np.ndarray
 
 
 def build_standard_pair(target: SpectralDensityPair) -> StandardPair:
@@ -48,7 +48,7 @@ def build_standard_pair(target: SpectralDensityPair) -> StandardPair:
     lam = target.lambda_theta[target.theta]
     amp[target.theta] = lam ** -0.25
     pair = tabulated_density(amp * amp, target.grid)
-    return StandardPair(pair=pair, amp=_frozen(amp), amp_rev=_frozen(amp[::-1].copy()))
+    return StandardPair(pair=pair, amp=_frozen(amp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +56,9 @@ class TransmissionFilter:
     """Real symmetric transmission function of a target pair.
 
     ``time_kernel`` is the quadrature Fourier kernel of ``f`` (real up to
-    rounding since f is real and flip-symmetric); ``target_sigma`` and its
-    reverse are the amplitudes the filter must reproduce, and ``standard``
-    is the constructed standard pair the filter acts on.
+    rounding since f is real and flip-symmetric); ``target_sigma`` is the
+    amplitude the filter must reproduce, its flip the reverse one, and
+    ``standard`` is the constructed standard pair the filter acts on.
     """
 
     grid_points: np.ndarray
@@ -66,7 +66,6 @@ class TransmissionFilter:
     f: np.ndarray
     time_kernel: np.ndarray
     target_sigma: np.ndarray
-    target_sigma_rev: np.ndarray
     standard: StandardPair
 
 
@@ -90,7 +89,6 @@ def transmission_function(target: SpectralDensityPair) -> TransmissionFilter:
         f=_frozen(f),
         time_kernel=_frozen(kernel_of(f, target.grid.step)),
         target_sigma=_frozen(sigma),
-        target_sigma_rev=_frozen(sigma_rev),
         standard=build_standard_pair(target),
     )
 
@@ -108,7 +106,7 @@ class SynthesisResult:
 def synthesize(filt: TransmissionFilter, standard: StandardPair) -> SynthesisResult:
     """Apply the transmission function to standard amplitudes.
 
-    Returns the filtered pair f * amp, f * amp_rev together with the
+    Returns the filtered pair f * amp, f * amp[::-1] together with the
     reproduced densities (their squares); the reproduced densities match
     the target pair at every retained point.
 
@@ -119,7 +117,7 @@ def synthesize(filt: TransmissionFilter, standard: StandardPair) -> SynthesisRes
     if not np.array_equal(standard.pair.grid.points, filt.grid_points):
         raise ValueError("transmission filter and standard pair use different grids")
     out_amp = filt.f * standard.amp
-    out_amp_rev = filt.f * standard.amp_rev
+    out_amp_rev = filt.f * standard.amp[::-1]
     return SynthesisResult(
         out_amp=_frozen(out_amp),
         out_amp_rev=_frozen(out_amp_rev),

@@ -27,12 +27,13 @@ Frobenius norm.  The residual is the largest of that and the defects, a
 NaN in any of them included, so a matrix off the circulant pattern fails.
 ``amplitude_gram`` and ``amplitude_cross`` compare the first columns of K
 and G with those of step * N†N and step * N†R, where N and R are the
-plane-wave amplitudes of the stored amplitude symbols: each entry is a
-direct plane-wave sum, folded onto nu >= 0 and taken a block of rows at a
-time, so N and R are never built.  With the defects of K and G, that
+plane-wave amplitudes of the model's root symbol sqrt(kappa) and of its
+star involution (:func:`qnoise.stationary.amplitude_grams`): each entry is
+a direct plane-wave sum, folded onto nu >= 0 and taken a block of rows at
+a time, so N and R are never built.  With the defects of K and G, that
 reaches every entry by a route through neither ``circulant`` nor an FFT;
-``star_involution`` compares the stored reverse symbol with the flipped
-noise symbol.  No check multiplies two n x n matrices or holds an n x n
+``star_involution`` compares the reverse root those sums read with the
+conjugate flip of the noise root.  No check multiplies two n x n matrices or holds an n x n
 array: the matrix-vector products and the plane-wave sums take O(n^2)
 time but only O(n * block) memory.
 
@@ -208,11 +209,11 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     commute = _worst(_frobenius(model.K @ (k_rev / norm) - model.K_rev @ (k / norm)), k_defect, k_rev_defect)
     out.append(_result("stationary", "covariances_commute", commute / norm, 1e-12))
 
-    amps = stationary.spectral_amplitudes(model)
-    star = _maxabs(amps.reverse_symbol - np.conj(amps.noise_symbol[::-1]))
+    noise_root, reverse_root = stationary._amplitude_roots(model)
+    star = _maxabs(reverse_root - np.conj(noise_root[::-1]))
     out.append(_result("stationary", "star_involution", star, 0.0))
     step = pair.grid.step
-    noise_gram, cross_gram = amps.first_column_grams()
+    noise_gram, cross_gram = stationary.amplitude_grams(model)
     gram = _worst(_maxabs(step * noise_gram - k), k_defect)
     out.append(_result("stationary", "amplitude_gram", gram / norm, 1e-10))
     gram = _worst(_maxabs(step * cross_gram - g), g_defect)
@@ -282,11 +283,11 @@ def decomposition_checks(pipe: Pipeline) -> list[CheckResult]:
     cross = np.sum(np.conj(parts.amp_vac) * parts.amp_thermal) * pair.grid.step
     out.append(_result("decomposition", "component_orthogonality", abs(cross), 0.0))
 
-    projector_defect = int(np.sum(parts.proj_theta != (~parts.proj_n_plus & ~parts.proj_n_minus & pair.retained)))
+    projector_defect = int(np.sum(pair.theta != (~pair.n_plus & ~pair.n_minus & pair.retained)))
     out.append(_result("decomposition", "projector_algebra", projector_defect, 0.0))
 
     estimate = decomposition.best_estimate(parts, decomposition.INPUT_TO_OUTPUT)
-    theta = parts.proj_theta
+    theta = pair.theta
     if theta.any():
         filtered = np.sqrt(pair.lambda_theta[theta]) * parts.amp[theta]
         scale = max(_maxabs(parts.amp_rev), 1e-300)

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from qnoise.stationary import spectral_amplitudes
-
 
 def slow_kernel(values, grid, eps, lag):
     """Direct quadrature sum step * sum_k values_k exp(2 pi i nu_k eps j)."""
@@ -55,6 +53,13 @@ def plane_wave_matrix(grid, eps):
     half = (grid.n_points - 1) // 2
     lags = np.arange(-half, half + 1)
     return np.sqrt(eps) * np.exp(-2j * np.pi * eps * np.outer(grid.points, lags))
+
+
+def amplitude_matrices(model, grid):
+    """Dense spectral amplitudes N = sqrt(kappa)[:, None] * u and their star
+    involution R = conj(N[::-1]), each an (n, n) array."""
+    noise = np.sqrt(model.eigenvalues)[:, None] * plane_wave_matrix(grid, model.eps)
+    return noise, np.conj(noise[::-1])
 
 
 def gather_circulant(column):
@@ -149,8 +154,7 @@ def dense_amplitude_residuals(pipe):
     R - conj(N[::-1])."""
     model = pipe.model
     norm = max(float(model.eigenvalues.max(initial=0.0)), 1e-150)
-    amps = spectral_amplitudes(model)
-    noise, reverse = amps.noise, amps.reverse
+    noise, reverse = amplitude_matrices(model, pipe.pair.grid)
     step = pipe.pair.grid.step
     gram = step * noise.conj().T @ noise[:, 0]
     cross = step * noise.conj().T @ reverse[:, 0]

@@ -160,6 +160,9 @@ class TestExitCodes:
             {"model": "planck", "beta": 1e-300, "h": 1.0, "n_points": 33, "step": 0.25},
             {"model": "flat", "sigma2": 1e308, "n_points": 33, "step": 0.25},
             {"model": "planck", "beta": 1.0, "h": 1e306, "n_points": 33, "step": 0.25},
+            {"model": "flat", "sigma2": 1.0, "n_points": 3, "step": 1e308},
+            {"model": "flat", "sigma2": 1.0, "n_points": 3, "step": 5e-324},
+            {"model": "flat", "sigma2": 1.0, "n_points": 3, "step": 1e308, "eps": 0},
         ],
         ids=[
             "bool_n_points",
@@ -175,6 +178,9 @@ class TestExitCodes:
             "tiny_beta",
             "huge_sigma2",
             "huge_h",
+            "overflowing_span",
+            "infinite_eps",
+            "zero_eps",
         ],
     )
     @pytest.mark.filterwarnings("error")

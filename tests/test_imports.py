@@ -20,13 +20,13 @@ PUBLIC = """
 A A_DAG C C_DAG CanonicalPair ComponentSplit CorrelationSequence DegenerateRecoveryError
 EmptySupportError INPUT_TO_OUTPUT IntegratorTable MIXED MeasureSymbol ModeOperator
 ModularFilter NonFiniteError NotInvertibleError NotPositiveDefiniteError NotVacuumError
-OUTPUT_TO_INPUT OutputPair Pipeline STANDARD_THERMAL STANDARD_VACUUM SpectralAmplitudes
-SpectralDensityPair SpectralGrid StandardPair StationaryModel SynthesisResult THERMAL
-TimeDomainFilter TransmissionFilter VACUUM VacuumAssembly WHITE best_estimate build_model
+OUTPUT_TO_INPUT OutputPair Pipeline STANDARD_THERMAL STANDARD_VACUUM SpectralDensityPair
+SpectralGrid StandardPair StationaryModel SynthesisResult THERMAL TimeDomainFilter
+TransmissionFilter VACUUM VacuumAssembly WHITE amplitude_grams best_estimate build_model
 build_output_pair build_standard_pair canonical_from_vacuum classify coefficient_norm
 commutator correlation_sequence expectation flat_density integrator_table interval_mask
 invert_pair isometry_check make_grid modular_kernels_theta modular_matrix planck_density
-recover_canonical reflection_symmetry_check spectral_amplitudes split synthesize
+recover_canonical reflection_symmetry_check split synthesize
 tabulated_density thermal_pair time_domain_filter transmission_function
 """.split()
 SUBMODULES = sorted(

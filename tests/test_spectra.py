@@ -36,10 +36,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="step"):
             qn.make_grid(5, 0.0)
 
-    @pytest.mark.parametrize("step", [np.inf, -np.inf, np.nan])
+    # 1e308 is finite, but the span 3 * 1e308 overflows and eps = 1/span is zero
+    @pytest.mark.parametrize("step", [np.inf, -np.inf, np.nan, 1e308])
     def test_non_finite_step_rejected(self, step):
         with pytest.raises(qn.NonFiniteError, match="step must be finite"):
-            qn.make_grid(5, step)
+            qn.make_grid(3, step)
 
     @given(
         half=st.integers(min_value=1, max_value=40),

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qnoise as qn
-from qnoise import fourier
+from qnoise import fourier, stationary
 from qnoise.errors import NotInvertibleError, NotPositiveDefiniteError
 
 from conftest import build_chain, grid_and_eps
 from oracles import (
+    amplitude_matrices,
     dense_symbol_matrix,
     gather_circulant,
     gram_quadratic_form,
@@ -56,7 +57,6 @@ class TestCorrelationSequence:
         np.testing.assert_allclose(
             seq.values[::-1], np.conj(seq.values), rtol=0, atol=1e-12 * scale
         )
-        assert np.array_equal(seq.reversed, seq.values[::-1])
 
     def test_cross_sequence_real_symmetric(self, mixed_setup):
         _, pair, eps = mixed_setup
@@ -72,7 +72,7 @@ class TestCorrelationSequence:
         seq = qn.correlation_sequence(pair, eps)
         expected = slow_kernel_all(pair.kappa_rev, grid, eps)
         np.testing.assert_allclose(
-            seq.reversed, expected, rtol=0, atol=1e-12 * np.max(np.abs(seq.values))
+            seq.values[::-1], expected, rtol=0, atol=1e-12 * np.max(np.abs(seq.values))
         )
 
     def test_incompatible_time_step_rejected(self, planck_setup):
@@ -88,7 +88,6 @@ def _hand_built_sequence(values, eps):
         eps=eps,
         step=1.0 / (n * eps),
         values=values,
-        reversed=values[::-1].copy(),
         cross=np.zeros(n, dtype=complex),
     )
 
@@ -361,51 +360,51 @@ class TestSpectralAmplitudes:
         grid, eps = grid_and_eps(17, 0.25)
         pair = qn.planck_density(1.0, 1.0, grid)
         _, model = build_chain(pair, eps)
-        amps = qn.spectral_amplitudes(model)
+        noise, reverse = amplitude_matrices(model, grid)
         tol = 1e-10 * pair.kappa.max()
-        np.testing.assert_allclose(
-            grid.step * amps.noise.conj().T @ amps.noise, model.K, rtol=0, atol=tol
-        )
-        np.testing.assert_allclose(
-            grid.step * amps.noise.conj().T @ amps.reverse, model.G, rtol=0, atol=tol
-        )
-        np.testing.assert_allclose(
-            grid.step * amps.reverse.conj().T @ amps.reverse,
-            model.K_rev,
-            rtol=0,
-            atol=tol,
-        )
+        np.testing.assert_allclose(grid.step * noise.conj().T @ noise, model.K, rtol=0, atol=tol)
+        np.testing.assert_allclose(grid.step * noise.conj().T @ reverse, model.G, rtol=0, atol=tol)
+        np.testing.assert_allclose(grid.step * reverse.conj().T @ reverse, model.K_rev, rtol=0, atol=tol)
 
     @pytest.mark.parametrize("n, step", [(9, 0.5), (33, 0.25), (65, 0.25), (129, 1.0 / 3), (513, 16.0 / 512)])
     def test_noise_is_the_complex_exponential_bit_for_bit(self, n, step):
+        # Both amplitudes are their root times the same plane wave: on the
+        # flip-exact grid the plane wave at -nu is the conjugate of the one
+        # at nu bit for bit, so the star involution is an index reversal.
         grid, eps = grid_and_eps(n, step)
         _, model = build_chain(qn.planck_density(1.0, 1.0, grid), eps)
-        expected = np.sqrt(model.eigenvalues)[:, None] * plane_wave_matrix(grid, eps)
-        assert np.array_equal(qn.spectral_amplitudes(model).noise, expected)
+        noise, reverse = amplitude_matrices(model, grid)
+        root, reverse_root = stationary._amplitude_roots(model)
+        waves = plane_wave_matrix(grid, eps)
+        assert np.array_equal(noise, root[:, None] * waves)
+        assert np.array_equal(reverse, reverse_root[:, None] * waves)
 
-    @pytest.mark.parametrize("n", [9, 65, 513, 1025])  # 513 and 1025 take 2 and 3 blocks of rows
+    # n = 3 sums one block of 2 rows, 511 exactly one full block of 256, and
+    # 513 and 1025 take 2 and 3 blocks
+    @pytest.mark.parametrize("n", [3, 9, 65, 511, 513, 1025])
     def test_first_column_grams_are_the_dense_products(self, n):
         grid, eps = grid_and_eps(n, 16.0 / (n - 1))
         _, model = build_chain(qn.planck_density(1.0, 1.0, grid), eps)
-        amps = qn.spectral_amplitudes(model)
-        gram, cross = amps.first_column_grams()
+        noise, reverse = amplitude_matrices(model, grid)
+        gram, cross = qn.amplitude_grams(model)
         tol = 1e-14 * model.eigenvalues.max() / grid.step
-        np.testing.assert_allclose(gram, amps.noise.conj().T @ amps.noise[:, 0], rtol=0, atol=tol)
-        np.testing.assert_allclose(cross, amps.noise.conj().T @ amps.reverse[:, 0], rtol=0, atol=tol)
+        np.testing.assert_allclose(gram, noise.conj().T @ noise[:, 0], rtol=0, atol=tol)
+        np.testing.assert_allclose(cross, noise.conj().T @ reverse[:, 0], rtol=0, atol=tol)
 
     def test_star_involution_exact(self, mixed_setup):
         _, pair, eps = mixed_setup
         _, model = build_chain(pair, eps)
-        amps = qn.spectral_amplitudes(model)
-        assert np.array_equal(amps.reverse, np.conj(amps.noise[::-1, :]))
-        assert np.array_equal(amps.reverse_symbol, np.conj(amps.noise_symbol[::-1]))
-        assert not (amps.noise.flags.writeable or amps.reverse.flags.writeable)
+        root, reverse_root = stationary._amplitude_roots(model)
+        assert np.array_equal(root, np.sqrt(model.eigenvalues))
+        assert np.array_equal(reverse_root, np.conj(root[::-1]))
 
     def test_white_noise_amplitudes_coincide(self, flat_setup):
         _, pair, eps = flat_setup
         _, model = build_chain(pair, eps)
-        amps = qn.spectral_amplitudes(model)
-        np.testing.assert_allclose(amps.noise, amps.reverse, rtol=0, atol=1e-14)
+        noise, reverse = amplitude_matrices(model, pair.grid)
+        np.testing.assert_allclose(noise, reverse, rtol=0, atol=1e-14)
+        gram, cross = qn.amplitude_grams(model)
+        np.testing.assert_allclose(gram, cross, rtol=0, atol=1e-14 / pair.grid.step)
 
 
 class TestCoefficientNorm:
