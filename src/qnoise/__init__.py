@@ -41,8 +41,8 @@ _EXPORTS = {
         "planck_density", "tabulated_density",
     ),
     "stationary": (
-        "CorrelationSequence", "ModularFilter", "StationaryModel", "amplitude_grams",
-        "build_model", "coefficient_norm", "correlation_sequence", "modular_matrix",
+        "CorrelationSequence", "ModularFilter", "StationaryModel", "build_model",
+        "coefficient_norm", "correlation_sequence", "modular_matrix",
     ),
     "synthesis": (
         "StandardPair", "SynthesisResult", "TimeDomainFilter", "TransmissionFilter",

@@ -312,8 +312,7 @@ def cmd_decompose(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
             *(column[pair.retained] for column in columns)
         )
     ]
-    residual_norm2 = pair.grid.step * float(np.sum(np.abs(residual) ** 2))
-    expected = pair.grid.step * float(np.sum(pair.kappa_rev[pair.n_plus]))
+    residual_norm2, expected = decomposition.residual_norm2(parts, residual)
     _write_json(
         out_dir / "decompose_report.json",
         {
@@ -398,8 +397,7 @@ def cmd_qsi(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
         for second in ("creation", "annihilation")
     }
 
-    sigma = np.sqrt(pair.kappa)
-    output_pair = qsi.build_output_pair(canonical, sigma, np.sqrt(pair.kappa_rev))
+    output_pair = qsi.build_output_pair(canonical, pair.sigma, pair.sigma_rev)
     output_moments = {
         f"{first}_{second}_dag": output_pair.moment(first, delta, second, delta_prime).real
         for first in ("output", "reverse")

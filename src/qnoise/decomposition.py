@@ -57,12 +57,11 @@ def split(model: StationaryModel, pair: SpectralDensityPair) -> ComponentSplit:
     if np.max(np.abs(model.eigenvalues - pair.kappa)) > MODEL_MATCH_TOL * scale:
         raise ValueError("model was not built from this density pair")
 
-    amp = np.sqrt(pair.kappa)
-    amp_rev = np.sqrt(pair.kappa_rev)
+    amp, amp_rev = pair.sigma, pair.sigma_rev
     return ComponentSplit(
         pair=pair,
-        amp=_frozen(amp),
-        amp_rev=_frozen(amp_rev),
+        amp=amp,
+        amp_rev=amp_rev,
         amp_vac=_frozen(np.where(pair.n_minus, amp, 0.0)),
         amp_thermal=_frozen(np.where(pair.theta, amp, 0.0)),
         amp_rev_vac=_frozen(np.where(pair.n_plus, amp_rev, 0.0)),
@@ -86,6 +85,16 @@ def best_estimate(split_result: ComponentSplit, direction: str) -> np.ndarray:
         return _frozen(np.where(split_result.pair.theta, split_result.amp, 0.0))
     raise ValueError(
         f"direction must be {INPUT_TO_OUTPUT!r} or {OUTPUT_TO_INPUT!r}, got {direction!r}"
+    )
+
+
+def residual_norm2(split_result: ComponentSplit, residual: np.ndarray) -> tuple[float, float]:
+    """step * ||residual||^2 of an input-to-output estimate, and the value
+    step * sum(kappa_rev over n_plus) it must take."""
+    pair = split_result.pair
+    return (
+        pair.grid.step * float(np.sum(np.abs(residual) ** 2)),
+        pair.grid.step * float(np.sum(pair.kappa_rev[pair.n_plus])),
     )
 
 

@@ -8,12 +8,13 @@ All lag kernels in this package use the convention
 
 so that the eps-weighted circular convolution of two kernels is the kernel
 of the pointwise product of their spectra, with no stray normalization
-constants.
+constants.  Every transform here maps n values to n values: a circulant
+operator is handled through its symbol or its kernel, never as an n x n
+matrix.
 """
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 DUALITY_TOL = 1e-9
 
@@ -55,22 +56,3 @@ def convolve(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     fb = np.fft.fft(np.fft.ifftshift(np.asarray(b)))
     return np.fft.fftshift(np.fft.ifft(fa * fb)) * eps
 
-
-def circulant(symbol: np.ndarray) -> np.ndarray:
-    """Dense circulant matrix of a per-frequency symbol on the centered grid.
-
-    Entry (i, j) is c[(i - j) mod n] with first column
-    c = ifft(ifftshift(symbol)); this is V† diag(symbol) V in the unitary
-    basis V[k, j] = exp(-2 pi i (k-m)(j-m)/n) / sqrt(n), returned as the
-    O(n) view of :func:`column_circulant`.  All such matrices commute.
-    """
-    return column_circulant(np.fft.ifft(np.fft.ifftshift(symbol)))
-
-
-def column_circulant(column: np.ndarray) -> np.ndarray:
-    """Read-only circulant with first column c, as a view over b = (c[1:], c):
-    entry (i, j) is b[n - 1 + i - j] = c[(i - j) mod n], and nothing is n x n."""
-    n = column.size
-    base = np.concatenate((column[1:], column))
-    stride = base.strides[0]
-    return as_strided(base[n - 1:], (n, n), (stride, -stride), writeable=False)

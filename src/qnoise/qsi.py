@@ -379,10 +379,8 @@ def isometry_check(
     n = pair.grid.n_points
     if a.shape != (n,) or c.shape != (n,):
         raise ValueError(f"coefficient functions must have shape ({n},)")
-    root = np.sqrt(pair.kappa)
-    root_rev = np.sqrt(pair.kappa_rev)
-    b = a * root + c * root_rev
-    b_star = np.conj(a[::-1]) * root + np.conj(c[::-1]) * root_rev
+    b = a * pair.sigma + c * pair.sigma_rev
+    b_star = np.conj(a[::-1]) * pair.sigma + np.conj(c[::-1]) * pair.sigma_rev
     step = pair.grid.step
     return (
         float(step * np.sum(np.abs(b) ** 2)),

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,8 @@ class SpectralDensityPair:
         lambda_theta: kappa_rev / kappa on the thermal support, NaN elsewhere.
         gamma: cross density sqrt(kappa * kappa_rev); flip-symmetric.
         n_plus, n_minus, theta: the three disjoint support masks.
+
+    ``sigma``, ``sigma_rev``: amplitudes sqrt(kappa), sqrt(kappa_rev), computed once on first read.
     """
 
     grid: SpectralGrid
@@ -117,6 +120,14 @@ class SpectralDensityPair:
     def retained(self) -> np.ndarray:
         """Mask of points carrying any signal (kappa + kappa_rev > 0)."""
         return self.n_plus | self.n_minus | self.theta
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return _frozen(np.sqrt(self.kappa))
+
+    @cached_property
+    def sigma_rev(self) -> np.ndarray:
+        return _frozen(np.sqrt(self.kappa_rev))
 
 
 def _pair_from_kappa(grid: SpectralGrid, kappa: np.ndarray, snap: float) -> SpectralDensityPair:

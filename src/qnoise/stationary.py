@@ -1,12 +1,10 @@
 """Canonical Hilbert-space realization of a stationary noise/reverse pair.
 
 The periodic (circulant) closure of the correlation matrix is used
-throughout: every matrix here is diagonal in one discrete Fourier basis,
-so the noise and reversed-noise covariances commute exactly and each
-object is its symbol of n per-frequency numbers.  Only symbols are
-stored; a dense matrix is built from its symbol on first access and then
-cached, as a read-only :func:`qnoise.fourier.circulant` view over 2n - 1
-entries (K_rev and X_rev over the conjugated first columns of K and X):
+throughout: every operator here is diagonal in one discrete Fourier
+basis, so the noise and reversed-noise covariances commute exactly and
+each operator is its symbol of n per-frequency numbers.  Only symbols are
+stored, and nothing in the package forms an n x n matrix:
 
     covariance K        <- symbol kappa(nu_k)
     reversed  K_rev     <- symbol kappa(-nu_k)       (= conj(K))
@@ -15,21 +13,18 @@ entries (K_rev and X_rev over the conjugated first columns of K and X):
     modular   L         <- symbol kappa(-.)/kappa    (on a ModularFilter)
 
 With the duality n*step*eps = 1 the quadrature constant collapses to one:
-K = eps * circulant(k_j) has eigenvalues exactly {kappa(nu_k)}, and the
-normalized spectral amplitudes reproduce K, K_rev and G with unit weight.
-The amplitudes are not stored either: the noise amplitude is the root
-symbol sqrt(kappa) times a plane wave, the reverse amplitude its star
-involution, and :func:`amplitude_grams` sums their Grams from the root.
+K, the circulant of eps * k_j, has eigenvalues exactly {kappa(nu_k)}, and the
+normalized spectral amplitudes (the root symbol sqrt(kappa) times a plane
+wave, and its star involution) reproduce K, K_rev and G with unit weight.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NotInvertibleError, NotPositiveDefiniteError
-from .fourier import check_duality, circulant, column_circulant, kernel_of, time_lags
+from .fourier import check_duality, kernel_of, time_lags
 from .spectra import SpectralDensityPair, _frozen
 
 #: Relative eigenvalue floor below which the covariance counts as singular.
@@ -42,11 +37,6 @@ PSD_TOL = 1e-10
 #: Relative threshold below which eigenvalues snap to exact zero, keeping
 #: vacuum supports crisp through the FFT round trip.
 EIGENVALUE_SNAP = 1e-14
-
-
-def _dense(symbol_of) -> cached_property:
-    """Read-only attribute: the circulant view of ``symbol_of(self)``, built once."""
-    return cached_property(lambda self: circulant(symbol_of(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +88,10 @@ class StationaryModel:
     """Finite canonical realization of a noise and its time reverse.
 
     ``eigenvalues`` is the covariance symbol, ordered like the grid points
-    (entry k belongs to frequency nu_k = step*(k - (n-1)/2)).  The dense
-    matrices below are read-only and built on first access; K_rev and
-    X_rev are exact conjugates of K and X.
-    Column j of X realizes the noise at lag j and column j of X_rev its
-    time reverse: X†X = K, X_rev†X_rev = K_rev and X†X_rev = G.
+    (entry k belongs to frequency nu_k = step*(k - (n-1)/2)).  It fixes
+    every operator of the family: the circulants K, K_rev = conj(K),
+    X = K^(1/2), X_rev = conj(X) and G, with X†X = K, X_rev†X_rev = K_rev
+    and X†X_rev = G.
     """
 
     eps: float
@@ -123,12 +112,6 @@ class StationaryModel:
     def gamma(self) -> np.ndarray:
         """Cross symbol sqrt(kappa * kappa(-.)), the symbol of G."""
         return np.sqrt(self.eigenvalues * self.eigenvalues[::-1])
-
-    K = _dense(lambda m: m.eigenvalues)
-    K_rev = cached_property(lambda m: column_circulant(np.conj(m.K[:, 0])))
-    X = _dense(lambda m: np.sqrt(m.eigenvalues))
-    X_rev = cached_property(lambda m: column_circulant(np.conj(m.X[:, 0])))
-    G = _dense(lambda m: m.gamma)
 
 
 def build_model(seq: CorrelationSequence) -> StationaryModel:
@@ -174,9 +157,9 @@ class ModularFilter:
 
     The symbol lives on a support mask and is exactly zero off it: the
     whole grid for :func:`modular_matrix`, the thermal support for
-    :func:`qnoise.decomposition.modular_kernels_theta`.  L = K_rev K^-1 and
-    L_half = L^(1/2) are built from ``symbol`` on first access.
-    ``kernel_half``/``kernel_inv_half`` are the first-row kernels of
+    :func:`qnoise.decomposition.modular_kernels_theta`.  ``symbol`` is the
+    symbol of the circulant L = K_rev K^-1, and its square root that of
+    L^(1/2).  ``kernel_half``/``kernel_inv_half`` are the first-row kernels of
     L^(1/2) and L^(-1/2) at centered lags, i.e. the discrete input-output
     and reversed filters.  They satisfy the modular property
     kernel_half(-t) = conj(kernel_half(t)) = kernel_inv_half(t), and their
@@ -189,9 +172,6 @@ class ModularFilter:
     symbol: np.ndarray
     kernel_half: np.ndarray
     kernel_inv_half: np.ndarray
-
-    L = _dense(lambda f: f.symbol)
-    L_half = _dense(lambda f: np.sqrt(f.symbol))
 
 
 def _masked_filter(lam: np.ndarray, support: np.ndarray, eps: float, step: float) -> ModularFilter:
@@ -211,7 +191,7 @@ def _masked_filter(lam: np.ndarray, support: np.ndarray, eps: float, step: float
 
 
 def modular_matrix(model: StationaryModel) -> ModularFilter:
-    """Modular matrix and filter kernels of an invertible model.
+    """Modular symbol and filter kernels of an invertible model.
 
     Raises:
         NotInvertibleError: if the smallest covariance eigenvalue is below
@@ -225,56 +205,6 @@ def modular_matrix(model: StationaryModel) -> ModularFilter:
         )
     lam = model.eigenvalues[::-1] / model.eigenvalues
     return _masked_filter(lam, np.ones(lam.size, dtype=bool), model.eps, model.step)
-
-
-#: Rows nu_k >= 0 of the plane-wave sums evaluated at a time, in two
-#: (rows, n) float buffers: the sums take O(n) memory.
-_PLANE_WAVE_ROWS = 256
-
-
-def _amplitude_roots(model: StationaryModel) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of the noise and reverse amplitudes: sqrt(kappa) and its star involution."""
-    root = np.sqrt(model.eigenvalues)
-    return root, np.conj(root[::-1])
-
-
-def amplitude_grams(model: StationaryModel) -> tuple[np.ndarray, np.ndarray]:
-    """First columns of N†N and N†R, with no n x n array.
-
-    The spectral amplitudes of the noise and its reverse are
-    N[k, j] = a_k u_j(nu_k) and R[k, j] = b_k u_j(nu_k), with the roots a, b
-    of :func:`_amplitude_roots` and the normalized plane wave
-    u_j(nu) = sqrt(eps) exp(-2 pi i nu eps j).  So R = conj(N[::-1]) on the
-    flip-exact grid, and step N†N = K, step R†R = K_rev, step N†R = G.
-
-    Entry d of each column is eps * sum_k w_k exp(2 pi i nu_k eps d), with
-    the weights w = |a|^2 and conj(a) * b.  As nu_-k = -nu_k, each pair
-    k, -k folds onto nu_k >= 0 as (w_k + w_-k) cos + i (w_k - w_-k) sin,
-    nu = 0 counted once: only those rows take a cosine and a sine, a fixed
-    block of rows at a time.
-    """
-    n = model.n_points
-    mid = (n - 1) // 2
-    a, b = _amplitude_roots(model)
-    weights = model.eps * np.array([np.conj(a) * a, np.conj(a) * b])
-    plus = weights[:, mid:] + weights[:, mid::-1]
-    minus = weights[:, mid:] - weights[:, mid::-1]
-    plus[:, 0] = weights[:, mid]  # nu = 0 is its own partner
-    nu = model.frequencies[mid:]
-    lags = np.arange(n)
-    phase = np.empty((min(nu.size, _PLANE_WAVE_ROWS), n))
-    cos = np.empty_like(phase)
-    sums = 0.0
-    for start in range(0, nu.size, _PLANE_WAVE_ROWS):
-        count = min(_PLANE_WAVE_ROWS, nu.size - start)
-        rows = slice(start, start + count)
-        theta, cos_theta = phase[:count], cos[:count]
-        np.multiply.outer(nu[rows], lags, out=theta)
-        theta *= 2 * np.pi * model.eps
-        np.cos(theta, out=cos_theta)
-        sin_theta = np.sin(theta, out=theta)
-        sums = sums + plus[:, rows] @ cos_theta + 1j * (minus[:, rows] @ sin_theta)
-    return sums[0], sums[1]
 
 
 def coefficient_norm(model: StationaryModel, zeta: np.ndarray) -> float:

@@ -76,8 +76,7 @@ def transmission_function(target: SpectralDensityPair) -> TransmissionFilter:
     it exactly one of the amplitudes is nonzero and f is their pointwise
     maximum, which makes f^2 * kappa_std = kappa hold at every point.
     """
-    sigma = np.sqrt(target.kappa)
-    sigma_rev = np.sqrt(target.kappa_rev)
+    sigma, sigma_rev = target.sigma, target.sigma_rev
     f = np.where(
         target.theta,
         np.sqrt(sigma * sigma_rev),
@@ -88,7 +87,7 @@ def transmission_function(target: SpectralDensityPair) -> TransmissionFilter:
         step=target.grid.step,
         f=_frozen(f),
         time_kernel=_frozen(kernel_of(f, target.grid.step)),
-        target_sigma=_frozen(sigma),
+        target_sigma=sigma,
         standard=build_standard_pair(target),
     )
 

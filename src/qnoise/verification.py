@@ -10,40 +10,30 @@ aggregate them into a pass/fail verdict.
 Every suite but the mode tables reads one :class:`~qnoise.pipeline.Pipeline`,
 so :func:`run_all` builds each stage of the chain once for all suites.
 
-Every dense matrix the model and the modular filter expose (K, K_rev, X,
-X_rev, G, L, L_half) is a circulant, so its 2n - 1 diagonals fix every
-entry, and no check on them calls a LAPACK eigensolver.  Each such check
-first measures the matrix's exact defect from circulant structure: only
-the O(n) wrap on the views of :func:`qnoise.fourier.circulant`, whose
-entry (i + 1, j + 1) is the cell of (i, j), and every entry of a dense
-copy.  The elementwise checks (``conjugation``, ``cross_cov_imag``,
-``cross_cov_symmetric``, the max |L| of ``modular``) then read the
-diagonals; the spectrum checks (``dft_consistency``, ``cross_cov_psd``,
-``modular/spectrum_match``) take the DFT of the first column in grid
-order; the product checks (the Grams, the root squares,
-``conjugate_inverse``, ``geometric_mean``, ``covariances_commute``) take
-one matrix-vector product, using ||C||_F = sqrt(n) * ||C[:, 0]||_2 for a
-Frobenius norm.  The residual is the largest of that and the defects, a
-NaN in any of them included, so a matrix off the circulant pattern fails.
-``amplitude_gram`` and ``amplitude_cross`` compare the first columns of K
-and G with those of step * N†N and step * N†R, where N and R are the
-plane-wave amplitudes of the model's root symbol sqrt(kappa) and of its
-star involution (:func:`qnoise.stationary.amplitude_grams`): each entry is
-a direct plane-wave sum, folded onto nu >= 0 and taken a block of rows at
-a time, so N and R are never built.  With the defects of K and G, that
-reaches every entry by a route through neither ``circulant`` nor an FFT;
-``star_involution`` compares the reverse root those sums read with the
-conjugate flip of the noise root.  No check multiplies two n x n matrices or holds an n x n
-array: the matrix-vector products and the plane-wave sums take O(n^2)
-time but only O(n * block) memory.
+No check forms an n x n array.  Every circulant the model and the modular
+filter stand for (K, K_rev, X, X_rev, G, L, L_half) is read through its
+first column, which :func:`_column` builds from the stored symbol.  The
+elementwise checks (``conjugation``, ``cross_cov_imag``,
+``cross_cov_symmetric``, the max |L| of ``modular``) read a column and its
+lag flip, as the 2n - 1 diagonals of a circulant are its column read
+twice; the spectrum checks (``dft_consistency``, ``cross_cov_psd``,
+``modular/spectrum_match``) take the DFT of the column in grid order.
+Every other oracle is one chirp-z DFT (:func:`_dft`, Bluestein's
+algorithm), which shares none of the package's index shifts or scales and
+uses numpy's FFT only as a power-of-two primitive: the Grams, the root
+squares, ``conjugate_inverse``, ``geometric_mean`` and
+``covariances_commute`` multiply the DFTs of two columns and transform
+back once, ``isometry_gram_oracle`` sums the Gram blocks on the DFTs by
+Parseval, and ``amplitude_gram``/``amplitude_cross`` sum the weights of
+the spectral amplitudes against plane waves.  So every check takes
+O(n log n) time and O(n) memory.
 
-Scaled residuals divide by their scale once: a circulant defect by the
-density scale, like the column residual it is maxed with, and
-``qsi/reflection_symmetry`` the cross kernel's flip asymmetry by its lag-0
-value step * sum(gamma), which bounds every lag as gamma >= 0.
+``qsi/reflection_symmetry`` divides the cross kernel's flip asymmetry by
+its lag-0 value step * sum(gamma), which bounds every lag as gamma >= 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -84,25 +74,11 @@ def _worst(*terms: float) -> float:
     return float(np.max(terms)) + 0.0
 
 
-def _circulant_column(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """First column of a dense matrix and its exact defect from circulant form.
-
-    A matrix is circulant exactly when each entry equals its down-right
-    neighbour and its first row is its last row shifted right by one; the
-    defect is the largest violation, zero for every circulant and nonzero
-    off the pattern; with it, the first column fixes the matrix.  A view
-    whose strides cancel (a circulant view or its transpose) stores entry
-    (i + 1, j + 1) in the cell of (i, j), so only its wrap is read.
-    """
-    defect = _maxabs(matrix[0, 1:] - matrix[-1, :-1])
-    if matrix.strides[0] != -matrix.strides[1]:
-        defect = _worst(_maxabs(matrix[1:, 1:] - matrix[:-1, :-1]), defect)
-    return matrix[:, 0], defect
-
-
-def _diagonals(matrix: np.ndarray) -> np.ndarray:
-    """The 2n - 1 diagonals of a Toeplitz matrix: entry t is diagonal i - j = n - 1 - t."""
-    return np.concatenate((matrix[:0:-1, 0], matrix[0]))
+def _column(symbol: np.ndarray, conjugate: bool = False) -> np.ndarray:
+    """The one route from a symbol in grid order to the first column of its
+    circulant, or of the conjugate circulant (K_rev, X_rev from K, X)."""
+    column = np.fft.ifft(np.fft.ifftshift(symbol))
+    return np.conj(column) if conjugate else column
 
 
 def _symbol(column: np.ndarray) -> np.ndarray:
@@ -110,14 +86,34 @@ def _symbol(column: np.ndarray) -> np.ndarray:
     return np.fft.fftshift(np.fft.fft(column))
 
 
-def _adjoint_times(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """matrix† @ vector, with no conjugated copy of the matrix."""
-    return np.conj(np.conj(vector) @ matrix)
+@functools.lru_cache(maxsize=2)
+def _chirp(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bluestein's chirp exp(i pi j^2 / n) for j < n, and the FFT of the chirp
+    at j = -(n-1) .. n-1, wrapped onto a power-of-two length >= 2n - 1."""
+    j = np.arange(n, dtype=np.int64)
+    chirp = np.exp(1j * np.pi / n * (j * j % (2 * n)))  # j^2 reduced mod 2n: phases below 2 pi
+    wrapped = np.zeros(1 << (2 * n - 2).bit_length(), dtype=complex)
+    wrapped[:n] = chirp
+    wrapped[wrapped.size - n + 1:] = chirp[:0:-1]
+    return chirp, np.fft.fft(wrapped)
 
 
-def _frobenius(column: np.ndarray) -> float:
-    """Frobenius norm of the circulant with this first column."""
-    return math.sqrt(column.size) * float(np.linalg.norm(column))
+def _dft(weights: np.ndarray, sign: int = -1) -> np.ndarray:
+    """sum_k w_k exp(sign * 2 pi i k d / n) for d = 0 .. n-1, by Bluestein's chirp-z
+    transform: kd = (k^2 + d^2 - (d - k)^2) / 2 makes it one linear
+    convolution with the chirp, taken by power-of-two FFTs."""
+    if sign > 0:
+        return np.conj(_dft(np.conj(weights)))
+    chirp, kernel = _chirp(weights.size)
+    spectrum = np.fft.fft(weights * np.conj(chirp), kernel.size)
+    spectrum *= kernel
+    return np.conj(chirp) * np.fft.ifft(spectrum)[:weights.size]
+
+
+def _circular(spectrum: np.ndarray) -> np.ndarray:
+    """The column with this DFT: C1 c2 from the product of the DFTs of two
+    columns, C1† c2 with the first one conjugated."""
+    return _dft(spectrum, 1) / spectrum.size
 
 
 def spectra_checks(pipe: Pipeline) -> list[CheckResult]:
@@ -152,6 +148,7 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     pair, seq, model = pipe.pair, pipe.seq, pipe.model
     # floor keeps the empty spectrum finite, including when squared
     norm = max(float(model.eigenvalues.max(initial=0.0)), 1e-150)
+    n = model.n_points
 
     k_scale = max(_maxabs(seq.values), 1e-300)
     out.append(
@@ -173,51 +170,53 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
             1e-10,
         )
     )
-    k, k_defect = _circulant_column(model.K)
-    k_rev, k_rev_defect = _circulant_column(model.K_rev)
-    x, x_defect = _circulant_column(model.X)
-    x_rev, x_rev_defect = _circulant_column(model.X_rev)
-    g, g_defect = _circulant_column(model.G)
+    root = np.sqrt(model.eigenvalues)
+    k, k_rev = _column(model.eigenvalues), _column(model.eigenvalues, conjugate=True)
+    x, x_rev = _column(root), _column(root, conjugate=True)
+    g = _column(model.gamma)
+    spec_k, spec_k_rev, spec_x, spec_x_rev, spec_g = (_dft(col) for col in (k, k_rev, x, x_rev, g))
     out.append(
-        _result(
-            "stationary",
-            "dft_consistency",
-            _worst(_maxabs(_symbol(k) - model.eigenvalues), k_defect) / norm,
-            1e-12,
-        )
+        _result("stationary", "dft_consistency", _maxabs(_symbol(k) - model.eigenvalues) / norm, 1e-12)
     )
 
-    gram = _worst(_maxabs(_adjoint_times(model.X, x) - k), x_defect, k_defect)
+    gram = _maxabs(_circular(np.conj(spec_x) * spec_x) - k)
     out.append(_result("stationary", "gram_noise", gram / norm, 1e-10))
-    gram = _worst(_maxabs(_adjoint_times(model.X_rev, x_rev) - k_rev), x_rev_defect, k_rev_defect)
+    gram = _maxabs(_circular(np.conj(spec_x_rev) * spec_x_rev) - k_rev)
     out.append(_result("stationary", "gram_reverse", gram / norm, 1e-10))
-    gram = _worst(_maxabs(_adjoint_times(model.X, x_rev) - g), x_defect, x_rev_defect, g_defect)
+    gram = _maxabs(_circular(np.conj(spec_x) * spec_x_rev) - g)
     out.append(_result("stationary", "gram_cross", gram / norm, 1e-10))
-    conjugation = _maxabs(_diagonals(model.X_rev) - np.conj(_diagonals(model.X)))
-    out.append(_result("stationary", "conjugation", _worst(conjugation, x_defect, x_rev_defect), 0.0))
-    squares = _worst(_maxabs(model.X @ x - k), x_defect, k_defect)
+    out.append(_result("stationary", "conjugation", _maxabs(x_rev - np.conj(x)), 0.0))
+    squares = _maxabs(_circular(spec_x * spec_x) - k)
     out.append(_result("stationary", "root_squares", squares / norm, 1e-10))
-    g_diagonals = _diagonals(model.G)
-    out.append(_result("stationary", "cross_cov_imag", _worst(_maxabs(g_diagonals.imag), g_defect) / norm, 1e-10))
-    asymmetry = _worst(_maxabs(g_diagonals - g_diagonals[::-1]), g_defect)
-    out.append(_result("stationary", "cross_cov_symmetric", asymmetry / norm, 1e-10))
-    negative = _worst(0.0, -float(_symbol(g).real.min()), g_defect)
+    # |g - g.real| is |g.imag|, and NaN where either part is
+    out.append(_result("stationary", "cross_cov_imag", _maxabs(g - g.real) / norm, 1e-10))
+    # g - g[-d mod n] is the asymmetry G - G^T read on its first column
+    out.append(_result("stationary", "cross_cov_symmetric", _maxabs(g - np.roll(g[::-1], 1)) / norm, 1e-10))
+    negative = _worst(0.0, -float(_symbol(g).real.min()))
     out.append(_result("stationary", "cross_cov_psd", negative / norm, 1e-10))
-    # columns scaled before the products, so nothing of order norm**2 overflows
-    mean = _worst(_frobenius(model.G @ (g / norm) - model.K @ (k_rev / norm)), g_defect, k_defect, k_rev_defect)
-    out.append(_result("stationary", "geometric_mean", mean / norm, 1e-9))
-    commute = _worst(_frobenius(model.K @ (k_rev / norm) - model.K_rev @ (k / norm)), k_defect, k_rev_defect)
-    out.append(_result("stationary", "covariances_commute", commute / norm, 1e-12))
+    # spectra scaled before the products, so nothing of order norm**2 overflows;
+    # ||C||_F = sqrt(n) * ||C[:, 0]|| for a circulant C
+    spec_k, spec_k_rev, spec_g = spec_k / norm, spec_k_rev / norm, spec_g / norm
+    mean = _circular(spec_g * spec_g - spec_k * spec_k_rev)
+    out.append(_result("stationary", "geometric_mean", math.sqrt(n) * np.linalg.norm(mean), 1e-9))
+    commute = _circular(spec_k * spec_k_rev - spec_k_rev * spec_k)
+    out.append(_result("stationary", "covariances_commute", math.sqrt(n) * np.linalg.norm(commute), 1e-12))
 
-    noise_root, reverse_root = stationary._amplitude_roots(model)
-    star = _maxabs(reverse_root - np.conj(noise_root[::-1]))
+    # star_involution: the reverse amplitude the decomposition, synthesis and
+    # qsi suites read is the conjugate flip of the noise amplitude.
+    star = _maxabs(pair.sigma_rev - np.conj(pair.sigma[::-1]))
     out.append(_result("stationary", "star_involution", star, 0.0))
-    step = pair.grid.step
-    noise_gram, cross_gram = stationary.amplitude_grams(model)
-    gram = _worst(_maxabs(step * noise_gram - k), k_defect)
-    out.append(_result("stationary", "amplitude_gram", gram / norm, 1e-10))
-    gram = _worst(_maxabs(step * cross_gram - g), g_defect)
-    out.append(_result("stationary", "amplitude_cross", gram / norm, 1e-10))
+    # The noise amplitude is the root a times the plane wave
+    # sqrt(eps) exp(-2 pi i nu eps d), the reverse one its star involution,
+    # with root b = conj(a[::-1]).  Entry d of the first column of step * N†N
+    # (step * N†R) is step * eps * sum_k w_k exp(2 pi i (k - m) d / n), with
+    # m = (n - 1) / 2 and w = |a|^2 (conj(a) * b).
+    weight = pair.grid.step * model.eps * np.exp(-2j * np.pi / n * ((n - 1) // 2 * np.arange(n) % n))
+    for check, weights, column in (
+        ("amplitude_gram", np.conj(root) * root, k),
+        ("amplitude_cross", np.conj(root) * np.conj(root[::-1]), g),
+    ):
+        out.append(_result("stationary", check, _maxabs(weight * _dft(weights, 1) - column) / norm, 1e-10))
 
     zeta = np.exp(1j * np.linspace(0.0, 3.0, model.n_points))
     out.append(
@@ -238,22 +237,15 @@ def modular_checks(pipe: Pipeline) -> list[CheckResult]:
     out = []
     model = pipe.model
     lam = filt.symbol
-    l_col, l_defect = _circulant_column(filt.L)
-    l_half_col, l_half_defect = _circulant_column(filt.L_half)
+    l_col, l_half_col = _column(lam), _column(np.sqrt(lam))
+    spec_l, spec_l_conj, spec_l_half = (_dft(c) for c in (l_col, np.conj(l_col), l_half_col))
     out.append(
-        _result(
-            "modular",
-            "spectrum_match",
-            _worst(_maxabs(_symbol(l_col) - lam), l_defect) / float(lam.max()),
-            1e-10,
-        )
+        _result("modular", "spectrum_match", _maxabs(_symbol(l_col) - lam) / float(lam.max()), 1e-10)
     )
-    l_norm = max(_maxabs(_diagonals(filt.L)), 1.0)
-    inverse = np.conj(filt.L @ np.conj(l_col))
+    l_norm = max(_maxabs(l_col), 1.0)
+    inverse = np.conj(_circular(spec_l * spec_l_conj))
     inverse[0] -= 1.0
-    out.append(
-        _result("modular", "conjugate_inverse", _worst(_maxabs(inverse), l_defect) / l_norm**2, 1e-12)
-    )
+    out.append(_result("modular", "conjugate_inverse", _maxabs(inverse) / l_norm**2, 1e-12))
     half_scale = max(_maxabs(filt.kernel_half), 1e-300)
     modular_defect = _worst(
         _maxabs(filt.kernel_half[::-1] - np.conj(filt.kernel_half)),
@@ -264,7 +256,7 @@ def modular_checks(pipe: Pipeline) -> list[CheckResult]:
     unit[(model.n_points - 1) // 2] = 1.0
     conv = convolve(filt.kernel_half, filt.kernel_inv_half, 1.0)
     out.append(_result("modular", "kernel_convolution_unit", _maxabs(conv - unit), 1e-9))
-    squares = _worst(_maxabs(filt.L_half @ l_half_col - l_col), l_half_defect, l_defect)
+    squares = _maxabs(_circular(spec_l_half * spec_l_half) - l_col)
     out.append(_result("modular", "root_squares", squares / l_norm, 1e-10))
     return out
 
@@ -303,8 +295,7 @@ def decomposition_checks(pipe: Pipeline) -> list[CheckResult]:
     out.append(
         _result("decomposition", "residual_support", int(np.sum((residual != 0) & ~pair.n_plus)), 0.0)
     )
-    residual_norm2 = pair.grid.step * float(np.sum(np.abs(residual) ** 2))
-    expected = pair.grid.step * float(np.sum(pair.kappa_rev[pair.n_plus]))
+    residual_norm2, expected = decomposition.residual_norm2(parts, residual)
     out.append(
         _result(
             "decomposition",
@@ -476,8 +467,7 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     out.append(_result("qsi", "vacuum_assembly", assembled, 1e-12))
 
     # Output pair over the canonical support, with the configured amplitudes.
-    sigma = np.sqrt(pair.kappa)
-    sigma_rev = np.sqrt(pair.kappa_rev)
+    sigma, sigma_rev = pair.sigma, pair.sigma_rev
     output_pair = qsi.build_output_pair(canonical, sigma, sigma_rev)
     support = canonical.support
     expected_densities = {
@@ -522,15 +512,15 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     out.append(_result("qsi", "isometry_nonnegative", _worst(0.0, -forward, -backward), 0.0))
     zeta = np.sqrt(eps) * kernel_of(a, step)
     xi = np.sqrt(eps) * kernel_of(c, step)
+    spec_k, spec_k_rev, spec_g = (_dft(col) for col in (
+        _column(model.eigenvalues), _column(model.eigenvalues, conjugate=True), _column(model.gamma)))
 
     def gram(z, x):
-        value = (
-            z.conj() @ (model.K @ z)
-            + z.conj() @ (model.G @ x)
-            + x.conj() @ (model.G @ z)
-            + x.conj() @ (model.K_rev @ x)
-        )
-        return float(value.real)
+        # z† C x = sum_q conj(Z_q) C_q X_q / n for a circulant C, by Parseval
+        spec_z, spec_x = _dft(z), _dft(x)
+        value = np.sum(np.conj(spec_z) * (spec_k * spec_z + spec_g * spec_x)
+                       + np.conj(spec_x) * (spec_g * spec_z + spec_k_rev * spec_x))
+        return float(value.real) / z.size
 
     scale = max(abs(forward), abs(backward), 1e-300)
     defect = _worst(
@@ -596,6 +586,8 @@ def mode_checks() -> list[CheckResult]:
 def run_all(pair: SpectralDensityPair | Pipeline, eps: float | None = None,
             tol_factor: float = 1.0) -> list[CheckResult]:
     """All suites on a pipeline, or on a pair at ``eps``, with optional tolerance scaling."""
+    if not isinstance(pair, Pipeline) and eps is None:
+        eps = 1.0 / (pair.grid.n_points * pair.grid.step)  # by the duality n * step * eps = 1
     pipe = pair if isinstance(pair, Pipeline) else Pipeline(pair, eps)
     results = []
     results += spectra_checks(pipe)

@@ -3,10 +3,15 @@
 Everything here deliberately avoids the FFT/eigenbasis machinery of the
 package: direct Riemann sums, explicit loops, and dense linear algebra
 only, so tests compare two genuinely different computational routes.
+The package stores symbols only; the dense n x n circulants they stand
+for (:func:`model_views`, :func:`filter_views`) and the direct plane-wave
+sums of the amplitude Grams (:func:`amplitude_grams`) live here, as the
+reference for the chirp-z oracles of ``qnoise.verification``.
 """
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 def slow_kernel(values, grid, eps, lag):
@@ -48,11 +53,57 @@ def richardson_limit(func, h0=1e-2, levels=4):
     return rows[-1][0]
 
 
+def _turns(rows, lags, n):
+    """rows[:, None] * lags mod n, reduced to [-(n-1)/2, (n-1)/2] in integers.
+
+    Under the duality nu_k eps j = (k - (n-1)/2) j / n, so the phase
+    2 pi turns / n is exact, and a row of the opposite sign gets the
+    opposite turns: its plane wave is the conjugate bit for bit.
+    """
+    half = (n - 1) // 2
+    return (np.multiply.outer(rows, lags) + half) % n - half
+
+
 def plane_wave_matrix(grid, eps):
     """u_j(nu_k) = sqrt(eps) exp(-2 pi i nu_k eps j) as an (n, n) array."""
-    half = (grid.n_points - 1) // 2
+    n = grid.n_points
+    half = (n - 1) // 2
     lags = np.arange(-half, half + 1)
-    return np.sqrt(eps) * np.exp(-2j * np.pi * eps * np.outer(grid.points, lags))
+    return np.sqrt(eps) * np.exp(-2j * np.pi / n * _turns(lags, lags, n))
+
+
+def amplitude_roots(model):
+    """Roots of the noise and reverse amplitudes: sqrt(kappa) and its star involution."""
+    root = np.sqrt(model.eigenvalues)
+    return root, np.conj(root[::-1])
+
+
+#: Rows nu_k >= 0 of the plane-wave sums of :func:`amplitude_grams` taken at a time.
+PLANE_WAVE_ROWS = 256
+
+
+def amplitude_grams(model):
+    """First columns of N†N and N†R by direct plane-wave sums, a block of rows at a time.
+
+    Entry d of each column is eps * sum_k w_k exp(2 pi i nu_k eps d), with
+    the weights w = |a|^2 and conj(a) * b of the roots a, b of
+    :func:`amplitude_roots`.  As nu_-k = -nu_k, each pair k, -k folds onto
+    nu_k >= 0 as (w_k + w_-k) cos + i (w_k - w_-k) sin, nu = 0 counted once.
+    """
+    n = model.n_points
+    mid = (n - 1) // 2
+    a, b = amplitude_roots(model)
+    weights = model.eps * np.array([np.conj(a) * a, np.conj(a) * b])
+    plus = weights[:, mid:] + weights[:, mid::-1]
+    minus = weights[:, mid:] - weights[:, mid::-1]
+    plus[:, 0] = weights[:, mid]  # nu = 0 is its own partner
+    lags = np.arange(n)
+    sums = 0.0
+    for start in range(0, mid + 1, PLANE_WAVE_ROWS):
+        rows = slice(start, min(start + PLANE_WAVE_ROWS, mid + 1))
+        theta = 2 * np.pi / n * _turns(np.arange(rows.start, rows.stop), lags, n)
+        sums = sums + plus[:, rows] @ np.cos(theta) + 1j * (minus[:, rows] @ np.sin(theta))
+    return sums[0], sums[1]
 
 
 def amplitude_matrices(model, grid):
@@ -60,6 +111,39 @@ def amplitude_matrices(model, grid):
     involution R = conj(N[::-1]), each an (n, n) array."""
     noise = np.sqrt(model.eigenvalues)[:, None] * plane_wave_matrix(grid, model.eps)
     return noise, np.conj(noise[::-1])
+
+
+def column_circulant(column):
+    """Read-only circulant with first column c, as a view over b = (c[1:], c):
+    entry (i, j) is b[n - 1 + i - j] = c[(i - j) mod n], over 2n - 1 entries."""
+    n = column.size
+    base = np.concatenate((column[1:], column))
+    stride = base.strides[0]
+    return as_strided(base[n - 1:], (n, n), (stride, -stride), writeable=False)
+
+
+def circulant(symbol):
+    """Dense circulant of a per-frequency symbol on the centered grid, with
+    first column ifft(ifftshift(symbol)), as a :func:`column_circulant` view."""
+    return column_circulant(np.fft.ifft(np.fft.ifftshift(symbol)))
+
+
+def model_views(model):
+    """The dense circulants a model stands for: K, K_rev, X, X_rev and G,
+    with K_rev and X_rev over the conjugated first columns of K and X."""
+    k, x = circulant(model.eigenvalues), circulant(np.sqrt(model.eigenvalues))
+    return {
+        "K": k,
+        "K_rev": column_circulant(np.conj(k[:, 0])),
+        "X": x,
+        "X_rev": column_circulant(np.conj(x[:, 0])),
+        "G": circulant(model.gamma),
+    }
+
+
+def filter_views(filt):
+    """The dense modular matrix L and its root L_half of a modular filter."""
+    return {"L": circulant(filt.symbol), "L_half": circulant(np.sqrt(filt.symbol))}
 
 
 def gather_circulant(column):
@@ -97,11 +181,12 @@ def mixed_kappa(grid):
 
 def gram_quadratic_form(model, zeta, xi):
     """<y_dag y> of y = sum zeta_j x_j + sum xi_j x_rev_j via dense blocks."""
+    views = model_views(model)
     value = (
-        zeta.conj() @ (model.K @ zeta)
-        + zeta.conj() @ (model.G @ xi)
-        + xi.conj() @ (model.G @ zeta)
-        + xi.conj() @ (model.K_rev @ xi)
+        zeta.conj() @ (views["K"] @ zeta)
+        + zeta.conj() @ (views["G"] @ xi)
+        + xi.conj() @ (views["G"] @ zeta)
+        + xi.conj() @ (views["K_rev"] @ xi)
     )
     return float(value.real)
 
@@ -121,29 +206,46 @@ def circulant_defect(matrix):
 
 
 def dense_elementwise_residuals(pipe):
-    """The residuals of the verify checks that read a circulant by its
-    diagonals (conjugation, cross_cov_imag, cross_cov_symmetric and the
-    max |L| scale of the modular checks), each computed from every entry."""
+    """The residuals of the verify checks that read a circulant entry by entry
+    (conjugation, cross_cov_imag, cross_cov_symmetric), each computed from
+    every entry of the dense view."""
     model = pipe.model
     norm = max(float(model.eigenvalues.max(initial=0.0)), 1e-150)
+    views = model_views(model)
+    return {
+        "stationary/conjugation": _maxabs(views["X_rev"] - np.conj(views["X"])),
+        "stationary/cross_cov_imag": _maxabs(views["G"].imag) / norm,
+        "stationary/cross_cov_symmetric": _maxabs(views["G"] - views["G"].T) / norm,
+    }
+
+
+def dense_product_residuals(pipe):
+    """The residuals of the verify checks that multiply circulants, each from
+    matrix-vector products with the dense views."""
+    model = pipe.model
+    n = model.n_points
+    norm = max(float(model.eigenvalues.max(initial=0.0)), 1e-150)
+    v = model_views(model)
+    k, k_rev, x, x_rev, g = (v[name][:, 0] for name in ("K", "K_rev", "X", "X_rev", "G"))
     out = {
-        "stationary/conjugation": _maxabs(model.X_rev - np.conj(model.X)),
-        "stationary/cross_cov_imag": _maxabs(model.G.imag) / norm,
-        "stationary/cross_cov_symmetric": _maxabs(model.G - model.G.T) / norm,
+        "stationary/gram_noise": _maxabs(v["X"].conj().T @ x - k) / norm,
+        "stationary/gram_reverse": _maxabs(v["X_rev"].conj().T @ x_rev - k_rev) / norm,
+        "stationary/gram_cross": _maxabs(v["X"].conj().T @ x_rev - g) / norm,
+        "stationary/root_squares": _maxabs(v["X"] @ x - k) / norm,
+        "stationary/geometric_mean":
+            np.sqrt(n) * np.linalg.norm(v["G"] @ (g / norm) - v["K"] @ (k_rev / norm)) / norm,
+        "stationary/covariances_commute":
+            np.sqrt(n) * np.linalg.norm(v["K"] @ (k_rev / norm) - v["K_rev"] @ (k / norm)) / norm,
     }
     filt = pipe.filt
     if filt is not None:
-        l_norm = max(_maxabs(filt.L), 1.0)
-        l_col = filt.L[:, 0]
-        inverse = np.conj(filt.L @ np.conj(l_col))
+        views = filter_views(filt)
+        l_col = views["L"][:, 0]
+        l_norm = max(_maxabs(views["L"]), 1.0)
+        inverse = np.conj(views["L"] @ np.conj(l_col))
         inverse[0] -= 1.0
-        out["modular/conjugate_inverse"] = max(_maxabs(inverse), circulant_defect(filt.L)) / l_norm**2
-        squares = max(
-            _maxabs(filt.L_half @ filt.L_half[:, 0] - l_col),
-            circulant_defect(filt.L_half),
-            circulant_defect(filt.L),
-        )
-        out["modular/root_squares"] = squares / l_norm
+        out["modular/conjugate_inverse"] = _maxabs(inverse) / l_norm**2
+        out["modular/root_squares"] = _maxabs(views["L_half"] @ views["L_half"][:, 0] - l_col) / l_norm
     return out
 
 
@@ -158,8 +260,10 @@ def dense_amplitude_residuals(pipe):
     step = pipe.pair.grid.step
     gram = step * noise.conj().T @ noise[:, 0]
     cross = step * noise.conj().T @ reverse[:, 0]
+    views = model_views(model)
+    k, g = views["K"], views["G"]
     return {
         "stationary/star_involution": _maxabs(reverse - np.conj(noise[::-1, :])),
-        "stationary/amplitude_gram": max(_maxabs(gram - model.K[:, 0]), circulant_defect(model.K)) / norm,
-        "stationary/amplitude_cross": max(_maxabs(cross - model.G[:, 0]), circulant_defect(model.G)) / norm,
+        "stationary/amplitude_gram": max(_maxabs(gram - k[:, 0]), circulant_defect(k)) / norm,
+        "stationary/amplitude_cross": max(_maxabs(cross - g[:, 0]), circulant_defect(g)) / norm,
     }

@@ -17,7 +17,7 @@ from qnoise.errors import DegenerateRecoveryError
 from qnoise.fourier import kernel_of
 
 from conftest import build_chain, grid_and_eps
-from oracles import gram_quadratic_form, mixed_kappa, slow_convolve
+from oracles import filter_views, gram_quadratic_form, mixed_kappa, model_views, slow_convolve
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -69,19 +69,20 @@ def test_criterion_2_gram_identities():
             _, model = build_chain(pair, eps)
             norm = float(model.eigenvalues.max())
             tol = 1e-10 * norm
-            cols, cols_rev = model.X, model.X_rev
+            v = model_views(model)
+            cols, cols_rev, cross = v["X"], v["X_rev"], v["G"]
             checks = {
-                "noise_gram": np.max(np.abs(cols.conj().T @ cols - model.K)),
-                "reverse_gram": np.max(np.abs(cols_rev.conj().T @ cols_rev - model.K_rev)),
-                "cross_gram": np.max(np.abs(cols.conj().T @ cols_rev - model.G)),
-                "cross_imag": np.max(np.abs(model.G.imag)),
-                "cross_symmetry": np.max(np.abs(model.G - model.G.T)),
-                "cross_psd": max(0.0, -float(np.linalg.eigvalsh(model.G).min())),
+                "noise_gram": np.max(np.abs(cols.conj().T @ cols - v["K"])),
+                "reverse_gram": np.max(np.abs(cols_rev.conj().T @ cols_rev - v["K_rev"])),
+                "cross_gram": np.max(np.abs(cols.conj().T @ cols_rev - cross)),
+                "cross_imag": np.max(np.abs(cross.imag)),
+                "cross_symmetry": np.max(np.abs(cross - cross.T)),
+                "cross_psd": max(0.0, -float(np.linalg.eigvalsh(cross).min())),
             }
             for check, residual in checks.items():
                 if residual > tol:
                     failures.append((name, n_points, check, residual))
-            geometric = np.linalg.norm(model.G @ model.G - model.K @ model.K_rev)
+            geometric = np.linalg.norm(cross @ cross - v["K"] @ v["K_rev"])
             if geometric > 1e-9 * norm**2:
                 failures.append((name, n_points, "geometric_mean", geometric))
     _report(2, "covariance Gram identities", not failures)
@@ -96,7 +97,7 @@ def test_criterion_3_modular_structure():
     failures = []
 
     expected = np.sort(np.exp(grid.points))
-    got = np.sort(np.linalg.eigvals(filt.L).real)
+    got = np.sort(np.linalg.eigvals(filter_views(filt)["L"]).real)
     spectrum_residual = np.max(np.abs(got - expected) / expected)
     if spectrum_residual > 1e-10:
         failures.append(("modular_spectrum", spectrum_residual))

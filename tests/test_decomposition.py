@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import qnoise as qn
+from qnoise import decomposition, verification
 from qnoise.decomposition import INPUT_TO_OUTPUT, OUTPUT_TO_INPUT
 from qnoise.errors import EmptySupportError
 from qnoise.fourier import kernel_of
+from qnoise.pipeline import Pipeline
 
 from conftest import build_chain, grid_and_eps
 from oracles import slow_convolve, slow_kernel_all
@@ -84,6 +86,16 @@ class TestBestEstimate:
         norm2 = pair.grid.step * np.sum(np.abs(residual) ** 2)
         expected = pair.grid.step * np.sum(pair.kappa_rev[pair.n_plus])
         assert norm2 == pytest.approx(expected, abs=1e-12)
+
+    def test_residual_norm2_is_the_one_home_of_the_norm_and_its_expected_value(self, mixed_setup):
+        _, pair, eps = mixed_setup
+        parts = make_split(pair, eps)
+        residual = parts.amp_rev - qn.best_estimate(parts, INPUT_TO_OUTPUT)
+        norm2, expected = decomposition.residual_norm2(parts, residual)
+        assert norm2 == pair.grid.step * float(np.sum(np.abs(residual) ** 2))
+        assert expected == pair.grid.step * float(np.sum(pair.kappa_rev[pair.n_plus]))
+        check = {r.check: r for r in verification.decomposition_checks(Pipeline(pair, eps))}
+        assert check["residual_norm"].residual == abs(norm2 - expected) / max(1.0, expected)
 
     def test_output_to_input_direction(self, mixed_setup):
         _, pair, eps = mixed_setup

@@ -22,7 +22,7 @@ EmptySupportError INPUT_TO_OUTPUT IntegratorTable MIXED MeasureSymbol ModeOperat
 ModularFilter NonFiniteError NotInvertibleError NotPositiveDefiniteError NotVacuumError
 OUTPUT_TO_INPUT OutputPair Pipeline STANDARD_THERMAL STANDARD_VACUUM SpectralDensityPair
 SpectralGrid StandardPair StationaryModel SynthesisResult THERMAL TimeDomainFilter
-TransmissionFilter VACUUM VacuumAssembly WHITE amplitude_grams best_estimate build_model
+TransmissionFilter VACUUM VacuumAssembly WHITE best_estimate build_model
 build_output_pair build_standard_pair canonical_from_vacuum classify coefficient_norm
 commutator correlation_sequence expectation flat_density integrator_table interval_mask
 invert_pair isometry_check make_grid modular_kernels_theta modular_matrix planck_density

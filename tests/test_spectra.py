@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,16 @@ class TestPlanckDensity:
         k_plus = nu_index(grid, 1.0)
         k_minus = nu_index(grid, -1.0)
         assert pair.kappa[k_minus] == pair.kappa_rev[k_plus]
+
+    def test_amplitudes_are_read_only_and_computed_once(self, planck_setup):
+        _, pair, _ = planck_setup
+        for name, density in (("sigma", pair.kappa), ("sigma_rev", pair.kappa_rev)):
+            amp = getattr(pair, name)
+            assert getattr(pair, name) is amp
+            assert np.array_equal(amp, np.sqrt(density))
+            assert not amp.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pair, name, amp)
 
     def test_modular_function_is_boltzmann_weight(self, planck_setup):
         grid, pair, _ = planck_setup

@@ -8,16 +8,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qnoise as qn
-from qnoise import fourier, stationary
+from qnoise import verification
 from qnoise.errors import NotInvertibleError, NotPositiveDefiniteError
 
 from conftest import build_chain, grid_and_eps
 from oracles import (
+    amplitude_grams,
     amplitude_matrices,
+    amplitude_roots,
+    circulant,
     dense_symbol_matrix,
+    filter_views,
     gather_circulant,
     gram_quadratic_form,
     mixed_kappa,
+    model_views,
     plane_wave_matrix,
     slow_convolve,
     slow_kernel,
@@ -92,22 +97,30 @@ def _hand_built_sequence(values, eps):
     )
 
 
+def _views(model):
+    """The dense circulants of a model and, if it is invertible, of its modular filter."""
+    views = model_views(model)
+    if model.invertible:
+        views.update(filter_views(qn.modular_matrix(model)))
+    return views
+
+
 def _check_dense_matrices(pair, grid, eps):
-    """Every dense attribute against the loop-built symbol matrix."""
+    """The circulant of every symbol, as verification reads it by its first
+    column, against the loop-built symbol matrix."""
     _, model = build_chain(pair, eps)
     expected = {"K": pair.kappa, "X": np.sqrt(pair.kappa), "G": pair.gamma}
     if model.invertible:
-        filt = qn.modular_matrix(model)
         lam = pair.kappa_rev / pair.kappa
         expected.update(L=lam, L_half=np.sqrt(lam))
+    views = _views(model)
     for name, symbol in expected.items():
-        matrix = getattr(filt if name.startswith("L") else model, name)
         oracle = dense_symbol_matrix(symbol, grid, eps)
         np.testing.assert_allclose(
-            matrix, oracle, rtol=0, atol=1e-10 * np.max(symbol), err_msg=name
+            views[name], oracle, rtol=0, atol=1e-10 * np.max(symbol), err_msg=name
         )
-    assert np.array_equal(model.K_rev, np.conj(model.K))
-    assert np.array_equal(model.X_rev, np.conj(model.X))
+    assert np.array_equal(views["K_rev"], np.conj(views["K"]))
+    assert np.array_equal(views["X_rev"], np.conj(views["X"]))
     return model
 
 
@@ -119,12 +132,16 @@ def _owner(array):
 
 
 class TestCirculant:
+    """The dense views of the test oracles, and the first column verification
+    reads of each, which is the whole of what the package takes from them."""
+
     @pytest.mark.parametrize("n", [1, 3, 9, 33, 257])
     def test_bit_equal_to_the_gather_read_only_and_linear_in_memory(self, n):
         rng = np.random.default_rng(n)
         for symbol in (rng.uniform(0.1, 2.0, n), rng.normal(size=n) + 1j * rng.normal(size=n)):
-            matrix = fourier.circulant(symbol)
-            expected = gather_circulant(np.fft.ifft(np.fft.ifftshift(symbol)))
+            matrix = circulant(symbol)
+            column = verification._column(symbol)
+            expected = gather_circulant(column)
             assert matrix.shape == (n, n)
             assert np.array_equal(np.array(matrix).view(np.uint64), expected.view(np.uint64))
             assert not matrix.flags.writeable
@@ -132,14 +149,20 @@ class TestCirculant:
                 matrix[0, 0] = 0.0
             owner = _owner(matrix)
             assert owner.flags.owndata and owner.size <= 2 * n
+            conjugate = verification._column(symbol, conjugate=True)
+            assert np.array_equal(conjugate.view(np.uint64), np.conj(column).view(np.uint64))
 
     def test_conjugates_are_exact_views(self, planck_setup, mixed_setup):
         for _, pair, eps in (planck_setup, mixed_setup):
             _, model = build_chain(pair, eps)
             n = model.n_points
-            for matrix, conjugate in ((model.K, model.K_rev), (model.X, model.X_rev)):
-                assert np.array_equal(conjugate, np.conj(matrix))
+            views = model_views(model)
+            root = np.sqrt(model.eigenvalues)
+            for name, symbol in (("K", model.eigenvalues), ("X", root)):
+                conjugate = views[f"{name}_rev"]
+                assert np.array_equal(conjugate, np.conj(views[name]))
                 assert _owner(conjugate).size <= 2 * n
+                assert np.array_equal(conjugate[:, 0], verification._column(symbol, conjugate=True))
 
 
 class TestBuildModel:
@@ -147,8 +170,9 @@ class TestBuildModel:
         _, pair, eps = flat_setup
         _, model = build_chain(pair, eps)
         eye = np.eye(model.n_points)
-        for matrix in (model.K, model.X, model.G, qn.modular_matrix(model).L):
-            np.testing.assert_allclose(matrix, eye, rtol=0, atol=1e-12)
+        views = _views(model)
+        for name in ("K", "X", "G", "L"):
+            np.testing.assert_allclose(views[name], eye, rtol=0, atol=1e-12)
 
     def test_eigenvalues_are_densities(self, planck_setup):
         _, pair, eps = planck_setup
@@ -163,8 +187,9 @@ class TestBuildModel:
         model = _check_dense_matrices(pair, grid, eps)
         assert model.invertible
         norm = pair.kappa.max()
-        assert np.max(np.abs(model.G - model.G.T)) <= 1e-10 * norm
-        assert np.max(np.abs(model.G.imag)) <= 1e-10 * norm
+        cross = model_views(model)["G"]
+        assert np.max(np.abs(cross - cross.T)) <= 1e-10 * norm
+        assert np.max(np.abs(cross.imag)) <= 1e-10 * norm
 
     def test_mixed_dense_matrices_against_dense_oracle(self):
         grid, eps = grid_and_eps(33, 0.25)
@@ -173,16 +198,20 @@ class TestBuildModel:
         assert not model.invertible
 
     def test_dense_matrices_cached_and_read_only(self, planck_setup):
+        # The model and filter hold no dense matrix to cache: each is a
+        # read-only symbol, and a dense view is built outside the package.
         _, pair, eps = planck_setup
         _, model = build_chain(pair, eps)
         filt = qn.modular_matrix(model)
+        views = _views(model)
         for owner, name in ((model, "K"), (model, "K_rev"), (model, "X"),
                             (model, "X_rev"), (model, "G"), (filt, "L"), (filt, "L_half")):
-            matrix = getattr(owner, name)
-            assert getattr(owner, name) is matrix
-            assert not matrix.flags.writeable
+            assert not hasattr(owner, name)
+            assert not views[name].flags.writeable
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(owner, name, matrix)
+                setattr(owner, name, views[name])
+        for symbol in (model.eigenvalues, filt.symbol):
+            assert not symbol.flags.writeable
 
     def test_large_grid_holds_only_symbols(self):
         # One dense complex matrix at this size would take 16 n^2 bytes (17 GB),
@@ -214,23 +243,26 @@ class TestBuildModel:
     def test_vacuum_spectrum_has_zero_cross_covariance(self, vacuum_setup):
         _, pair, eps = vacuum_setup
         _, model = build_chain(pair, eps)
-        assert np.max(np.abs(model.G)) == 0.0
+        assert np.max(np.abs(model_views(model)["G"])) == 0.0
         assert not model.invertible
 
     def test_covariances_commute(self, mixed_setup):
         _, pair, eps = mixed_setup
         _, model = build_chain(pair, eps)
-        norm = np.linalg.norm(model.K, 2)
-        comm = model.K @ model.K_rev - model.K_rev @ model.K
+        views = model_views(model)
+        cov, cov_rev = np.array(views["K"]), np.array(views["K_rev"])
+        norm = np.linalg.norm(cov, 2)
+        comm = cov @ cov_rev - cov_rev @ cov
         assert np.linalg.norm(comm) <= 1e-12 * norm**2
 
     def test_eigen_and_fft_routes_agree(self, planck_setup):
         _, pair, eps = planck_setup
         seq, model = build_chain(pair, eps)
-        dense = np.sort(np.linalg.eigvalsh(model.K))
+        cov = model_views(model)["K"]
+        dense = np.sort(np.linalg.eigvalsh(cov))
         assert np.max(np.abs(dense - np.sort(model.eigenvalues))) <= 1e-12 * dense[-1]
         # first-column route back to the correlation sequence
-        recovered = np.fft.fftshift(model.K[:, 0]) / eps
+        recovered = np.fft.fftshift(cov[:, 0]) / eps
         scale = np.max(np.abs(seq.values))
         np.testing.assert_allclose(recovered, seq.values, rtol=0, atol=1e-12 * scale)
 
@@ -264,7 +296,7 @@ class TestRealizationColumns:
     def test_white_columns_orthonormal(self, flat_setup):
         _, pair, eps = flat_setup
         _, model = build_chain(pair, eps)
-        cols = model.X
+        cols = model_views(model)["X"]
         np.testing.assert_allclose(
             cols.conj().T @ cols, np.eye(model.n_points), rtol=0, atol=1e-12
         )
@@ -274,19 +306,20 @@ class TestRealizationColumns:
         grid, eps = grid_and_eps(n_points, 0.25)
         pair = qn.planck_density(1.0, 1.0, grid)
         _, model = build_chain(pair, eps)
-        cols, cols_rev = model.X, model.X_rev
+        views = model_views(model)
+        cols, cols_rev = views["X"], views["X_rev"]
         tol = 1e-10 * pair.kappa.max()
-        np.testing.assert_allclose(cols.conj().T @ cols, model.K, rtol=0, atol=tol)
+        np.testing.assert_allclose(cols.conj().T @ cols, views["K"], rtol=0, atol=tol)
         np.testing.assert_allclose(
-            cols_rev.conj().T @ cols_rev, model.K_rev, rtol=0, atol=tol
+            cols_rev.conj().T @ cols_rev, views["K_rev"], rtol=0, atol=tol
         )
-        np.testing.assert_allclose(cols.conj().T @ cols_rev, model.G, rtol=0, atol=tol)
+        np.testing.assert_allclose(cols.conj().T @ cols_rev, views["G"], rtol=0, atol=tol)
 
     def test_reverse_columns_are_exact_conjugates(self, mixed_setup):
         _, pair, eps = mixed_setup
         _, model = build_chain(pair, eps)
-        cols, cols_rev = model.X, model.X_rev
-        assert np.array_equal(cols_rev, np.conj(cols))
+        views = model_views(model)
+        assert np.array_equal(views["X_rev"], np.conj(views["X"]))
 
 
 class TestModularMatrix:
@@ -294,7 +327,7 @@ class TestModularMatrix:
         _, pair, eps = flat_setup
         _, model = build_chain(pair, eps)
         filt = qn.modular_matrix(model)
-        np.testing.assert_allclose(filt.L, np.eye(model.n_points), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(filter_views(filt)["L"], np.eye(model.n_points), rtol=0, atol=1e-12)
         center = (model.n_points - 1) // 2
         unit = np.zeros(model.n_points)
         unit[center] = 1.0
@@ -307,7 +340,7 @@ class TestModularMatrix:
         _, model = build_chain(pair, eps)
         filt = qn.modular_matrix(model)
         expected = np.sort(np.exp(grid.points))
-        got = np.sort(np.linalg.eigvals(filt.L).real)
+        got = np.sort(np.linalg.eigvals(filter_views(filt)["L"]).real)
         np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     def test_root_spectrum_is_square_root_of_modular(self):
@@ -316,7 +349,7 @@ class TestModularMatrix:
         _, model = build_chain(pair, eps)
         filt = qn.modular_matrix(model)
         expected = np.sort(np.exp(grid.points / 2))
-        got = np.sort(np.linalg.eigvals(filt.L_half).real)
+        got = np.sort(np.linalg.eigvals(filter_views(filt)["L_half"]).real)
         np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     def test_tabulated_modular_spectrum(self):
@@ -324,7 +357,7 @@ class TestModularMatrix:
         pair = qn.tabulated_density([2.0, 1.0, 0.5], grid)
         _, model = build_chain(pair, eps)
         filt = qn.modular_matrix(model)
-        got = np.sort(np.linalg.eigvals(filt.L).real)
+        got = np.sort(np.linalg.eigvals(filter_views(filt)["L"]).real)
         np.testing.assert_allclose(got, [0.25, 1.0, 4.0], rtol=1e-12)
 
     def test_modular_property_of_kernels(self, planck_setup):
@@ -361,10 +394,11 @@ class TestSpectralAmplitudes:
         pair = qn.planck_density(1.0, 1.0, grid)
         _, model = build_chain(pair, eps)
         noise, reverse = amplitude_matrices(model, grid)
+        views = model_views(model)
         tol = 1e-10 * pair.kappa.max()
-        np.testing.assert_allclose(grid.step * noise.conj().T @ noise, model.K, rtol=0, atol=tol)
-        np.testing.assert_allclose(grid.step * noise.conj().T @ reverse, model.G, rtol=0, atol=tol)
-        np.testing.assert_allclose(grid.step * reverse.conj().T @ reverse, model.K_rev, rtol=0, atol=tol)
+        np.testing.assert_allclose(grid.step * noise.conj().T @ noise, views["K"], rtol=0, atol=tol)
+        np.testing.assert_allclose(grid.step * noise.conj().T @ reverse, views["G"], rtol=0, atol=tol)
+        np.testing.assert_allclose(grid.step * reverse.conj().T @ reverse, views["K_rev"], rtol=0, atol=tol)
 
     @pytest.mark.parametrize("n, step", [(9, 0.5), (33, 0.25), (65, 0.25), (129, 1.0 / 3), (513, 16.0 / 512)])
     def test_noise_is_the_complex_exponential_bit_for_bit(self, n, step):
@@ -374,7 +408,7 @@ class TestSpectralAmplitudes:
         grid, eps = grid_and_eps(n, step)
         _, model = build_chain(qn.planck_density(1.0, 1.0, grid), eps)
         noise, reverse = amplitude_matrices(model, grid)
-        root, reverse_root = stationary._amplitude_roots(model)
+        root, reverse_root = amplitude_roots(model)
         waves = plane_wave_matrix(grid, eps)
         assert np.array_equal(noise, root[:, None] * waves)
         assert np.array_equal(reverse, reverse_root[:, None] * waves)
@@ -386,7 +420,7 @@ class TestSpectralAmplitudes:
         grid, eps = grid_and_eps(n, 16.0 / (n - 1))
         _, model = build_chain(qn.planck_density(1.0, 1.0, grid), eps)
         noise, reverse = amplitude_matrices(model, grid)
-        gram, cross = qn.amplitude_grams(model)
+        gram, cross = amplitude_grams(model)
         tol = 1e-14 * model.eigenvalues.max() / grid.step
         np.testing.assert_allclose(gram, noise.conj().T @ noise[:, 0], rtol=0, atol=tol)
         np.testing.assert_allclose(cross, noise.conj().T @ reverse[:, 0], rtol=0, atol=tol)
@@ -394,7 +428,7 @@ class TestSpectralAmplitudes:
     def test_star_involution_exact(self, mixed_setup):
         _, pair, eps = mixed_setup
         _, model = build_chain(pair, eps)
-        root, reverse_root = stationary._amplitude_roots(model)
+        root, reverse_root = amplitude_roots(model)
         assert np.array_equal(root, np.sqrt(model.eigenvalues))
         assert np.array_equal(reverse_root, np.conj(root[::-1]))
 
@@ -403,7 +437,7 @@ class TestSpectralAmplitudes:
         _, model = build_chain(pair, eps)
         noise, reverse = amplitude_matrices(model, pair.grid)
         np.testing.assert_allclose(noise, reverse, rtol=0, atol=1e-14)
-        gram, cross = qn.amplitude_grams(model)
+        gram, cross = amplitude_grams(model)
         np.testing.assert_allclose(gram, cross, rtol=0, atol=1e-14 / pair.grid.step)
 
 

@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 
 import qnoise as qn
-from qnoise import fourier, qsi, stationary, verification
+from qnoise import qsi, stationary, verification
 from qnoise.pipeline import Pipeline
 
 from oracles import (
     circulant_defect,
     dense_amplitude_residuals,
     dense_elementwise_residuals,
+    dense_product_residuals,
+    filter_views,
     gather_circulant,
     mixed_kappa,
+    model_views,
 )
 
 
@@ -61,7 +64,7 @@ def test_results_carry_residuals_and_tolerances(flat_setup):
         assert result.passed == (result.residual <= result.tolerance)
 
 
-@pytest.mark.parametrize("n", [129, 513, 1025])
+@pytest.mark.parametrize("n", [129, 513, 1025, 65537])
 def test_largest_desk_scale_grid(n):
     import qnoise as qn
 
@@ -71,16 +74,40 @@ def test_largest_desk_scale_grid(n):
     results = verification.run_all(pair, 1.0 / (n * step))
     failures = [r for r in results if not r.passed]
     assert not failures, failures
+    assert len(results) == 73
 
 
 def _verdicts(pair, eps):
     return {f"{r.suite}/{r.check}": r.passed for r in verification.run_all(pair, eps)}
 
 
+def _inject(monkeypatch, fault, symbol=None, reverse=False):
+    """Route the first column of one circulant through ``fault`` (every
+    circulant if ``symbol`` is None); ``reverse`` picks K_rev or X_rev
+    over K or X.  Verification builds every column by ``_column``."""
+    built = verification._column
+
+    def column(values, conjugate=False):
+        out = built(values, conjugate)
+        if symbol is None or (np.array_equal(values, symbol) and conjugate == reverse):
+            out = fault(out.copy())
+        return out
+
+    monkeypatch.setattr(verification, "_column", column)
+
+
+def _perturb(index, delta):
+    def fault(column):
+        column[index] += delta * np.abs(column).max()
+        return column
+    return fault
+
+
 def test_transposed_circulants_fail_the_spectrum_checks(planck_setup, monkeypatch):
     # A transposed circulant keeps its eigenvalues but carries the flipped
-    # spectrum, so only a check that reads the spectrum in grid order sees it.
-    monkeypatch.setattr(stationary, "circulant", lambda symbol: fourier.circulant(symbol).T)
+    # spectrum, so only a check that reads the spectrum in grid order sees
+    # it.  Its first column is the lag flip c[-d mod n] of the true one.
+    _inject(monkeypatch, lambda column: np.roll(column[::-1], 1))
     _, pair, eps = planck_setup
     verdicts = _verdicts(pair, eps)
     assert not verdicts["stationary/dft_consistency"]
@@ -88,45 +115,22 @@ def test_transposed_circulants_fail_the_spectrum_checks(planck_setup, monkeypatc
 
 
 def test_entry_off_the_circulant_pattern_fails_dft_consistency(planck_setup, monkeypatch):
-    # One entry above the diagonal, off the first column: a Hermitian
-    # eigensolver that reads only the lower triangle would miss it.
-    def perturbed(symbol):
-        matrix = np.array(fourier.circulant(symbol))
-        matrix[1, 3] += 1e-6 * np.abs(matrix).max()
-        return matrix
-
-    monkeypatch.setattr(stationary, "circulant", perturbed)
+    # One entry of K's column off its symbol: every entry (i, j) with
+    # i - j = 2 mod n of the circulant it stands for moves with it.
     _, pair, eps = planck_setup
+    _inject(monkeypatch, _perturb(2, 1e-6), Pipeline(pair, eps).model.eigenvalues)
     assert not _verdicts(pair, eps)["stationary/dft_consistency"]
 
 
 def test_first_column_of_k_off_the_amplitudes_fails_amplitude_gram(planck_setup, monkeypatch):
-    # K stays an exact circulant, so only its first column can carry the error.
     _, pair, eps = planck_setup
-    eigenvalues = Pipeline(pair, eps).model.eigenvalues
-
-    def perturbed(symbol):
-        column = np.fft.ifft(np.fft.ifftshift(symbol))
-        if np.array_equal(symbol, eigenvalues):
-            column[2] += 1e-6 * np.abs(column).max()
-        return gather_circulant(column)
-
-    monkeypatch.setattr(stationary, "circulant", perturbed)
+    _inject(monkeypatch, _perturb(2, 1e-6), Pipeline(pair, eps).model.eigenvalues)
     assert not _verdicts(pair, eps)["stationary/amplitude_gram"]
 
 
 def test_first_column_of_g_off_the_amplitudes_fails_amplitude_cross(planck_setup, monkeypatch):
-    # G stays an exact circulant, so only its first column can carry the error.
     _, pair, eps = planck_setup
-    gamma = Pipeline(pair, eps).model.gamma
-
-    def perturbed(symbol):
-        column = np.fft.ifft(np.fft.ifftshift(symbol))
-        if np.array_equal(symbol, gamma):
-            column[2] += 1e-6 * np.abs(column).max()
-        return gather_circulant(column)
-
-    monkeypatch.setattr(stationary, "circulant", perturbed)
+    _inject(monkeypatch, _perturb(2, 1e-6), Pipeline(pair, eps).model.gamma)
     assert not _verdicts(pair, eps)["stationary/amplitude_cross"]
 
 
@@ -161,7 +165,17 @@ def test_run_all_allocates_no_more_than_five_dense_matrices():
 
 def test_run_all_memory_stays_below_one_dense_matrix_at_n_4097():
     n = 4097
-    assert _traced_planck_run_all(n) <= 0.15 * 16 * n**2
+    peak = _traced_planck_run_all(n)
+    assert peak <= 0.15 * 16 * n**2
+    # No check holds an n x n array or a block of plane-wave rows: the
+    # chirp-z DFTs take a few arrays of the power-of-two length 4(n - 1).
+    assert peak <= 100 * 16 * n
+
+
+def test_run_all_derives_an_omitted_eps_by_the_duality(planck_setup):
+    _, pair, eps = planck_setup
+    assert eps == 1.0 / (pair.grid.n_points * pair.grid.step)
+    assert verification.run_all(pair) == verification.run_all(pair, eps)
 
 
 @pytest.mark.filterwarnings("error")
@@ -191,15 +205,16 @@ def _planck_times(scale):
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e140])
-def test_entry_of_k_rev_off_the_circulant_pattern_fails_at_any_scale(scale):
-    # The defect is an entry difference, so it is divided by the density scale once.
+def test_entry_of_k_rev_off_the_circulant_pattern_fails_at_any_scale(scale, monkeypatch):
+    # One entry of K_rev's column off its symbol; the residual is a column
+    # difference, so it is divided by the density scale once.  The circulants
+    # of any two columns commute, so covariances_commute cannot see it.
     pipe = Pipeline(*_planck_times(scale))
-    k_rev = np.array(pipe.model.K_rev)
-    k_rev[1, 3] += 1e-6 * np.abs(k_rev).max()
-    pipe.model.__dict__["K_rev"] = k_rev
+    _inject(monkeypatch, _perturb(2, 1e-6), pipe.model.eigenvalues, reverse=True)
     verdicts = {r.check: r.passed for r in verification.stationary_checks(pipe)}
     assert not verdicts["geometric_mean"]
-    assert not verdicts["covariances_commute"]
+    assert not verdicts["gram_reverse"]
+    assert verdicts["covariances_commute"]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e140])
@@ -213,56 +228,67 @@ def test_asymmetric_cross_kernel_fails_reflection_symmetry_at_any_scale(scale, m
 
 
 @pytest.mark.parametrize("name", ["K", "K_rev", "X", "X_rev", "G", "L", "L_half"])
-def test_circulant_column_skips_only_the_toeplitz_scan_of_a_view(name, planck_setup):
+def test_circulant_column_skips_only_the_toeplitz_scan_of_a_view(name, planck_setup, monkeypatch):
+    # Verification reads each circulant by its first column only, with no
+    # scan of its n^2 entries: the column it reads is bit for bit the first
+    # column of the dense view, which the scan finds exactly circulant.
     _, pair, eps = planck_setup
     pipe = Pipeline(pair, eps)
-    view = getattr(pipe.filt if name.startswith("L") else pipe.model, name)
-    copy = np.array(view)
-    assert copy.strides[0] != -copy.strides[1]  # a dense copy takes the scan
-    for matrix in (view, view.T, copy):
-        column, defect = verification._circulant_column(matrix)
-        assert column.tobytes() == np.ascontiguousarray(matrix[:, 0]).tobytes()
-        assert defect == circulant_defect(matrix) == 0.0
+    views = {**model_views(pipe.model), **filter_views(pipe.filt)}
+    built, read = verification._column, []
+    monkeypatch.setattr(verification, "_column", lambda *args, **kwargs: read.append(built(*args, **kwargs)) or read[-1])
+    verification.stationary_checks(pipe)
+    verification.modular_checks(pipe)
+    column = views[name][:, 0]
+    assert any(c.tobytes() == np.ascontiguousarray(column).tobytes() for c in read)
+    assert circulant_defect(views[name]) == 0.0
+    assert np.array_equal(views[name], gather_circulant(column))
 
 
 @pytest.mark.parametrize(
     "name, delta, check",
     [
         ("X_rev", 1.0, "conjugation"),
-        ("G", 1.0, "cross_cov_symmetric"),  # [1, 3] moves and [3, 1] does not
+        ("G", 1.0, "cross_cov_symmetric"),  # c[2] moves and c[n - 2] does not
         ("G", 1j, "cross_cov_imag"),
         ("X", np.nan, "conjugation"),
         ("G", np.nan, "cross_cov_symmetric"),
         ("G", np.nan, "cross_cov_imag"),
     ],
 )
-def test_dense_entry_off_the_diagonals_fails(name, delta, check, planck_setup):
-    # [1, 3] is on neither the first row nor the first column, so only the
-    # circulant defect of the dense copy sees it; a NaN defect must not be
-    # dropped by the max that combines it with the diagonal residual.
+def test_dense_entry_off_the_diagonals_fails(name, delta, check, planck_setup, monkeypatch):
+    # Entry 2 of the column, read with its lag flip: the diagonal i - j = 2
+    # of the circulant it stands for.  A NaN must not be dropped by a max.
     _, pair, eps = planck_setup
     pipe = Pipeline(pair, eps)
-    matrix = np.array(getattr(pipe.model, name))
-    matrix[1, 3] += delta * 1e-6 * np.abs(matrix).max()
-    pipe.model.__dict__[name] = matrix
+    symbol = pipe.model.gamma if name == "G" else np.sqrt(pipe.model.eigenvalues)
+    _inject(monkeypatch, _perturb(2, delta * 1e-6), symbol, reverse=name.endswith("_rev"))
     assert not {r.check: r.passed for r in verification.stationary_checks(pipe)}[check]
 
 
 @pytest.mark.parametrize("where", [(1, 3), (0, -1), (-1, 0)])
-def test_nan_anywhere_in_a_dense_copy_gives_a_nan_defect(where, planck_setup):
-    # (1, 3) is read only by the Toeplitz scan, (0, -1) and (-1, 0) only by the wrap.
-    _, pair, eps = planck_setup
-    matrix = np.array(Pipeline(pair, eps).model.K)
-    matrix[where] = np.nan
-    assert np.isnan(verification._circulant_column(matrix)[1])
-
-
-def test_nan_in_the_column_of_a_circulant_view_fails_the_cross_checks(planck_setup):
+def test_nan_anywhere_in_a_dense_copy_gives_a_nan_defect(where, planck_setup, monkeypatch):
+    # Entry (i, j) of the circulant K is entry (i - j) mod n of its column:
+    # a NaN there makes every residual that reads K's column NaN.
     _, pair, eps = planck_setup
     pipe = Pipeline(pair, eps)
-    column = np.array(pipe.model.G[:, 0])
-    column[2] = np.nan
-    pipe.model.__dict__["G"] = fourier.column_circulant(column)
+    n = pipe.model.n_points
+    index = (where[0] - where[1]) % n
+
+    def fault(column):
+        column[index] = np.nan
+        return column
+
+    _inject(monkeypatch, fault, pipe.model.eigenvalues)
+    results = {r.check: r for r in verification.stationary_checks(pipe)}
+    for check in ("dft_consistency", "gram_noise", "root_squares", "amplitude_gram"):
+        assert np.isnan(results[check].residual) and not results[check].passed, check
+
+
+def test_nan_in_the_column_of_a_circulant_view_fails_the_cross_checks(planck_setup, monkeypatch):
+    _, pair, eps = planck_setup
+    pipe = Pipeline(pair, eps)
+    _inject(monkeypatch, _perturb(2, np.nan), pipe.model.gamma)
     verdicts = {r.check: r.passed for r in verification.stationary_checks(pipe)}
     for check in ("cross_cov_imag", "cross_cov_symmetric", "cross_cov_psd", "gram_cross"):
         assert not verdicts[check], check
@@ -280,17 +306,34 @@ def test_elementwise_checks_match_their_dense_formulas_bit_for_bit(setup_name, r
     assert {name: got[name] for name in expected} == expected
 
 
-def test_reverse_amplitude_off_the_star_involution_fails(planck_setup, monkeypatch):
-    built = stationary._amplitude_roots
+@pytest.mark.parametrize(
+    "setup_name, model, n",
+    [(name, None, None) for name in ("planck_setup", "flat_setup", "mixed_setup", "vacuum_setup")]
+    + [(None, model, n) for model in ("planck", "flat") for n in (9, 129, 1025)],
+)
+def test_product_checks_match_the_dense_matrix_vector_products(setup_name, model, n, request):
+    # The chirp-z correlations against the matrix-vector products of the
+    # dense views; both are rounding-level, so they agree to a few ulps.
+    if setup_name is None:
+        pair, eps = _grid_pair(model, n)
+    else:
+        _, pair, eps = request.getfixturevalue(setup_name)
+    pipe = Pipeline(pair, eps)
+    expected = dense_product_residuals(pipe)
+    got = {
+        f"{r.suite}/{r.check}": r.residual
+        for r in verification.stationary_checks(pipe) + verification.modular_checks(pipe)
+    }
+    for name, value in expected.items():
+        assert abs(got[name] - value) <= 1e-13, name
+        assert got[name] <= 1e-13, name
 
-    def perturbed(model):
-        root, reverse_root = built(model)
-        reverse_root = reverse_root.copy()
-        reverse_root[2] += 1e-9
-        return root, reverse_root
 
-    monkeypatch.setattr(stationary, "_amplitude_roots", perturbed)
+def test_reverse_amplitude_off_the_star_involution_fails(planck_setup):
     _, pair, eps = planck_setup
+    reverse_root = pair.sigma_rev.copy()
+    reverse_root[2] += 1e-9
+    pair.__dict__["sigma_rev"] = reverse_root  # the cached amplitude, before anything reads it
     star = {r.check: r for r in verification.stationary_checks(Pipeline(pair, eps))}["star_involution"]
     assert not star.passed
     assert star.residual == pytest.approx(1e-9, rel=1e-6)
