@@ -11,6 +11,11 @@ of the pointwise product of their spectra, with no stray normalization
 constants.  Every transform here maps n values to n values: a circulant
 operator is handled through its symbol or its kernel, never as an n x n
 matrix.
+
+Every transform acts along the last axis, so a stack of rows of one length
+goes through one FFT call.  The centering moves are two slices
+(:func:`_fftshift`, :func:`_ifftshift`), equal bit for bit to
+``np.fft.fftshift``/``ifftshift`` on that axis but without their generic roll.
 """
 from __future__ import annotations
 
@@ -36,23 +41,39 @@ def check_duality(n_points: int, step: float, eps: float) -> None:
         )
 
 
+def _fftshift(values: np.ndarray) -> np.ndarray:
+    """``np.fft.fftshift`` along the last axis: FFT order to grid order."""
+    values = np.asarray(values)
+    cut = values.shape[-1] - values.shape[-1] // 2
+    return np.concatenate((values[..., cut:], values[..., :cut]), axis=-1)
+
+
+def _ifftshift(values: np.ndarray) -> np.ndarray:
+    """``np.fft.ifftshift`` along the last axis: grid order to FFT order."""
+    values = np.asarray(values)
+    cut = values.shape[-1] // 2
+    return np.concatenate((values[..., cut:], values[..., :cut]), axis=-1)
+
+
 def kernel_of(values: np.ndarray, step: float) -> np.ndarray:
     """Quadrature Fourier sum of per-frequency values at all centered lags."""
     values = np.asarray(values)
-    n = values.size
-    spectrum = np.fft.ifftshift(values)
-    return np.fft.fftshift(np.fft.ifft(spectrum)) * (n * step)
+    kernel = _fftshift(np.fft.ifft(_ifftshift(values)))
+    kernel *= values.shape[-1] * step
+    return kernel
 
 
 def spectrum_of(kernel: np.ndarray, eps: float) -> np.ndarray:
     """Inverse of :func:`kernel_of`: per-frequency values from a lag kernel."""
-    kern = np.fft.ifftshift(np.asarray(kernel))
-    return np.fft.fftshift(np.fft.fft(kern)) * eps
+    values = _fftshift(np.fft.fft(_ifftshift(kernel)))
+    values *= eps
+    return values
 
 
 def convolve(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
-    """eps-weighted circular convolution of two centered lag kernels."""
-    fa = np.fft.fft(np.fft.ifftshift(np.asarray(a)))
-    fb = np.fft.fft(np.fft.ifftshift(np.asarray(b)))
-    return np.fft.fftshift(np.fft.ifft(fa * fb)) * eps
-
+    """eps-weighted circular convolution of two centered lag kernels, or of
+    two stacks of them broadcast against each other."""
+    kernel = np.fft.ifft(np.fft.fft(_ifftshift(a)) * np.fft.fft(_ifftshift(b)))
+    kernel = _fftshift(kernel)
+    kernel *= eps
+    return kernel

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInvertibleError, NotPositiveDefiniteError
-from .fourier import check_duality, kernel_of, time_lags
+from .fourier import _fftshift, _ifftshift, check_duality, kernel_of, time_lags
 from .spectra import SpectralDensityPair, _frozen
 
 #: Relative eigenvalue floor below which the covariance counts as singular.
@@ -73,8 +73,7 @@ def correlation_sequence(pair: SpectralDensityPair, eps: float) -> CorrelationSe
     """
     grid = pair.grid
     check_duality(grid.n_points, grid.step, eps)
-    values = kernel_of(pair.kappa, grid.step)
-    cross = kernel_of(pair.gamma, grid.step)
+    values, cross = kernel_of(np.stack((pair.kappa, pair.gamma)), grid.step)
     return CorrelationSequence(
         eps=float(eps),
         step=grid.step,
@@ -130,7 +129,7 @@ def build_model(seq: CorrelationSequence) -> StationaryModel:
     n = seq.n_points
     if n % 2 == 0:
         raise ValueError("correlation sequence length must be odd")
-    raw = seq.eps * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(seq.values)))
+    raw = seq.eps * _fftshift(np.fft.fft(_ifftshift(seq.values)))
     scale = float(np.abs(raw).max(initial=0.0))
     if scale > 0 and np.abs(raw.imag).max() > 1e-9 * scale:
         raise ValueError("correlation sequence is not Hermitian: complex spectrum")
@@ -177,16 +176,18 @@ class ModularFilter:
 def _masked_filter(lam: np.ndarray, support: np.ndarray, eps: float, step: float) -> ModularFilter:
     """The one builder of lambda^(+-1/2) kernels: the modular filter of ``lam``
     on ``support``, exactly zero off it (``lam`` is read only on ``support``)."""
-    half = np.zeros(lam.size)
-    inv_half = np.zeros(lam.size)
-    half[support] = np.sqrt(lam[support])
-    inv_half[support] = np.sqrt(1.0 / lam[support])
+    roots = np.zeros((2, lam.size))
+    roots[0, support] = np.sqrt(lam[support])
+    roots[1, support] = np.sqrt(1.0 / lam[support])
+    kernels = kernel_of(roots, step)
+    kernels *= eps
+    kernel_half, kernel_inv_half = kernels
     return ModularFilter(
         eps=float(eps),
         lags=_frozen(time_lags(lam.size)),
         symbol=_frozen(np.where(support, lam, 0.0)),
-        kernel_half=_frozen(eps * kernel_of(half, step)),
-        kernel_inv_half=_frozen(eps * kernel_of(inv_half, step)),
+        kernel_half=_frozen(kernel_half),
+        kernel_inv_half=_frozen(kernel_inv_half),
     )
 
 
@@ -217,5 +218,5 @@ def coefficient_norm(model: StationaryModel, zeta: np.ndarray) -> float:
     if zeta.shape != (model.n_points,):
         raise ValueError(f"expected {model.n_points} coefficients, got {zeta.shape}")
     eigs = model.eigenvalues
-    power = np.abs(np.fft.fftshift(np.fft.fft(zeta))) ** 2
+    power = np.abs(_fftshift(np.fft.fft(zeta))) ** 2
     return float(np.sum((eigs + eigs[::-1]) * power)) / eigs.size

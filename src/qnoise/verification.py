@@ -28,6 +28,15 @@ Parseval, and ``amplitude_gram``/``amplitude_cross`` sum the weights of
 the spectral amplitudes against plane waves.  So every check takes
 O(n log n) time and O(n) memory.
 
+Each suite takes its transforms of one length as one call on a stack of
+rows, not one call per vector: ``stationary`` makes one :func:`_column`
+call for its five circulants, one :func:`_dft` of the five columns and
+one :func:`_circular` of its six products, and ``modular``, ``synthesis``
+and ``qsi`` stack theirs likewise.  The products are formed in place, and
+:func:`_dft` takes a stack in blocks of rows bounded by ``_DFT_BLOCK``
+padded entries, so stacking saves calls at small n without raising the
+peak memory at large n.
+
 ``qsi/reflection_symmetry`` divides the cross kernel's flip asymmetry by
 its lag-0 value step * sum(gamma), which bounds every lag as gamma >= 0.
 """
@@ -41,7 +50,7 @@ import numpy as np
 
 from . import stationary
 from .errors import DegenerateRecoveryError
-from .fourier import convolve, kernel_of, spectrum_of
+from .fourier import _fftshift, _ifftshift, convolve, kernel_of, spectrum_of
 from .pipeline import Pipeline
 from .spectra import SpectralDensityPair, tabulated_density
 
@@ -74,46 +83,80 @@ def _worst(*terms: float) -> float:
     return float(np.max(terms)) + 0.0
 
 
-def _column(symbol: np.ndarray, conjugate: bool = False) -> np.ndarray:
-    """The one route from a symbol in grid order to the first column of its
-    circulant, or of the conjugate circulant (K_rev, X_rev from K, X)."""
-    column = np.fft.ifft(np.fft.ifftshift(symbol))
-    return np.conj(column) if conjugate else column
+def _column(symbols: np.ndarray, conjugate: bool | tuple[bool, ...] = False) -> np.ndarray:
+    """The one route from symbols in grid order to the first columns of their
+    circulants: row i of a stack gives the column of the conjugate circulant
+    (K_rev, X_rev from K, X) where ``conjugate[i]``, one flag or one per row.
+    The suites stack their symbols as complex, as the FFT would copy a real
+    stack to complex anyway."""
+    columns = np.fft.ifft(_ifftshift(symbols))
+    return np.conjugate(columns, out=columns, where=np.expand_dims(conjugate, -1))
 
 
-def _symbol(column: np.ndarray) -> np.ndarray:
-    """Spectrum of a circulant, in grid order, from its first column."""
-    return np.fft.fftshift(np.fft.fft(column))
+def _symbol(columns: np.ndarray) -> np.ndarray:
+    """Spectra of circulants, in grid order, from their first columns."""
+    return _fftshift(np.fft.fft(columns))
+
+
+def _products(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The elementwise product a * b of each pair, formed in place as the rows of one stack."""
+    out = np.empty((len(pairs), pairs[0][0].shape[-1]), dtype=complex)
+    for row, (a, b) in zip(out, pairs):
+        np.multiply(a, b, out=row)
+    return out
+
+
+#: Entries of the padded chirp-z working set one FFT call may take: the rows
+#: of a stack go through :func:`_dft` in blocks of at most this many padded
+#: entries, so every stack of one ``run_all`` at n = 257 takes one call and,
+#: from n = 2**13 + 1 on, each row takes its own: a stack holds the padded
+#: arrays of one row at a time at large n.
+_DFT_BLOCK = 1 << 15
 
 
 @functools.lru_cache(maxsize=2)
 def _chirp(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bluestein's chirp exp(i pi j^2 / n) for j < n, and the FFT of the chirp
-    at j = -(n-1) .. n-1, wrapped onto a power-of-two length >= 2n - 1."""
+    """Bluestein's conjugate chirp exp(-i pi j^2 / n) for j < n, and the FFT of
+    the chirp at j = -(n-1) .. n-1, wrapped onto a power-of-two length >= 2n - 1."""
     j = np.arange(n, dtype=np.int64)
     chirp = np.exp(1j * np.pi / n * (j * j % (2 * n)))  # j^2 reduced mod 2n: phases below 2 pi
     wrapped = np.zeros(1 << (2 * n - 2).bit_length(), dtype=complex)
     wrapped[:n] = chirp
     wrapped[wrapped.size - n + 1:] = chirp[:0:-1]
-    return chirp, np.fft.fft(wrapped)
+    return np.conj(chirp), np.fft.fft(wrapped)
 
 
-def _dft(weights: np.ndarray, sign: int = -1) -> np.ndarray:
-    """sum_k w_k exp(sign * 2 pi i k d / n) for d = 0 .. n-1, by Bluestein's chirp-z
-    transform: kd = (k^2 + d^2 - (d - k)^2) / 2 makes it one linear
-    convolution with the chirp, taken by power-of-two FFTs."""
-    if sign > 0:
-        return np.conj(_dft(np.conj(weights)))
-    chirp, kernel = _chirp(weights.size)
-    spectrum = np.fft.fft(weights * np.conj(chirp), kernel.size)
-    spectrum *= kernel
-    return np.conj(chirp) * np.fft.ifft(spectrum)[:weights.size]
+def _dft(weights: np.ndarray, sign: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_k w_k exp(sign * 2 pi i k d / n) for d = 0 .. n-1 along the last axis,
+    by Bluestein's chirp-z transform: kd = (k^2 + d^2 - (d - k)^2) / 2 makes it
+    one linear convolution with the chirp, taken by power-of-two FFTs on
+    blocks of rows (conjugated in and out for sign > 0).  Written to ``out``,
+    a new array if None; ``out`` may be ``weights`` itself, as each block is
+    read before it is written."""
+    n = weights.shape[-1]
+    conj_chirp, kernel = _chirp(n)
+    rows = weights.reshape(-1, n)
+    out = np.empty(weights.shape, dtype=complex) if out is None else out
+    result_rows = out.reshape(-1, n)
+    block = max(1, _DFT_BLOCK // kernel.size)
+    for start in range(0, len(rows), block):
+        part = rows[start:start + block]
+        if sign > 0:
+            part = np.conj(part)
+        spectrum = np.fft.fft(part * conj_chirp, kernel.size)
+        spectrum *= kernel
+        result = np.multiply(conj_chirp, np.fft.ifft(spectrum)[:, :n], out=result_rows[start:start + block])
+        if sign > 0:
+            np.conjugate(result, out=result)
+    return out
 
 
-def _circular(spectrum: np.ndarray) -> np.ndarray:
-    """The column with this DFT: C1 c2 from the product of the DFTs of two
-    columns, C1† c2 with the first one conjugated."""
-    return _dft(spectrum, 1) / spectrum.size
+def _circular(products: np.ndarray) -> np.ndarray:
+    """The columns with these DFTs, written over them: C1 c2 from the product
+    of the DFTs of two columns, C1† c2 with the first one conjugated."""
+    _dft(products, 1, out=products)
+    products /= products.shape[-1]
+    return products
 
 
 def spectra_checks(pipe: Pipeline) -> list[CheckResult]:
@@ -171,35 +214,33 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
         )
     )
     root = np.sqrt(model.eigenvalues)
-    k, k_rev = _column(model.eigenvalues), _column(model.eigenvalues, conjugate=True)
-    x, x_rev = _column(root), _column(root, conjugate=True)
-    g = _column(model.gamma)
-    spec_k, spec_k_rev, spec_x, spec_x_rev, spec_g = (_dft(col) for col in (k, k_rev, x, x_rev, g))
-    out.append(
-        _result("stationary", "dft_consistency", _maxabs(_symbol(k) - model.eigenvalues) / norm, 1e-12)
+    columns = _column(
+        np.stack((model.eigenvalues, model.eigenvalues, model.gamma, root, root), dtype=complex),
+        (False, True, False, False, True),
     )
+    k, k_rev, g, x, x_rev = columns
+    symbol_k, symbol_g = _symbol(columns[:3:2])
+    out.append(
+        _result("stationary", "dft_consistency", _maxabs(symbol_k - model.eigenvalues) / norm, 1e-12)
+    )
+    # the sums of the amplitude checks below, taken before the six product columns are held
+    sums = _dft(np.stack((root * root, root * root[::-1])), 1)
+    gram_k, gram_k_rev, gram_g, squares, mean, commute = _circular(_stationary_products(_dft(columns), norm))
 
-    gram = _maxabs(_circular(np.conj(spec_x) * spec_x) - k)
-    out.append(_result("stationary", "gram_noise", gram / norm, 1e-10))
-    gram = _maxabs(_circular(np.conj(spec_x_rev) * spec_x_rev) - k_rev)
-    out.append(_result("stationary", "gram_reverse", gram / norm, 1e-10))
-    gram = _maxabs(_circular(np.conj(spec_x) * spec_x_rev) - g)
-    out.append(_result("stationary", "gram_cross", gram / norm, 1e-10))
+    out.append(_result("stationary", "gram_noise", _maxabs(gram_k - k) / norm, 1e-10))
+    out.append(_result("stationary", "gram_reverse", _maxabs(gram_k_rev - k_rev) / norm, 1e-10))
+    out.append(_result("stationary", "gram_cross", _maxabs(gram_g - g) / norm, 1e-10))
     out.append(_result("stationary", "conjugation", _maxabs(x_rev - np.conj(x)), 0.0))
-    squares = _maxabs(_circular(spec_x * spec_x) - k)
-    out.append(_result("stationary", "root_squares", squares / norm, 1e-10))
+    out.append(_result("stationary", "root_squares", _maxabs(squares - k) / norm, 1e-10))
     # |g - g.real| is |g.imag|, and NaN where either part is
     out.append(_result("stationary", "cross_cov_imag", _maxabs(g - g.real) / norm, 1e-10))
     # g - g[-d mod n] is the asymmetry G - G^T read on its first column
-    out.append(_result("stationary", "cross_cov_symmetric", _maxabs(g - np.roll(g[::-1], 1)) / norm, 1e-10))
-    negative = _worst(0.0, -float(_symbol(g).real.min()))
+    flip = np.concatenate((g[:1], g[:0:-1]))
+    out.append(_result("stationary", "cross_cov_symmetric", _maxabs(g - flip) / norm, 1e-10))
+    negative = _worst(0.0, -float(symbol_g.real.min()))
     out.append(_result("stationary", "cross_cov_psd", negative / norm, 1e-10))
-    # spectra scaled before the products, so nothing of order norm**2 overflows;
     # ||C||_F = sqrt(n) * ||C[:, 0]|| for a circulant C
-    spec_k, spec_k_rev, spec_g = spec_k / norm, spec_k_rev / norm, spec_g / norm
-    mean = _circular(spec_g * spec_g - spec_k * spec_k_rev)
     out.append(_result("stationary", "geometric_mean", math.sqrt(n) * np.linalg.norm(mean), 1e-9))
-    commute = _circular(spec_k * spec_k_rev - spec_k_rev * spec_k)
     out.append(_result("stationary", "covariances_commute", math.sqrt(n) * np.linalg.norm(commute), 1e-12))
 
     # star_involution: the reverse amplitude the decomposition, synthesis and
@@ -210,13 +251,10 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     # sqrt(eps) exp(-2 pi i nu eps d), the reverse one its star involution,
     # with root b = conj(a[::-1]).  Entry d of the first column of step * N†N
     # (step * N†R) is step * eps * sum_k w_k exp(2 pi i (k - m) d / n), with
-    # m = (n - 1) / 2 and w = |a|^2 (conj(a) * b).
+    # m = (n - 1) / 2 and w = |a|^2 (conj(a) * b); a is real here.
     weight = pair.grid.step * model.eps * np.exp(-2j * np.pi / n * ((n - 1) // 2 * np.arange(n) % n))
-    for check, weights, column in (
-        ("amplitude_gram", np.conj(root) * root, k),
-        ("amplitude_cross", np.conj(root) * np.conj(root[::-1]), g),
-    ):
-        out.append(_result("stationary", check, _maxabs(weight * _dft(weights, 1) - column) / norm, 1e-10))
+    for check, total, column in (("amplitude_gram", sums[0], k), ("amplitude_cross", sums[1], g)):
+        out.append(_result("stationary", check, _maxabs(weight * total - column) / norm, 1e-10))
 
     zeta = np.exp(1j * np.linspace(0.0, 3.0, model.n_points))
     out.append(
@@ -230,6 +268,22 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     return out
 
 
+def _stationary_products(spectra: np.ndarray, norm: float) -> np.ndarray:
+    """The DFTs of the columns the product checks compare, from the DFTs of
+    the columns of K, K_rev, G, X and X_rev: those of X†X, X_rev†X_rev,
+    X†X_rev and X X, and of G G - K K_rev and K K_rev - K_rev K with the
+    spectra of K, K_rev and G scaled by 1 / norm first, so nothing of order
+    norm**2 overflows."""
+    spec_k, spec_k_rev, spec_g, spec_x, spec_x_rev = spectra
+    spectra[:3] /= norm
+    conj_x = np.conj(spec_x)
+    products = _products((conj_x, spec_x), (np.conj(spec_x_rev), spec_x_rev), (conj_x, spec_x_rev),
+                         (spec_x, spec_x), (spec_g, spec_g), (spec_k, spec_k_rev))
+    products[4] -= spec_k * spec_k_rev
+    products[5] -= spec_k_rev * spec_k
+    return products
+
+
 def modular_checks(pipe: Pipeline) -> list[CheckResult]:
     filt = pipe.filt
     if filt is None:
@@ -237,13 +291,15 @@ def modular_checks(pipe: Pipeline) -> list[CheckResult]:
     out = []
     model = pipe.model
     lam = filt.symbol
-    l_col, l_half_col = _column(lam), _column(np.sqrt(lam))
-    spec_l, spec_l_conj, spec_l_half = (_dft(c) for c in (l_col, np.conj(l_col), l_half_col))
+    columns = _column(np.stack((lam, lam, np.sqrt(lam)), dtype=complex), (False, True, False))
+    l_col, l_half_col = columns[::2]
+    spec_l, spec_l_conj, spec_l_half = _dft(columns)
+    inverse, squares = _circular(_products((spec_l, spec_l_conj), (spec_l_half, spec_l_half)))
     out.append(
         _result("modular", "spectrum_match", _maxabs(_symbol(l_col) - lam) / float(lam.max()), 1e-10)
     )
     l_norm = max(_maxabs(l_col), 1.0)
-    inverse = np.conj(_circular(spec_l * spec_l_conj))
+    inverse = np.conj(inverse)
     inverse[0] -= 1.0
     out.append(_result("modular", "conjugate_inverse", _maxabs(inverse) / l_norm**2, 1e-12))
     half_scale = max(_maxabs(filt.kernel_half), 1e-300)
@@ -256,8 +312,7 @@ def modular_checks(pipe: Pipeline) -> list[CheckResult]:
     unit[(model.n_points - 1) // 2] = 1.0
     conv = convolve(filt.kernel_half, filt.kernel_inv_half, 1.0)
     out.append(_result("modular", "kernel_convolution_unit", _maxabs(conv - unit), 1e-9))
-    squares = _maxabs(_circular(spec_l_half * spec_l_half) - l_col)
-    out.append(_result("modular", "root_squares", squares / l_norm, 1e-10))
+    out.append(_result("modular", "root_squares", _maxabs(squares - l_col) / l_norm, 1e-10))
     return out
 
 
@@ -380,8 +435,10 @@ def synthesis_checks(pipe: Pipeline) -> list[CheckResult]:
     )
 
     time_filter = synthesis.time_domain_filter(filt, eps)
-    chi_std = kernel_of(std.amp, pair.grid.step)
-    psi_target = kernel_of(filt.target_sigma, pair.grid.step)
+    chi_std, psi_target, psi_out, psi_out_rev, correlations = kernel_of(
+        np.stack((std.amp, filt.target_sigma, result.out_amp_rev, result.out_amp, result.kappa_out)),
+        pair.grid.step,
+    )
     psi_scale = max(_maxabs(psi_target), 1e-300)
     out.append(
         _result(
@@ -391,8 +448,6 @@ def synthesis_checks(pipe: Pipeline) -> list[CheckResult]:
             1e-9,
         )
     )
-    psi_out = kernel_of(result.out_amp_rev, pair.grid.step)
-    psi_out_rev = kernel_of(result.out_amp, pair.grid.step)
     out.append(
         _result(
             "synthesis",
@@ -408,7 +463,7 @@ def synthesis_checks(pipe: Pipeline) -> list[CheckResult]:
         _result(
             "synthesis",
             "correlation_reproduction",
-            _maxabs(kernel_of(result.kappa_out, pair.grid.step) - seq.values) / corr_scale,
+            _maxabs(correlations - seq.values) / corr_scale,
             1e-9,
         )
     )
@@ -470,16 +525,13 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     sigma, sigma_rev = pair.sigma, pair.sigma_rev
     output_pair = qsi.build_output_pair(canonical, sigma, sigma_rev)
     support = canonical.support
-    expected_densities = {
-        ("output", "output"): sigma * sigma,
-        ("reverse", "output"): sigma_rev * sigma,
-        ("output", "reverse"): sigma * sigma_rev,
-        ("reverse", "reverse"): sigma_rev * sigma_rev,
-    }
+    amplitudes = {"output": sigma, "reverse": sigma_rev}
     density_scale = max(_maxabs(sigma) ** 2, 1e-300)
     defects = [
-        _maxabs(output_pair.density(first, second)[support] - expected[support])
-        for (first, second), expected in expected_densities.items()
+        _maxabs(output_pair.density(first, second)[support]
+                - (amplitudes[first] * amplitudes[second])[support])
+        for first, second in (("output", "output"), ("reverse", "output"),
+                              ("output", "reverse"), ("reverse", "reverse"))
     ]
     out.append(_result("qsi", "output_table", _worst(*defects) / density_scale, 1e-12))
 
@@ -510,22 +562,11 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     c = 1j * nu / (1.0 + nu**2)
     forward, backward = qsi.isometry_check(a, c, pair)
     out.append(_result("qsi", "isometry_nonnegative", _worst(0.0, -forward, -backward), 0.0))
-    zeta = np.sqrt(eps) * kernel_of(a, step)
-    xi = np.sqrt(eps) * kernel_of(c, step)
-    spec_k, spec_k_rev, spec_g = (_dft(col) for col in (
-        _column(model.eigenvalues), _column(model.eigenvalues, conjugate=True), _column(model.gamma)))
-
-    def gram(z, x):
-        # z† C x = sum_q conj(Z_q) C_q X_q / n for a circulant C, by Parseval
-        spec_z, spec_x = _dft(z), _dft(x)
-        value = np.sum(np.conj(spec_z) * (spec_k * spec_z + spec_g * spec_x)
-                       + np.conj(spec_x) * (spec_g * spec_z + spec_k_rev * spec_x))
-        return float(value.real) / z.size
-
+    kernels = kernel_of(np.stack((a, c, sigma)), step)
+    amp_kernel = kernels[2]
+    gram_forward, gram_backward = _isometry_grams(model, kernels[:2], eps)
     scale = max(abs(forward), abs(backward), 1e-300)
-    defect = _worst(
-        abs(forward - gram(zeta, xi)), abs(backward - gram(np.conj(zeta), np.conj(xi)))
-    )
+    defect = _worst(abs(forward - gram_forward), abs(backward - gram_backward))
     out.append(_result("qsi", "isometry_gram_oracle", defect / scale, 1e-9))
 
     r_scale = max(step * float(model.gamma.sum()), 1e-300)
@@ -534,16 +575,16 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     )
 
     # Fourier-Parseval bridge of the coefficient kernels; sigma_rev's kernel is the lag flip of sigma's.
-    amp_kernel = kernel_of(sigma, step)
-    a_kernel, c_kernel = kernel_of(a, step), kernel_of(c, step)
-    phi_minus = convolve(a_kernel, amp_kernel[::-1], eps) + convolve(c_kernel, amp_kernel, eps)
-    phi_plus = convolve(a_kernel, amp_kernel, eps) + convolve(c_kernel, amp_kernel[::-1], eps)
+    # phi[i, j] convolves the kernel of a (i = 0) or c (i = 1) with that of
+    # sigma_rev (j = 0) or sigma (j = 1)
+    phi = convolve(kernels[:2, None], np.stack((amp_kernel[::-1], amp_kernel)), eps)
+    bridge_minus, bridge_plus = spectrum_of(phi[0] + phi[1, ::-1], eps)
     f_minus = a * sigma_rev + c * sigma
     f_plus = a * sigma + c * sigma_rev
     parseval_scale = max(_maxabs(f_plus), _maxabs(f_minus), 1e-300)
     defect = _worst(
-        _maxabs(spectrum_of(phi_minus, eps) - f_minus),
-        _maxabs(spectrum_of(phi_plus, eps) - f_plus),
+        _maxabs(bridge_minus - f_minus),
+        _maxabs(bridge_plus - f_plus),
     )
     out.append(_result("qsi", "parseval_bridge", defect / parseval_scale, 1e-10))
 
@@ -553,6 +594,27 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     ) / density_scale
     out.append(_result("qsi", "synthesis_consistency", consistency, 1e-12))
     return out
+
+
+def _isometry_grams(model: stationary.StationaryModel, kernels: np.ndarray,
+                    eps: float) -> tuple[float, float]:
+    """z† K z + z† G x + x† G z + x† K_rev x for the coefficient columns
+    (z, x) = sqrt(eps) * ``kernels`` and for their conjugates, on one DFT of
+    the columns of K, K_rev, G, zeta, xi, conj(zeta) and conj(xi)."""
+    columns = np.empty((7, model.n_points), dtype=complex)
+    columns[:3] = _column(np.stack((model.eigenvalues, model.eigenvalues, model.gamma), dtype=complex),
+                          (False, True, False))
+    np.multiply(np.sqrt(eps), kernels, out=columns[3:5])
+    np.conjugate(columns[3:5], out=columns[5:])
+    spec_k, spec_k_rev, spec_g, *coefficients = _dft(columns, out=columns)
+
+    def gram(spec_z, spec_x):
+        # z† C x = sum_q conj(Z_q) C_q X_q / n for a circulant C, by Parseval
+        value = np.sum(np.conj(spec_z) * (spec_k * spec_z + spec_g * spec_x)
+                       + np.conj(spec_x) * (spec_g * spec_z + spec_k_rev * spec_x))
+        return float(value.real) / spec_z.size
+
+    return gram(*coefficients[:2]), gram(*coefficients[2:])
 
 
 def mode_checks() -> list[CheckResult]:

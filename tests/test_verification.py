@@ -84,13 +84,18 @@ def _verdicts(pair, eps):
 def _inject(monkeypatch, fault, symbol=None, reverse=False):
     """Route the first column of one circulant through ``fault`` (every
     circulant if ``symbol`` is None); ``reverse`` picks K_rev or X_rev
-    over K or X.  Verification builds every column by ``_column``."""
+    over K or X.  Verification builds every column by ``_column``, one row
+    of a stack of symbols per circulant with a conjugate flag per row, so
+    the fault goes to each matching row."""
     built = verification._column
 
     def column(values, conjugate=False):
         out = built(values, conjugate)
-        if symbol is None or (np.array_equal(values, symbol) and conjugate == reverse):
-            out = fault(out.copy())
+        rows = out.reshape(-1, out.shape[-1])
+        flags = np.broadcast_to(conjugate, out.shape[:-1]).ravel()
+        for row, values_row, flag in zip(rows, np.reshape(values, rows.shape), flags):
+            if symbol is None or (np.array_equal(values_row, symbol) and flag == reverse):
+                row[:] = fault(row.copy())
         return out
 
     monkeypatch.setattr(verification, "_column", column)
@@ -172,6 +177,28 @@ def test_run_all_memory_stays_below_one_dense_matrix_at_n_4097():
     assert peak <= 100 * 16 * n
 
 
+def test_run_all_stacks_its_transforms_and_shifts_by_slices(monkeypatch):
+    # Each stage takes its same-length transforms as one call on a stack of
+    # rows (108 FFT calls unstacked), and no transform centres by np.roll.
+    calls = {}
+
+    def counted(name):
+        transform = getattr(np.fft, name)
+
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return transform(*args, **kwargs)
+        return call
+
+    for name in ("fft", "ifft", "fftshift", "ifftshift"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    grid = qn.make_grid(33, 0.25)
+    results = verification.run_all(qn.planck_density(1.0, 1.0, grid), 1.0 / (33 * 0.25))
+    assert all(r.passed for r in results)
+    assert calls.get("fft", 0) + calls.get("ifft", 0) <= 45, calls
+    assert calls.get("fftshift", 0) == calls.get("ifftshift", 0) == 0, calls
+
+
 def test_run_all_derives_an_omitted_eps_by_the_duality(planck_setup):
     _, pair, eps = planck_setup
     assert eps == 1.0 / (pair.grid.n_points * pair.grid.step)
@@ -236,7 +263,13 @@ def test_circulant_column_skips_only_the_toeplitz_scan_of_a_view(name, planck_se
     pipe = Pipeline(pair, eps)
     views = {**model_views(pipe.model), **filter_views(pipe.filt)}
     built, read = verification._column, []
-    monkeypatch.setattr(verification, "_column", lambda *args, **kwargs: read.append(built(*args, **kwargs)) or read[-1])
+
+    def column(*args, **kwargs):
+        out = built(*args, **kwargs)
+        read.extend(out.reshape(-1, out.shape[-1]))
+        return out
+
+    monkeypatch.setattr(verification, "_column", column)
     verification.stationary_checks(pipe)
     verification.modular_checks(pipe)
     column = views[name][:, 0]
