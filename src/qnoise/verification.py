@@ -20,8 +20,8 @@ twice; the spectrum checks (``dft_consistency``, ``cross_cov_psd``,
 ``modular/spectrum_match``) take the DFT of the column in grid order.
 Every other oracle is one chirp-z DFT (:func:`_dft`, Bluestein's
 algorithm), which shares none of the package's index shifts or scales and
-uses numpy's FFT only as a power-of-two primitive: the Grams, the root
-squares, ``conjugate_inverse``, ``geometric_mean`` and
+uses numpy's FFT only as a primitive at 5-smooth lengths 2**a 3**b 5**c:
+the Grams, the root squares, ``conjugate_inverse``, ``geometric_mean`` and
 ``covariances_commute`` multiply the DFTs of two columns and transform
 back once, ``isometry_gram_oracle`` sums the Gram blocks on the DFTs by
 Parseval, and ``amplitude_gram``/``amplitude_cross`` sum the weights of
@@ -31,11 +31,12 @@ O(n log n) time and O(n) memory.
 Each suite takes its transforms of one length as one call on a stack of
 rows, not one call per vector: ``stationary`` makes one :func:`_column`
 call for its five circulants, one :func:`_dft` of the five columns and
-one :func:`_circular` of its six products, and ``modular``, ``synthesis``
-and ``qsi`` stack theirs likewise.  The products are formed in place, and
-:func:`_dft` takes a stack in blocks of rows bounded by ``_DFT_BLOCK``
-padded entries, so stacking saves calls at small n without raising the
-peak memory at large n.
+the two amplitude weights and one :func:`_circular` of its six products,
+and ``modular``, ``synthesis`` and ``qsi`` stack theirs likewise.  The
+products are formed in place, and :func:`_dft` takes a stack in blocks of
+rows bounded by ``_DFT_BLOCK`` padded entries, so stacking saves calls at
+small n without raising the peak memory at large n.  The mode tables take
+all their occupations as one stack of operators.
 
 ``qsi/reflection_symmetry`` divides the cross kernel's flip asymmetry by
 its lag-0 value step * sum(gamma), which bounds every lag as gamma >= 0.
@@ -70,8 +71,8 @@ def _result(suite: str, check: str, residual: float, tolerance: float) -> CheckR
 
 
 def _maxabs(values) -> float:
-    values = np.asarray(values)
-    return float(np.max(np.abs(values))) if values.size else 0.0
+    values = np.abs(values)
+    return float(values.max()) if values.size else 0.0
 
 
 def _worst(*terms: float) -> float:
@@ -114,13 +115,28 @@ def _products(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 _DFT_BLOCK = 1 << 15
 
 
+def _fast_length(m: int) -> int:
+    """The smallest 5-smooth length 2**a * 3**b * 5**c >= m, on which numpy's FFT is fast."""
+    best = 1 << (m - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the least power of two p with odd * p >= m
+            best = min(best, odd << (-(-m // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 @functools.lru_cache(maxsize=2)
 def _chirp(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Bluestein's conjugate chirp exp(-i pi j^2 / n) for j < n, and the FFT of
-    the chirp at j = -(n-1) .. n-1, wrapped onto a power-of-two length >= 2n - 1."""
+    the chirp at j = -(n-1) .. n-1, wrapped onto the 5-smooth length
+    :func:`_fast_length` (2n - 1)."""
     j = np.arange(n, dtype=np.int64)
     chirp = np.exp(1j * np.pi / n * (j * j % (2 * n)))  # j^2 reduced mod 2n: phases below 2 pi
-    wrapped = np.zeros(1 << (2 * n - 2).bit_length(), dtype=complex)
+    wrapped = np.zeros(_fast_length(2 * n - 1), dtype=complex)
     wrapped[:n] = chirp
     wrapped[wrapped.size - n + 1:] = chirp[:0:-1]
     return np.conj(chirp), np.fft.fft(wrapped)
@@ -129,8 +145,8 @@ def _chirp(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _dft(weights: np.ndarray, sign: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """sum_k w_k exp(sign * 2 pi i k d / n) for d = 0 .. n-1 along the last axis,
     by Bluestein's chirp-z transform: kd = (k^2 + d^2 - (d - k)^2) / 2 makes it
-    one linear convolution with the chirp, taken by power-of-two FFTs on
-    blocks of rows (conjugated in and out for sign > 0).  Written to ``out``,
+    one linear convolution with the chirp, taken by FFTs of a 5-smooth length
+    on blocks of rows (conjugated in and out for sign > 0).  Written to ``out``,
     a new array if None; ``out`` may be ``weights`` itself, as each block is
     read before it is written."""
     n = weights.shape[-1]
@@ -223,9 +239,16 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     out.append(
         _result("stationary", "dft_consistency", _maxabs(symbol_k - model.eigenvalues) / norm, 1e-12)
     )
-    # the sums of the amplitude checks below, taken before the six product columns are held
-    sums = _dft(np.stack((root * root, root * root[::-1])), 1)
-    gram_k, gram_k_rev, gram_g, squares, mean, commute = _circular(_stationary_products(_dft(columns), norm))
+    # The DFTs of the five columns and the sums of the amplitude checks below,
+    # in one call: sum_k w_k exp(+2 pi i k d / n) is the conjugate of the DFT
+    # of conj(w), and the weights w are real.
+    spectra = np.empty((7, n), dtype=complex)
+    spectra[:5] = columns
+    spectra[5] = root * root
+    spectra[6] = root * root[::-1]
+    _dft(spectra, out=spectra)
+    sums = np.conjugate(spectra[5:], out=spectra[5:])
+    gram_k, gram_k_rev, gram_g, squares, mean, commute = _circular(_stationary_products(spectra[:5], norm))
 
     out.append(_result("stationary", "gram_noise", _maxabs(gram_k - k) / norm, 1e-10))
     out.append(_result("stationary", "gram_reverse", _maxabs(gram_k_rev - k_rev) / norm, 1e-10))
@@ -619,29 +642,34 @@ def _isometry_grams(model: stationary.StationaryModel, kernels: np.ndarray,
 
 def mode_checks() -> list[CheckResult]:
     from . import mode_algebra
+    occupations = (0.0, 0.5, 1.0, 2.0, 10.0)
+    n = np.array(occupations)
+    # each table entry and roundtrip term for every occupation at once
+    noise, reverse = mode_algebra.thermal_pair(n)
+    noise_dag = noise.dagger()
+    reverse_dag = reverse.dagger()
+    table = np.abs((
+        mode_algebra.expectation(noise_dag, noise) - n,
+        mode_algebra.expectation(noise, noise_dag) - (n + 1.0),
+        mode_algebra.expectation(reverse_dag, reverse) - (n + 1.0),
+        mode_algebra.expectation(reverse, reverse_dag) - n,
+        mode_algebra.expectation(reverse, noise_dag) - np.sqrt(n * (n + 1.0)),
+        mode_algebra.commutator(reverse, noise),
+        mode_algebra.commutator(reverse, noise_dag),
+        mode_algebra.commutator(noise, noise_dag) - 1.0,
+        mode_algebra.commutator(reverse_dag, reverse) - 1.0,
+    ))
+    mode_a, mode_c = mode_algebra.invert_pair(noise, reverse, n)
+    roundtrip = np.abs((mode_a.coefficients - mode_algebra.A.coefficients,
+                        mode_c.coefficients - mode_algebra.C.coefficients))
+    # the worst term per occupation: np.max keeps a NaN and adding 0.0 turns
+    # -0.0 into 0.0, as in _worst
+    table_worst = np.max(table, axis=0) + 0.0
+    roundtrip_worst = np.max(roundtrip, axis=(0, 2)) + 0.0
     out = []
-    for n in (0.0, 0.5, 1.0, 2.0, 10.0):
-        noise, reverse = mode_algebra.thermal_pair(n)
-        noise_dag = noise.dagger()
-        reverse_dag = reverse.dagger()
-        worst = _worst(
-            abs(mode_algebra.expectation(noise_dag, noise) - n),
-            abs(mode_algebra.expectation(noise, noise_dag) - (n + 1.0)),
-            abs(mode_algebra.expectation(reverse_dag, reverse) - (n + 1.0)),
-            abs(mode_algebra.expectation(reverse, reverse_dag) - n),
-            abs(mode_algebra.expectation(reverse, noise_dag) - np.sqrt(n * (n + 1.0))),
-            abs(mode_algebra.commutator(reverse, noise)),
-            abs(mode_algebra.commutator(reverse, noise_dag)),
-            abs(mode_algebra.commutator(noise, noise_dag) - 1.0),
-            abs(mode_algebra.commutator(reverse_dag, reverse) - 1.0),
-        )
-        out.append(_result("mode", f"thermal_table_n={n:g}", worst, 1e-12))
-        mode_a, mode_c = mode_algebra.invert_pair(noise, reverse, n)
-        roundtrip = _worst(
-            _maxabs(mode_a.coefficients - mode_algebra.A.coefficients),
-            _maxabs(mode_c.coefficients - mode_algebra.C.coefficients),
-        )
-        out.append(_result("mode", f"inversion_n={n:g}", roundtrip, 1e-14))
+    for occupation, table_residual, roundtrip_residual in zip(occupations, table_worst, roundtrip_worst):
+        out.append(_result("mode", f"thermal_table_n={occupation:g}", table_residual, 1e-12))
+        out.append(_result("mode", f"inversion_n={occupation:g}", roundtrip_residual, 1e-14))
     return out
 
 

@@ -191,6 +191,15 @@ def gram_quadratic_form(model, zeta, xi):
     return float(value.real)
 
 
+def direct_dft(weights, sign=-1):
+    """sum_k w_k exp(sign * 2 pi i k d / n) for d = 0 .. n-1 along the last
+    axis, by the n x n matrix of plane waves; k d is reduced mod n in
+    integers, so each phase is below 2 pi."""
+    n = np.shape(weights)[-1]
+    k = np.arange(n)
+    return weights @ np.exp(sign * 2j * np.pi / n * (np.outer(k, k) % n))
+
+
 def _maxabs(values):
     values = np.asarray(values)
     return float(np.max(np.abs(values))) if values.size else 0.0

@@ -44,6 +44,63 @@ class TestModeOperator:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="4 coefficients"):
             ModeOperator(np.ones(3))
+        with pytest.raises(ValueError, match="4 coefficients"):
+            ModeOperator(np.ones((4, 3)))
+
+    def test_operators_stack_along_leading_axes(self):
+        z = ModeOperator(np.arange(12.0).reshape(3, 4))
+        assert z.coefficients.shape == (3, 4)
+        np.testing.assert_array_equal(z.dagger().coefficients[1], [5.0, 4.0, 7.0, 6.0])
+        scaled = np.array([[1.0], [2.0], [3.0]]) * z
+        assert isinstance(scaled, ModeOperator)
+        np.testing.assert_array_equal(scaled.coefficients[2], 3.0 * z.coefficients[2])
+        assert isinstance(np.float64(2.0) * z, ModeOperator)
+
+
+OCCUPATIONS = [0.0, 0.5, 1.0, 2.0, 10.0, 1e3, 1e6, 1e12, 1e15, 1e200]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+class TestStacks:
+    def test_stacked_calls_equal_the_scalar_calls_bit_for_bit(self):
+        n = np.array(OCCUPATIONS)
+        noise, reverse = qn.thermal_pair(n)
+        mode_a, mode_c = qn.invert_pair(noise, reverse, n)
+        pairs = [qn.thermal_pair(x) for x in OCCUPATIONS]
+        inverses = [qn.invert_pair(b, b_out, x) for (b, b_out), x in zip(pairs, OCCUPATIONS)]
+        for stacked, singles in ((noise, [b for b, _ in pairs]), (reverse, [b_out for _, b_out in pairs]),
+                                 (mode_a, [a for a, _ in inverses]), (mode_c, [c for _, c in inverses])):
+            assert stacked.coefficients.tobytes() == _bits([z.coefficients for z in singles])
+        for form in (qn.expectation, qn.commutator):
+            for first, second in ((noise.dagger(), noise), (reverse, noise.dagger()), (noise, reverse)):
+                assert isinstance(form(first, second), np.ndarray)
+                scalars = [form(ModeOperator(z1), ModeOperator(z2))
+                           for z1, z2 in zip(first.coefficients, second.coefficients)]
+                assert all(type(value) is complex for value in scalars)
+                assert form(first, second).tobytes() == _bits(scalars)
+
+    def test_an_invalid_entry_rejects_the_whole_array(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            qn.thermal_pair(np.array([0.0, 1.0, -1e-300]))
+        with pytest.raises(qn.NonFiniteError, match="finite"):
+            qn.thermal_pair(np.array([0.0, np.nan, -1.0]))
+        b, b_out = qn.thermal_pair(np.ones(3))
+        with pytest.raises(qn.NonFiniteError, match="finite"):
+            qn.invert_pair(b, b_out, np.array([1.0, np.inf, 1.0]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_reduced_precision_occupations_are_computed_in_float64(self, dtype):
+        for value in (0.1, 2.0, 10.0):
+            n = dtype(value)
+            exact = float(n)
+            for got, want in zip(qn.thermal_pair(n), qn.thermal_pair(exact)):
+                assert got.coefficients.tobytes() == want.coefficients.tobytes()
+            b, b_out = qn.thermal_pair(exact)
+            for got, want in zip(qn.invert_pair(b, b_out, n), qn.invert_pair(b, b_out, exact)):
+                assert got.coefficients.tobytes() == want.coefficients.tobytes()
 
 
 class TestThermalPair:

@@ -13,6 +13,7 @@ from oracles import (
     dense_amplitude_residuals,
     dense_elementwise_residuals,
     dense_product_residuals,
+    direct_dft,
     filter_views,
     gather_circulant,
     mixed_kappa,
@@ -173,8 +174,55 @@ def test_run_all_memory_stays_below_one_dense_matrix_at_n_4097():
     peak = _traced_planck_run_all(n)
     assert peak <= 0.15 * 16 * n**2
     # No check holds an n x n array or a block of plane-wave rows: the
-    # chirp-z DFTs take a few arrays of the power-of-two length 4(n - 1).
+    # chirp-z DFTs take a few arrays of the 5-smooth length next to 2n - 1.
     assert peak <= 100 * 16 * n
+
+
+def _is_5_smooth(m):
+    for prime in (2, 3, 5):
+        while m % prime == 0:
+            m //= prime
+    return m == 1
+
+
+def test_fast_length_is_the_least_5_smooth_length():
+    smooth = 1
+    for m in range(1, 5001):
+        smooth = max(smooth, m)
+        while not _is_5_smooth(smooth):
+            smooth += 1
+        assert verification._fast_length(m) == smooth, m
+    # the padded length of the CI grid n = 2**20 + 1, where a power of two is 4(n - 1)
+    assert verification._fast_length(2 * (2**20 + 1) - 1) == 2_099_520
+
+
+@pytest.mark.parametrize("n", list(range(3, 130, 2)) + [257, 1025])
+def test_chirp_z_dft_matches_the_direct_sum(n):
+    rng = np.random.default_rng(n)
+    weights = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    for sign in (-1, 1):
+        expected = direct_dft(weights, sign)
+        error = np.abs(verification._dft(weights, sign) - expected).max()
+        assert error <= 1e-12 * np.abs(expected).max(), sign
+
+
+def test_chirp_z_transforms_pad_to_a_5_smooth_length(monkeypatch):
+    # Bluestein needs a length >= 2n - 1 = 513 at n = 257: the least 5-smooth
+    # one is 540, where the next power of two is 1024.
+    lengths = set()
+
+    def measured(transform):
+        def call(a, n=None, *args, **kwargs):
+            lengths.add(np.shape(a)[-1] if n is None else n)
+            return transform(a, n, *args, **kwargs)
+        return call
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, measured(getattr(np.fft, name)))
+    pair, eps = _grid_pair("planck", 257)
+    results = verification.run_all(pair, eps)
+    assert all(r.passed for r in results)
+    assert max(lengths) == 540, sorted(lengths)
 
 
 def test_run_all_stacks_its_transforms_and_shifts_by_slices(monkeypatch):
@@ -417,3 +465,20 @@ def test_nan_isometry_value_fails_the_isometry_checks(planck_setup, monkeypatch)
     verdicts = {r.check: r.passed for r in verification.qsi_checks(Pipeline(pair, eps))}
     assert not verdicts["isometry_nonnegative"]
     assert not verdicts["isometry_gram_oracle"]
+
+
+def test_nan_in_one_occupations_table_entry_fails_that_occupation_only(monkeypatch):
+    from qnoise import mode_algebra
+    built = mode_algebra.expectation
+    calls = []
+
+    def expectation(z1, z2):
+        value = built(z1, z2)
+        if not calls:
+            value[3] = np.nan  # <b_dag b> at n = 2, the fourth occupation of the suite
+        calls.append(value)
+        return value
+
+    monkeypatch.setattr(mode_algebra, "expectation", expectation)
+    failed = [r.check for r in verification.mode_checks() if not r.passed]
+    assert failed == ["thermal_table_n=2"]
