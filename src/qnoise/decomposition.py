@@ -54,7 +54,7 @@ def split(model: StationaryModel, pair: SpectralDensityPair) -> ComponentSplit:
     if model.n_points != pair.grid.n_points:
         raise ValueError("model and density pair have different grid sizes")
     scale = max(float(pair.kappa.max(initial=0.0)), 1e-300)
-    if np.max(np.abs(model.eigenvalues - pair.kappa)) > MODEL_MATCH_TOL * scale:
+    if np.abs(model.eigenvalues - pair.kappa).max() > MODEL_MATCH_TOL * scale:
         raise ValueError("model was not built from this density pair")
 
     amp, amp_rev = pair.sigma, pair.sigma_rev

@@ -21,11 +21,16 @@ In particular the creator has positive norm (< A_plus^dag A_plus > over D
 is the measure of D), the annihilator kills the vacuum, and all remaining
 ordered canonical products are structural zeros.
 
+The canonical pair is the paper's canonical pair on the spectrum, in closed
+form (:func:`canonical_from_vacuum`): on the support of a standard vacuum the
+creator is (minus, plus) = (0, 1) and the annihilator (1, 0), both 0 off it.
+
 Intervals are unions of grid cells, represented as boolean masks; the
 measure of a cell is the grid step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -66,20 +71,6 @@ class MeasureSymbol:
     name: str
     minus: np.ndarray
     plus: np.ndarray
-
-    def restricted(self, mask: np.ndarray) -> "MeasureSymbol":
-        return MeasureSymbol(
-            name=self.name,
-            minus=_frozen(np.where(mask, self.minus, 0.0)),
-            plus=_frozen(np.where(mask, self.plus, 0.0)),
-        )
-
-    def __add__(self, other: "MeasureSymbol") -> "MeasureSymbol":
-        return MeasureSymbol(
-            name=f"{self.name}+{other.name}",
-            minus=_frozen(self.minus + other.minus),
-            plus=_frozen(self.plus + other.plus),
-        )
 
 
 def adjoint(symbol: MeasureSymbol) -> MeasureSymbol:
@@ -176,11 +167,15 @@ def canonical_from_vacuum(
 
     For a standard vacuum pair the noise integrator creates on the points
     where kappa is positive and annihilates where kappa_rev is positive
-    (the reverse integrator swaps the roles), so splicing the two along
-    the disjoint supports yields a pure creator and a pure annihilator:
+    (the reverse integrator swaps the roles).  Splicing the two along the
+    disjoint supports,
 
         creation     = noise on {kappa > 0}  +  reverse on {kappa_rev > 0}
-        annihilation = reverse on {kappa > 0}  +  noise on {kappa_rev > 0}
+        annihilation = reverse on {kappa > 0}  +  noise on {kappa_rev > 0},
+
+    gives the paper's canonical pair on the spectrum in closed form: the
+    creator (minus, plus) = (0, 1) and the annihilator (1, 0) on the
+    retained support {kappa + kappa_rev > 0}, both 0 off it.
 
     Raises:
         NotVacuumError: if the thermal support is nonempty (the casewise
@@ -196,30 +191,21 @@ def canonical_from_vacuum(
     retained = pair.retained
     if retained.any():
         level = pair.kappa[retained] + pair.kappa_rev[retained]
-        if np.max(np.abs(level - 1.0)) > STANDARD_VACUUM_TOL:
+        if np.abs(level - 1.0).max() > STANDARD_VACUUM_TOL:
             raise ValueError(
                 "vacuum pair is not standard: kappa + kappa_rev deviates from 1"
             )
 
-    on_noise = pair.n_minus  # kappa > 0 here
-    on_reverse = pair.n_plus  # kappa_rev > 0 here
-    noise = MeasureSymbol(
-        name="noise",
-        minus=_frozen(on_reverse.astype(float)),
-        plus=_frozen(on_noise.astype(float)),
-    )
-    reverse = MeasureSymbol(
-        name="reverse",
-        minus=_frozen(on_noise.astype(float)),
-        plus=_frozen(on_reverse.astype(float)),
-    )
-    creation = noise.restricted(on_noise) + reverse.restricted(on_reverse)
-    annihilation = reverse.restricted(on_noise) + noise.restricted(on_reverse)
+    on_noise = _frozen(pair.n_minus.astype(float))  # kappa > 0 here
+    on_reverse = _frozen(pair.n_plus.astype(float))  # kappa_rev > 0 here
+    noise = MeasureSymbol(name="noise", minus=on_reverse, plus=on_noise)
+    reverse = MeasureSymbol(name="reverse", minus=on_noise, plus=on_reverse)
+    ones, zeros = _frozen(retained.astype(float)), _frozen(np.zeros(retained.size))
     canonical = CanonicalPair(
         grid=pair.grid,
         support=_frozen(retained),
-        creation=MeasureSymbol("creation", creation.minus, creation.plus),
-        annihilation=MeasureSymbol("annihilation", annihilation.minus, annihilation.plus),
+        creation=MeasureSymbol("creation", zeros, ones),
+        annihilation=MeasureSymbol("annihilation", ones, zeros),
     )
     return canonical, VacuumAssembly(noise=noise, reverse=reverse)
 
@@ -271,7 +257,8 @@ def build_output_pair(
         reverse(D) = integral over D of sigma_rev A_minus + sigma A_plus
 
     Raises:
-        NonFiniteError: for NaN or infinite amplitudes.
+        NonFiniteError: for NaN or infinite amplitudes, or one whose square
+            overflows.
         ValueError: for negative amplitudes or a broken flip relation
             sigma_rev(nu) = sigma(-nu).
     """
@@ -280,24 +267,24 @@ def build_output_pair(
     n = canonical.grid.n_points
     if sigma.shape != (n,) or sigma_rev.shape != (n,):
         raise ValueError(f"amplitudes must have shape ({n},)")
-    if not (np.isfinite(sigma).all() and np.isfinite(sigma_rev).all()):
+    # NaN passes through min and max, so it is caught before the sign check.
+    lows = (float(sigma.min()), float(sigma_rev.min()))
+    highs = (float(sigma.max()), float(sigma_rev.max()))
+    if not all(map(math.isfinite, lows + highs)):
         raise NonFiniteError("output amplitudes must be finite (no NaN or infinity)")
-    if np.any(sigma < 0) or np.any(sigma_rev < 0):
+    if min(lows) < 0:
         raise ValueError("output amplitudes must be nonnegative")
-    scale = float(sigma.max(initial=0.0))
-    if np.max(np.abs(sigma_rev - sigma[::-1])) > FLIP_TOL * max(scale, 1e-300):
+    peak = max(highs)
+    # The output densities are squares of the amplitudes: keep them finite.
+    if not math.isfinite(peak * peak):
+        raise NonFiniteError(f"output amplitude {peak!r} is too large: its square overflows")
+    if np.abs(sigma_rev - sigma[::-1]).max() > FLIP_TOL * max(highs[0], 1e-300):
         raise ValueError("sigma_rev is not the frequency flip of sigma")
     support = canonical.support
-    output = MeasureSymbol(
-        name="output",
-        minus=_frozen(np.where(support, sigma, 0.0)),
-        plus=_frozen(np.where(support, sigma_rev, 0.0)),
-    )
-    reverse = MeasureSymbol(
-        name="reverse",
-        minus=_frozen(np.where(support, sigma_rev, 0.0)),
-        plus=_frozen(np.where(support, sigma, 0.0)),
-    )
+    on_sigma = _frozen(np.where(support, sigma, 0.0))
+    on_sigma_rev = _frozen(np.where(support, sigma_rev, 0.0))
+    output = MeasureSymbol(name="output", minus=on_sigma, plus=on_sigma_rev)
+    reverse = MeasureSymbol(name="reverse", minus=on_sigma_rev, plus=on_sigma)
     return OutputPair(
         grid=canonical.grid,
         canonical=canonical,
@@ -347,21 +334,23 @@ def recover_canonical(
             "classical direction cannot be inverted"
         )
 
-    def combine(coeff_out, coeff_rev, name):
-        minus = coeff_out * output_pair.output.minus + coeff_rev * output_pair.reverse.minus
-        plus = coeff_out * output_pair.output.plus + coeff_rev * output_pair.reverse.plus
-        with np.errstate(invalid="ignore", divide="ignore"):
-            minus = np.where(support, minus / denom, 0.0)
-            plus = np.where(support, plus / denom, 0.0)
-        return MeasureSymbol(name=name, minus=_frozen(minus), plus=_frozen(plus))
+    output, reverse = output_pair.output, output_pair.reverse
 
-    creation = combine(sigma_rev, -sigma, "creation")
-    annihilation = combine(-sigma, sigma_rev, "annihilation")
+    def combine(coeff_out, coeff_rev, name):
+        rows = []
+        for on_output, on_reverse in ((output.minus, reverse.minus), (output.plus, reverse.plus)):
+            row = coeff_out * on_output
+            row += coeff_rev * on_reverse
+            # denom != 0 on the support, and the result is exactly 0 off it
+            rows.append(_frozen(np.divide(row, denom, out=np.zeros_like(row), where=support)))
+        return MeasureSymbol(name, *rows)
+
+    minus_sigma = -sigma
     return CanonicalPair(
         grid=output_pair.grid,
         support=_frozen(support),
-        creation=creation,
-        annihilation=annihilation,
+        creation=combine(sigma_rev, minus_sigma, "creation"),
+        annihilation=combine(minus_sigma, sigma_rev, "annihilation"),
     )
 
 

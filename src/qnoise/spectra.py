@@ -49,7 +49,7 @@ MIXED = "mixed"
 
 def _frozen(values: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(values)
-    out.setflags(write=False)
+    out.setflags(False)  # write=False; by position, as numpy parses a keyword here slowly
     return out
 
 
@@ -75,15 +75,23 @@ def make_grid(n_points: int, step: float) -> SpectralGrid:
     """Build a symmetric grid of ``n_points`` frequencies spaced by ``step``.
 
     Raises:
-        ValueError: if ``n_points`` is even or < 3, or ``step`` <= 0.
-        NonFiniteError: if ``step`` or the span ``n_points * step`` is not finite.
+        ValueError: if ``n_points`` is not an integer, is even or < 3, or
+            ``step`` <= 0.
+        NonFiniteError: if ``n_points`` or ``step`` is NaN or infinite, or
+            the span ``n_points * step`` is not a finite float.
     """
+    if isinstance(n_points, (float, np.floating)) and not math.isfinite(n_points):
+        raise NonFiniteError(f"n_points must be finite, got {n_points}")
     if int(n_points) != n_points:
         raise ValueError(f"n_points must be an integer, got {n_points}")
     n_points = int(n_points)
     if n_points < 3 or n_points % 2 == 0:
         raise ValueError(f"n_points must be an odd integer >= 3, got {n_points}")
-    if not math.isfinite(n_points * float(step)):
+    try:
+        span = n_points * float(step)
+    except OverflowError:  # an integer n_points beyond the float range
+        span = math.inf
+    if not math.isfinite(span):
         raise NonFiniteError(f"step must be finite, and so must n_points * step; got step {step}")
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -136,11 +144,12 @@ def _pair_from_kappa(grid: SpectralGrid, kappa: np.ndarray, snap: float) -> Spec
         raise ValueError(
             f"expected {grid.n_points} density values, got shape {kappa.shape}"
         )
-    if not np.isfinite(kappa).all():
+    # NaN passes through min and max, so it is caught before the sign check.
+    low, peak = float(kappa.min()), float(kappa.max())
+    if not (math.isfinite(low) and math.isfinite(peak)):
         raise NonFiniteError("density values must be finite (no NaN or infinity)")
-    if np.any(kappa < 0):
+    if low < 0:
         raise ValueError("density values must be nonnegative")
-    peak = float(kappa.max(initial=0.0))
     # Downstream code squares densities (norms, Gram products): keep that finite.
     if not math.isfinite(peak * peak):
         raise NonFiniteError(f"density peak {peak!r} is too large: its square overflows")
@@ -149,14 +158,15 @@ def _pair_from_kappa(grid: SpectralGrid, kappa: np.ndarray, snap: float) -> Spec
     kappa_rev = kappa[::-1].copy()
 
     pos = kappa > 0
-    pos_rev = kappa_rev > 0
+    pos_rev = pos[::-1]
     theta = pos & pos_rev
-    n_plus = ~pos & pos_rev
-    n_minus = pos & ~pos_rev
+    n_plus = pos_rev > pos
+    n_minus = pos > pos_rev
 
-    gamma = np.sqrt(kappa * kappa_rev)
-    lam = np.full(grid.n_points, np.nan)
-    lam[theta] = kappa_rev[theta] / kappa[theta]
+    gamma = kappa * kappa_rev
+    np.sqrt(gamma, out=gamma)
+    # x / NaN is a quiet NaN: lambda is NaN off theta with no division by zero.
+    lam = np.divide(kappa_rev, np.where(theta, kappa, np.nan))
 
     return SpectralDensityPair(
         grid=grid,
@@ -196,11 +206,10 @@ def planck_density(beta: float, h: float, grid: SpectralGrid) -> SpectralDensity
     if not h > 0:
         raise ValueError(f"h must be positive, got {h}")
     nu = grid.points
-    kappa = np.empty(grid.n_points)
-    nonzero = nu != 0
-    with np.errstate(over="ignore"):
-        kappa[nonzero] = h * nu[nonzero] / np.expm1(beta * h * nu[nonzero])
-    kappa[~nonzero] = 1.0 / beta
+    # nu = 0 at the centre gives 0/0 there; the analytic limit replaces it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = h * nu / np.expm1(beta * h * nu)
+    kappa[grid.n_points // 2] = 1.0 / beta
     return _pair_from_kappa(grid, kappa, snap=0.0)
 
 
@@ -247,15 +256,15 @@ def classify(pair: SpectralDensityPair) -> frozenset:
     kap_rev = pair.kappa_rev[retained]
     if not has_theta:
         labels.add(VACUUM)
-        if np.max(np.abs(kap + kap_rev - 1.0)) <= CLASSIFY_TOL:
+        if np.abs(kap + kap_rev - 1.0).max() <= CLASSIFY_TOL:
             labels.add(STANDARD_VACUUM)
     elif not has_vacuum_points:
         labels.add(THERMAL)
-        if np.max(np.abs(kap * kap_rev - 1.0)) <= CLASSIFY_TOL:
+        if np.abs(kap * kap_rev - 1.0).max() <= CLASSIFY_TOL:
             labels.add(STANDARD_THERMAL)
         scale = float(kap.max())
         flat = (kap.max() - kap.min()) <= CLASSIFY_TOL * scale
-        if flat and np.max(np.abs(kap - kap_rev)) <= CLASSIFY_TOL * scale:
+        if flat and np.abs(kap - kap_rev).max() <= CLASSIFY_TOL * scale:
             labels.add(WHITE)
     else:
         labels.add(MIXED)

@@ -73,7 +73,7 @@ def correlation_sequence(pair: SpectralDensityPair, eps: float) -> CorrelationSe
     """
     grid = pair.grid
     check_duality(grid.n_points, grid.step, eps)
-    values, cross = kernel_of(np.stack((pair.kappa, pair.gamma)), grid.step)
+    values, cross = kernel_of((pair.kappa, pair.gamma), grid.step)
     return CorrelationSequence(
         eps=float(eps),
         step=grid.step,
@@ -176,16 +176,15 @@ class ModularFilter:
 def _masked_filter(lam: np.ndarray, support: np.ndarray, eps: float, step: float) -> ModularFilter:
     """The one builder of lambda^(+-1/2) kernels: the modular filter of ``lam``
     on ``support``, exactly zero off it (``lam`` is read only on ``support``)."""
-    roots = np.zeros((2, lam.size))
-    roots[0, support] = np.sqrt(lam[support])
-    roots[1, support] = np.sqrt(1.0 / lam[support])
-    kernels = kernel_of(roots, step)
+    symbol = np.where(support, lam, 0.0)
+    # Off the support both roots are sqrt(0) and sqrt(1 / inf) = 0.
+    kernels = kernel_of(np.sqrt((symbol, 1.0 / np.where(support, lam, np.inf))), step)
     kernels *= eps
     kernel_half, kernel_inv_half = kernels
     return ModularFilter(
         eps=float(eps),
         lags=_frozen(time_lags(lam.size)),
-        symbol=_frozen(np.where(support, lam, 0.0)),
+        symbol=_frozen(symbol),
         kernel_half=_frozen(kernel_half),
         kernel_inv_half=_frozen(kernel_inv_half),
     )

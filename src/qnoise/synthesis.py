@@ -44,9 +44,8 @@ class StandardPair:
 
 def build_standard_pair(target: SpectralDensityPair) -> StandardPair:
     """Standard pair underlying ``target``; see the module docstring."""
-    amp = np.where(target.n_minus, 1.0, 0.0)
-    lam = target.lambda_theta[target.theta]
-    amp[target.theta] = lam ** -0.25
+    # lambda_theta is NaN off theta, and NaN ** -0.25 is a quiet NaN
+    amp = np.where(target.theta, np.power(target.lambda_theta, -0.25), target.n_minus)
     pair = tabulated_density(amp * amp, target.grid)
     return StandardPair(pair=pair, amp=_frozen(amp))
 
@@ -113,7 +112,8 @@ def synthesize(filt: TransmissionFilter, standard: StandardPair) -> SynthesisRes
         ValueError: if ``standard`` lives on a different grid than the
             filter.
     """
-    if not np.array_equal(standard.pair.grid.points, filt.grid_points):
+    points = standard.pair.grid.points
+    if points is not filt.grid_points and not np.array_equal(points, filt.grid_points):
         raise ValueError("transmission filter and standard pair use different grids")
     out_amp = filt.f * standard.amp
     out_amp_rev = filt.f * standard.amp[::-1]

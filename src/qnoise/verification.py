@@ -110,7 +110,7 @@ def _products(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 #: Entries of the padded chirp-z working set one FFT call may take: the rows
 #: of a stack go through :func:`_dft` in blocks of at most this many padded
 #: entries, so every stack of one ``run_all`` at n = 257 takes one call and,
-#: from n = 2**13 + 1 on, each row takes its own: a stack holds the padded
+#: above n = 2**13 + 1, each row takes its own: a stack holds the padded
 #: arrays of one row at a time at large n.
 _DFT_BLOCK = 1 << 15
 
@@ -133,10 +133,12 @@ def _fast_length(m: int) -> int:
 def _chirp(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Bluestein's conjugate chirp exp(-i pi j^2 / n) for j < n, and the FFT of
     the chirp at j = -(n-1) .. n-1, wrapped onto the 5-smooth length
-    :func:`_fast_length` (2n - 1)."""
+    :func:`_fast_length` (2n - 2).  The chirp is even, so on a circle of
+    2n - 2 slots its two ends j = +-(n-1) meet on one slot with one value,
+    and no other lag of the convolution wraps."""
     j = np.arange(n, dtype=np.int64)
     chirp = np.exp(1j * np.pi / n * (j * j % (2 * n)))  # j^2 reduced mod 2n: phases below 2 pi
-    wrapped = np.zeros(_fast_length(2 * n - 1), dtype=complex)
+    wrapped = np.zeros(_fast_length(2 * n - 2), dtype=complex)
     wrapped[:n] = chirp
     wrapped[wrapped.size - n + 1:] = chirp[:0:-1]
     return np.conj(chirp), np.fft.fft(wrapped)

@@ -276,3 +276,98 @@ def dense_amplitude_residuals(pipe):
         "stationary/amplitude_gram": max(_maxabs(gram - k[:, 0]), circulant_defect(k)) / norm,
         "stationary/amplitude_cross": max(_maxabs(cross - g[:, 0]), circulant_defect(g)) / norm,
     }
+
+
+# --- multi-pass reference constructors --------------------------------------
+# The package builds each array of a chain record in one ufunc pass.  These
+# are the boolean gathers, scatters and spliced records that construction
+# replaced, kept as the reference it must equal byte for byte.
+
+def gathered_pair(kappa, snap):
+    """The arrays of a density pair from nonnegative finite values, with lambda
+    gathered on theta and scattered into NaN."""
+    kappa = np.asarray(kappa, dtype=float)
+    peak = float(kappa.max(initial=0.0))
+    if snap > 0 and peak > 0:
+        kappa = np.where(kappa < snap * peak, 0.0, kappa)
+    kappa_rev = kappa[::-1].copy()
+    pos = kappa > 0
+    pos_rev = kappa_rev > 0
+    theta = pos & pos_rev
+    lam = np.full(kappa.size, np.nan)
+    lam[theta] = kappa_rev[theta] / kappa[theta]
+    return {
+        "kappa": kappa,
+        "kappa_rev": kappa_rev,
+        "lambda_theta": lam,
+        "gamma": np.sqrt(kappa * kappa_rev),
+        "n_plus": ~pos & pos_rev,
+        "n_minus": pos & ~pos_rev,
+        "theta": theta,
+        "sigma": np.sqrt(kappa),
+        "sigma_rev": np.sqrt(kappa_rev),
+    }
+
+
+def gathered_planck_kappa(beta, h, points):
+    """The Planck density h nu / (exp(beta h nu) - 1) off nu = 0, 1/beta at it."""
+    kappa = np.empty(points.size)
+    nonzero = points != 0
+    with np.errstate(over="ignore"):
+        kappa[nonzero] = h * points[nonzero] / np.expm1(beta * h * points[nonzero])
+    kappa[~nonzero] = 1.0 / beta
+    return kappa
+
+
+def scattered_roots(lam, support):
+    """The modular symbol of ``lam`` on ``support`` and its roots lambda^(+-1/2),
+    scattered into zeros."""
+    roots = np.zeros((2, lam.size))
+    roots[0, support] = np.sqrt(lam[support])
+    roots[1, support] = np.sqrt(1.0 / lam[support])
+    return np.where(support, lam, 0.0), roots
+
+
+def scattered_standard_amp(pair):
+    """The standard amplitude: 1 on n_minus, lambda^(-1/4) scattered onto theta."""
+    amp = np.where(pair.n_minus, 1.0, 0.0)
+    amp[pair.theta] = pair.lambda_theta[pair.theta] ** -0.25
+    return amp
+
+
+def spliced_canonical(pair):
+    """(minus, plus) of the noise, reverse, creation and annihilation measures
+    of a standard vacuum pair: the canonical pair as the sum of the noise and
+    reverse measures, each restricted to one vacuum support."""
+    on_noise, on_reverse = pair.n_minus, pair.n_plus
+    noise = (on_reverse.astype(float), on_noise.astype(float))
+    reverse = (on_noise.astype(float), on_reverse.astype(float))
+
+    def restricted(symbol, mask):
+        return tuple(np.where(mask, amp, 0.0) for amp in symbol)
+
+    def added(first, second):
+        return tuple(a + b for a, b in zip(first, second))
+
+    return {
+        "noise": noise,
+        "reverse": reverse,
+        "creation": added(restricted(noise, on_noise), restricted(reverse, on_reverse)),
+        "annihilation": added(restricted(reverse, on_noise), restricted(noise, on_reverse)),
+    }
+
+
+def combined_recovery(output_pair, support):
+    """(minus, plus) of the recovered creation and annihilation measures, each
+    combined from the output and reverse measures and divided on ``support``."""
+    sigma, sigma_rev = output_pair.sigma, output_pair.sigma_rev
+    denom = sigma_rev * sigma_rev - sigma * sigma
+    output, reverse = output_pair.output, output_pair.reverse
+
+    def combine(coeff_out, coeff_rev):
+        minus = coeff_out * output.minus + coeff_rev * reverse.minus
+        plus = coeff_out * output.plus + coeff_rev * reverse.plus
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(support, minus / denom, 0.0), np.where(support, plus / denom, 0.0)
+
+    return {"creation": combine(sigma_rev, -sigma), "annihilation": combine(-sigma, sigma_rev)}

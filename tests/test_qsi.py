@@ -251,6 +251,28 @@ class TestOutputPair:
         with pytest.raises(NonFiniteError, match="finite"):
             qn.build_output_pair(canonical, sigma, sigma[::-1].copy())
 
+    # One min/max sweep checks both amplitudes: NaN passes through both, so
+    # it is reported before a negative entry, and the sign before the square.
+    @pytest.mark.parametrize(
+        "sigma, sigma_rev, error",
+        [
+            ([np.nan, -1.0, 1.0], [1.0, -1.0, np.nan], NonFiniteError),
+            ([1.0, 1.0, 1.0], [-1.0, np.nan, 1.0], NonFiniteError),
+            ([1.0, 1.0, 1.0], [1.0, -np.inf, 1.0], NonFiniteError),
+            ([1.0, -1.0, 1.0], [1.0, -1.0, 1.0], ValueError),
+            ([1.0, 1.0, 1.0], [1e155, -1.0, 1.0], ValueError),
+            ([1.0, 1e155, 1.0], [1.0, 1e155, 1.0], NonFiniteError),
+            ([1.0, 1.0, 1.0], [1.0, 1e155, 1.0], NonFiniteError),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_typed_errors_in_order(self, sigma, sigma_rev, error):
+        grid, _ = grid_and_eps(3, 1.0)
+        _, canonical, _ = vacuum_canonical(grid)
+        with pytest.raises(ValueError) as info:
+            qn.build_output_pair(canonical, np.array(sigma), np.array(sigma_rev))
+        assert type(info.value) is error
+
 
 class TestRecoverCanonical:
     def test_planck_roundtrip_exact_off_zero(self, planck_setup):

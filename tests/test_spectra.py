@@ -44,6 +44,19 @@ class TestMakeGrid:
         with pytest.raises(qn.NonFiniteError, match="step must be finite"):
             qn.make_grid(3, step)
 
+    @pytest.mark.parametrize(
+        "n_points", [np.inf, -np.inf, np.nan, np.float32(np.inf)], ids=["inf", "-inf", "nan", "float32-inf"]
+    )
+    def test_non_finite_count_rejected(self, n_points):
+        with pytest.raises(qn.NonFiniteError, match="n_points must be finite"):
+            qn.make_grid(n_points, 1.0)
+
+    # odd integers beyond the float range: the span n_points * step has no float
+    @pytest.mark.parametrize("n_points", [10**400 + 1, 3 * 10**308 + 1], ids=["10**400+1", "3*10**308+1"])
+    def test_count_whose_span_overflows_rejected(self, n_points):
+        with pytest.raises(qn.NonFiniteError, match="n_points \\* step"):
+            qn.make_grid(n_points, 1.0)
+
     @given(
         half=st.integers(min_value=1, max_value=40),
         step=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
@@ -177,6 +190,26 @@ class TestTabulatedDensity:
         with pytest.raises(qn.NonFiniteError, match="finite"):
             qn.tabulated_density([1.0, bad, 1.0], grid)
         assert issubclass(qn.NonFiniteError, ValueError)
+
+    # One min/max sweep checks the values: NaN passes through both, so it is
+    # reported before a negative entry, and the sign before the square.
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ([np.nan, -1.0, 1.0], qn.NonFiniteError),
+            ([-1.0, 1.0, np.nan], qn.NonFiniteError),
+            ([-np.inf, -1.0, np.inf], qn.NonFiniteError),
+            ([1.0, -1.0, 1.0], ValueError),
+            ([1e155, -1.0, 1.0], ValueError),
+            ([1.0, 1e155, 1.0], qn.NonFiniteError),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_typed_errors_in_order(self, values, error):
+        grid = qn.make_grid(3, 1.0)
+        with pytest.raises(ValueError) as info:
+            qn.tabulated_density(values, grid)
+        assert type(info.value) is error
 
     @pytest.mark.filterwarnings("error")
     def test_peak_whose_square_overflows_rejected(self):

@@ -174,7 +174,7 @@ def test_run_all_memory_stays_below_one_dense_matrix_at_n_4097():
     peak = _traced_planck_run_all(n)
     assert peak <= 0.15 * 16 * n**2
     # No check holds an n x n array or a block of plane-wave rows: the
-    # chirp-z DFTs take a few arrays of the 5-smooth length next to 2n - 1.
+    # chirp-z DFTs take a few arrays of the 5-smooth length next to 2n - 2.
     assert peak <= 100 * 16 * n
 
 
@@ -192,8 +192,8 @@ def test_fast_length_is_the_least_5_smooth_length():
         while not _is_5_smooth(smooth):
             smooth += 1
         assert verification._fast_length(m) == smooth, m
-    # the padded length of the CI grid n = 2**20 + 1, where a power of two is 4(n - 1)
-    assert verification._fast_length(2 * (2**20 + 1) - 1) == 2_099_520
+    # the padded length of the CI grid n = 2**20 + 1: the power of two 2(n - 1)
+    assert verification._fast_length(2 * (2**20 + 1) - 2) == 2_097_152
 
 
 @pytest.mark.parametrize("n", list(range(3, 130, 2)) + [257, 1025])
@@ -207,8 +207,8 @@ def test_chirp_z_dft_matches_the_direct_sum(n):
 
 
 def test_chirp_z_transforms_pad_to_a_5_smooth_length(monkeypatch):
-    # Bluestein needs a length >= 2n - 1 = 513 at n = 257: the least 5-smooth
-    # one is 540, where the next power of two is 1024.
+    # The chirp is even, so Bluestein needs a length >= 2n - 2 = 512 at
+    # n = 257: a power of two, where a length >= 2n - 1 would take 540.
     lengths = set()
 
     def measured(transform):
@@ -222,7 +222,7 @@ def test_chirp_z_transforms_pad_to_a_5_smooth_length(monkeypatch):
     pair, eps = _grid_pair("planck", 257)
     results = verification.run_all(pair, eps)
     assert all(r.passed for r in results)
-    assert max(lengths) == 540, sorted(lengths)
+    assert max(lengths) == 512, sorted(lengths)
 
 
 def test_run_all_stacks_its_transforms_and_shifts_by_slices(monkeypatch):
