@@ -93,8 +93,8 @@ def residual_norm2(split_result: ComponentSplit, residual: np.ndarray) -> tuple[
     step * sum(kappa_rev over n_plus) it must take."""
     pair = split_result.pair
     return (
-        pair.grid.step * float(np.sum(np.abs(residual) ** 2)),
-        pair.grid.step * float(np.sum(pair.kappa_rev[pair.n_plus])),
+        pair.grid.step * float((np.abs(residual) ** 2).sum()),
+        pair.grid.step * float(pair.kappa_rev[pair.n_plus].sum()),
     )
 
 

@@ -70,10 +70,19 @@ def spectrum_of(kernel: np.ndarray, eps: float) -> np.ndarray:
     return values
 
 
+def _spectra(a: np.ndarray, b: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The FFTs of two lag kernels: one call on their stack when they have one
+    shape (each row comes out bit for bit), else one call each."""
+    if np.shape(a) == np.shape(b):
+        return np.fft.fft(_ifftshift((a, b)))
+    return np.fft.fft(_ifftshift(a)), np.fft.fft(_ifftshift(b))
+
+
 def convolve(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     """eps-weighted circular convolution of two centered lag kernels, or of
     two stacks of them broadcast against each other."""
-    kernel = np.fft.ifft(np.fft.fft(_ifftshift(a)) * np.fft.fft(_ifftshift(b)))
-    kernel = _fftshift(kernel)
+    # Out of place, as numpy's in-place complex product may round differently;
+    # the spectra are temporaries, freed before the inverse transform.
+    kernel = _fftshift(np.fft.ifft(np.multiply(*_spectra(a, b))))
     kernel *= eps
     return kernel

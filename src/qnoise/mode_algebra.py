@@ -47,7 +47,7 @@ class ModeOperator:
     __array_ufunc__ = None
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=complex)
+        coeffs = np.array(self.coefficients, dtype=complex)  # a copy: the caller's stays writable
         if coeffs.shape[-1:] != (4,):
             raise ValueError(f"expected 4 coefficients, got shape {coeffs.shape}")
         coeffs.setflags(write=False)

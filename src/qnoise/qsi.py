@@ -52,7 +52,7 @@ FLIP_TOL = 1e-12
 
 def interval_mask(grid: SpectralGrid, lo: float, hi: float) -> np.ndarray:
     """Cells of the grid whose center lies in [lo, hi] (inclusive)."""
-    if np.isnan(lo) or np.isnan(hi):
+    if math.isnan(lo) or math.isnan(hi):
         raise NonFiniteError(f"interval bound is NaN: lo = {lo}, hi = {hi}")
     if lo > hi:
         raise ValueError(f"empty interval: lo = {lo} > hi = {hi}")
@@ -280,6 +280,8 @@ def build_output_pair(
         raise NonFiniteError(f"output amplitude {peak!r} is too large: its square overflows")
     if np.abs(sigma_rev - sigma[::-1]).max() > FLIP_TOL * max(highs[0], 1e-300):
         raise ValueError("sigma_rev is not the frequency flip of sigma")
+    # a writable array may be the caller's: keep a copy, as freezing it would make theirs read-only
+    sigma, sigma_rev = (s.copy() if s.flags.writeable else s for s in (sigma, sigma_rev))
     support = canonical.support
     on_sigma = _frozen(np.where(support, sigma, 0.0))
     on_sigma_rev = _frozen(np.where(support, sigma_rev, 0.0))
@@ -372,8 +374,8 @@ def isometry_check(
     b_star = np.conj(a[::-1]) * pair.sigma + np.conj(c[::-1]) * pair.sigma_rev
     step = pair.grid.step
     return (
-        float(step * np.sum(np.abs(b) ** 2)),
-        float(step * np.sum(np.abs(b_star) ** 2)),
+        float(step * (np.abs(b) ** 2).sum()),
+        float(step * (np.abs(b_star) ** 2).sum()),
     )
 
 
@@ -386,4 +388,4 @@ def reflection_symmetry_check(model: StationaryModel) -> float:
     restates the symmetry of the cross covariance on kernels.
     """
     r = kernel_of(model.gamma, model.step)
-    return float(np.max(np.abs(r - r[::-1])))
+    return float(np.abs(r - r[::-1]).max())

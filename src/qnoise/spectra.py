@@ -153,7 +153,7 @@ def _pair_from_kappa(grid: SpectralGrid, kappa: np.ndarray, snap: float) -> Spec
     # Downstream code squares densities (norms, Gram products): keep that finite.
     if not math.isfinite(peak * peak):
         raise NonFiniteError(f"density peak {peak!r} is too large: its square overflows")
-    if snap > 0 and peak > 0:
+    if snap > 0:  # a new array even at peak 0, so the caller's values are not frozen
         kappa = np.where(kappa < snap * peak, 0.0, kappa)
     kappa_rev = kappa[::-1].copy()
 

@@ -218,4 +218,4 @@ def coefficient_norm(model: StationaryModel, zeta: np.ndarray) -> float:
         raise ValueError(f"expected {model.n_points} coefficients, got {zeta.shape}")
     eigs = model.eigenvalues
     power = np.abs(_fftshift(np.fft.fft(zeta))) ** 2
-    return float(np.sum((eigs + eigs[::-1]) * power)) / eigs.size
+    return float(((eigs + eigs[::-1]) * power).sum()) / eigs.size

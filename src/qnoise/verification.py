@@ -16,14 +16,14 @@ first column, which :func:`_column` builds from the stored symbol.  The
 elementwise checks (``conjugation``, ``cross_cov_imag``,
 ``cross_cov_symmetric``, the max |L| of ``modular``) read a column and its
 lag flip, as the 2n - 1 diagonals of a circulant are its column read
-twice; the spectrum checks (``dft_consistency``, ``cross_cov_psd``,
-``modular/spectrum_match``) take the DFT of the column in grid order.
-Every other oracle is one chirp-z DFT (:func:`_dft`, Bluestein's
+twice.  Every other oracle is one chirp-z DFT (:func:`_dft`, Bluestein's
 algorithm), which shares none of the package's index shifts or scales and
 uses numpy's FFT only as a primitive at 5-smooth lengths 2**a 3**b 5**c:
-the Grams, the root squares, ``conjugate_inverse``, ``geometric_mean`` and
-``covariances_commute`` multiply the DFTs of two columns and transform
-back once, ``isometry_gram_oracle`` sums the Gram blocks on the DFTs by
+the spectrum checks (``dft_consistency``, ``cross_cov_psd``,
+``modular/spectrum_match``) read, in FFT order, the DFTs of the columns
+that the Grams, the root squares, ``conjugate_inverse``, ``geometric_mean``
+and ``covariances_commute`` multiply in pairs and transform back once;
+``isometry_gram_oracle`` sums the Gram blocks on the DFTs by
 Parseval, and ``amplitude_gram``/``amplitude_cross`` sum the weights of
 the spectral amplitudes against plane waves.  So every check takes
 O(n log n) time and O(n) memory.
@@ -38,6 +38,11 @@ rows bounded by ``_DFT_BLOCK`` padded entries, so stacking saves calls at
 small n without raising the peak memory at large n.  The mode tables take
 all their occupations as one stack of operators.
 
+At the sizes verified interactively a check costs its calls, not its
+arithmetic, so per-check code calls no numpy wrapper on Python scalars:
+a few floats are combined by :func:`_worst` (``max`` with a NaN scan) or
+:mod:`math`, and arrays are reduced by the ufunc methods themselves.
+
 ``qsi/reflection_symmetry`` divides the cross kernel's flip asymmetry by
 its lag-0 value step * sum(gamma), which bounds every lag as gamma >= 0.
 """
@@ -51,7 +56,7 @@ import numpy as np
 
 from . import stationary
 from .errors import DegenerateRecoveryError
-from .fourier import _fftshift, _ifftshift, convolve, kernel_of, spectrum_of
+from .fourier import _ifftshift, convolve, kernel_of, spectrum_of
 from .pipeline import Pipeline
 from .spectra import SpectralDensityPair, tabulated_density
 
@@ -71,17 +76,13 @@ def _result(suite: str, check: str, residual: float, tolerance: float) -> CheckR
 
 
 def _maxabs(values) -> float:
-    values = np.abs(values)
-    return float(values.max()) if values.size else 0.0
+    return float(np.maximum.reduce(np.abs(values), axis=None, initial=0.0))
 
 
 def _worst(*terms: float) -> float:
-    """The largest term, or NaN if any is NaN (``max`` drops a NaN that is not first).
-
-    Every multi-term residual is combined here; adding 0.0 turns the -0.0
-    that ``np.max`` may pick among zeros into 0.0, as ``max(0.0, ...)`` gave.
-    """
-    return float(np.max(terms)) + 0.0
+    """The largest term of a multi-term residual, or NaN if any is NaN (``max``
+    drops a NaN that is not first); adding 0.0 turns a -0.0 it picks into 0.0."""
+    return math.nan if any(map(math.isnan, terms)) else float(max(terms)) + 0.0
 
 
 def _column(symbols: np.ndarray, conjugate: bool | tuple[bool, ...] = False) -> np.ndarray:
@@ -91,12 +92,7 @@ def _column(symbols: np.ndarray, conjugate: bool | tuple[bool, ...] = False) -> 
     The suites stack their symbols as complex, as the FFT would copy a real
     stack to complex anyway."""
     columns = np.fft.ifft(_ifftshift(symbols))
-    return np.conjugate(columns, out=columns, where=np.expand_dims(conjugate, -1))
-
-
-def _symbol(columns: np.ndarray) -> np.ndarray:
-    """Spectra of circulants, in grid order, from their first columns."""
-    return _fftshift(np.fft.fft(columns))
+    return np.conjugate(columns, out=columns, where=np.asarray(conjugate)[..., None])
 
 
 def _products(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -191,10 +187,10 @@ def spectra_checks(pipe: Pipeline) -> list[CheckResult]:
     out.append(
         _result("spectra", "flip_involution", _maxabs(double_flip.kappa_rev - pair.kappa), 0.0)
     )
-    overlap = int(np.sum(pair.n_plus & pair.n_minus) + np.sum(pair.n_plus & pair.theta)
-                  + np.sum(pair.n_minus & pair.theta))
+    overlap = (np.count_nonzero(pair.n_plus & pair.n_minus) + np.count_nonzero(pair.n_plus & pair.theta)
+               + np.count_nonzero(pair.n_minus & pair.theta))
     covered = pair.n_plus | pair.n_minus | pair.theta
-    uncovered = int(np.sum(((pair.kappa + pair.kappa_rev) > 0) & ~covered))
+    uncovered = np.count_nonzero(((pair.kappa + pair.kappa_rev) > 0) & ~covered)
     out.append(_result("spectra", "mask_partition", overlap + uncovered, 0.0))
     if pair.theta.any():
         lam = pair.lambda_theta
@@ -212,35 +208,18 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     n = model.n_points
 
     k_scale = max(_maxabs(seq.values), 1e-300)
-    out.append(
-        _result(
-            "stationary",
-            "sequence_hermitian",
-            _maxabs(seq.values[::-1] - np.conj(seq.values)) / k_scale,
-            1e-12,
-        )
-    )
+    hermitian = _maxabs(seq.values[::-1] - np.conj(seq.values)) / k_scale
+    out.append(_result("stationary", "sequence_hermitian", hermitian, 1e-12))
     r_scale = max(_maxabs(seq.cross), 1e-300)
     cross_defect = _worst(_maxabs(seq.cross.imag), _maxabs(seq.cross - seq.cross[::-1]))
     out.append(_result("stationary", "cross_real_even", cross_defect / r_scale, 1e-12))
-    out.append(
-        _result(
-            "stationary",
-            "eigenvalue_match",
-            _maxabs(model.eigenvalues - pair.kappa) / norm,
-            1e-10,
-        )
-    )
+    out.append(_result("stationary", "eigenvalue_match", _maxabs(model.eigenvalues - pair.kappa) / norm, 1e-10))
     root = np.sqrt(model.eigenvalues)
     columns = _column(
-        np.stack((model.eigenvalues, model.eigenvalues, model.gamma, root, root), dtype=complex),
+        np.array((model.eigenvalues, model.eigenvalues, model.gamma, root, root), dtype=complex),
         (False, True, False, False, True),
     )
     k, k_rev, g, x, x_rev = columns
-    symbol_k, symbol_g = _symbol(columns[:3:2])
-    out.append(
-        _result("stationary", "dft_consistency", _maxabs(symbol_k - model.eigenvalues) / norm, 1e-12)
-    )
     # The DFTs of the five columns and the sums of the amplitude checks below,
     # in one call: sum_k w_k exp(+2 pi i k d / n) is the conjugate of the DFT
     # of conj(w), and the weights w are real.
@@ -250,6 +229,10 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     spectra[6] = root * root[::-1]
     _dft(spectra, out=spectra)
     sums = np.conjugate(spectra[5:], out=spectra[5:])
+    # the spectra of K and G in FFT order, read before the products scale them
+    dft_defect = _maxabs(spectra[0] - _ifftshift(model.eigenvalues))
+    negative = _worst(0.0, -float(spectra[2].real.min()))
+    out.append(_result("stationary", "dft_consistency", dft_defect / norm, 1e-12))
     gram_k, gram_k_rev, gram_g, squares, mean, commute = _circular(_stationary_products(spectra[:5], norm))
 
     out.append(_result("stationary", "gram_noise", _maxabs(gram_k - k) / norm, 1e-10))
@@ -262,11 +245,10 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     # g - g[-d mod n] is the asymmetry G - G^T read on its first column
     flip = np.concatenate((g[:1], g[:0:-1]))
     out.append(_result("stationary", "cross_cov_symmetric", _maxabs(g - flip) / norm, 1e-10))
-    negative = _worst(0.0, -float(symbol_g.real.min()))
     out.append(_result("stationary", "cross_cov_psd", negative / norm, 1e-10))
     # ||C||_F = sqrt(n) * ||C[:, 0]|| for a circulant C
-    out.append(_result("stationary", "geometric_mean", math.sqrt(n) * np.linalg.norm(mean), 1e-9))
-    out.append(_result("stationary", "covariances_commute", math.sqrt(n) * np.linalg.norm(commute), 1e-12))
+    for check, column, tolerance in (("geometric_mean", mean, 1e-9), ("covariances_commute", commute, 1e-12)):
+        out.append(_result("stationary", check, math.sqrt(n * np.vdot(column, column).real), tolerance))
 
     # star_involution: the reverse amplitude the decomposition, synthesis and
     # qsi suites read is the conjugate flip of the noise amplitude.
@@ -316,13 +298,11 @@ def modular_checks(pipe: Pipeline) -> list[CheckResult]:
     out = []
     model = pipe.model
     lam = filt.symbol
-    columns = _column(np.stack((lam, lam, np.sqrt(lam)), dtype=complex), (False, True, False))
-    l_col, l_half_col = columns[::2]
+    columns = _column(np.array((lam, lam, np.sqrt(lam)), dtype=complex), (False, True, False))
+    l_col = columns[0]
     spec_l, spec_l_conj, spec_l_half = _dft(columns)
+    out.append(_result("modular", "spectrum_match", _maxabs(spec_l - _ifftshift(lam)) / float(lam.max()), 1e-10))
     inverse, squares = _circular(_products((spec_l, spec_l_conj), (spec_l_half, spec_l_half)))
-    out.append(
-        _result("modular", "spectrum_match", _maxabs(_symbol(l_col) - lam) / float(lam.max()), 1e-10)
-    )
     l_norm = max(_maxabs(l_col), 1.0)
     inverse = np.conj(inverse)
     inverse[0] -= 1.0
@@ -346,16 +326,16 @@ def decomposition_checks(pipe: Pipeline) -> list[CheckResult]:
     out = []
     pair, eps, parts = pipe.pair, pipe.eps, pipe.parts
 
-    violations = int(np.sum((parts.amp_vac != 0) & (parts.amp_thermal != 0)))
-    violations += int(np.sum(parts.amp != parts.amp_vac + parts.amp_thermal))
-    violations += int(np.sum((parts.amp_rev_vac != 0) & (parts.amp_rev_thermal != 0)))
-    violations += int(np.sum(parts.amp_rev != parts.amp_rev_vac + parts.amp_rev_thermal))
+    violations = np.count_nonzero((parts.amp_vac != 0) & (parts.amp_thermal != 0))
+    violations += np.count_nonzero(parts.amp != parts.amp_vac + parts.amp_thermal)
+    violations += np.count_nonzero((parts.amp_rev_vac != 0) & (parts.amp_rev_thermal != 0))
+    violations += np.count_nonzero(parts.amp_rev != parts.amp_rev_vac + parts.amp_rev_thermal)
     out.append(_result("decomposition", "support_partition", violations, 0.0))
 
-    cross = np.sum(np.conj(parts.amp_vac) * parts.amp_thermal) * pair.grid.step
+    cross = (np.conj(parts.amp_vac) * parts.amp_thermal).sum() * pair.grid.step
     out.append(_result("decomposition", "component_orthogonality", abs(cross), 0.0))
 
-    projector_defect = int(np.sum(pair.theta != (~pair.n_plus & ~pair.n_minus & pair.retained)))
+    projector_defect = np.count_nonzero(pair.theta != (~pair.n_plus & ~pair.n_minus & pair.retained))
     out.append(_result("decomposition", "projector_algebra", projector_defect, 0.0))
 
     estimate = decomposition.best_estimate(parts, decomposition.INPUT_TO_OUTPUT)
@@ -373,7 +353,7 @@ def decomposition_checks(pipe: Pipeline) -> list[CheckResult]:
         )
     residual = parts.amp_rev - estimate
     out.append(
-        _result("decomposition", "residual_support", int(np.sum((residual != 0) & ~pair.n_plus)), 0.0)
+        _result("decomposition", "residual_support", np.count_nonzero((residual != 0) & ~pair.n_plus), 0.0)
     )
     residual_norm2, expected = decomposition.residual_norm2(parts, residual)
     out.append(
@@ -461,7 +441,7 @@ def synthesis_checks(pipe: Pipeline) -> list[CheckResult]:
 
     time_filter = synthesis.time_domain_filter(filt, eps)
     chi_std, psi_target, psi_out, psi_out_rev, correlations = kernel_of(
-        np.stack((std.amp, filt.target_sigma, result.out_amp_rev, result.out_amp, result.kappa_out)),
+        np.array((std.amp, filt.target_sigma, result.out_amp_rev, result.out_amp, result.kappa_out)),
         pair.grid.step,
     )
     psi_scale = max(_maxabs(psi_target), 1e-300)
@@ -587,7 +567,7 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     c = 1j * nu / (1.0 + nu**2)
     forward, backward = qsi.isometry_check(a, c, pair)
     out.append(_result("qsi", "isometry_nonnegative", _worst(0.0, -forward, -backward), 0.0))
-    kernels = kernel_of(np.stack((a, c, sigma)), step)
+    kernels = kernel_of(np.array((a, c, sigma)), step)
     amp_kernel = kernels[2]
     gram_forward, gram_backward = _isometry_grams(model, kernels[:2], eps)
     scale = max(abs(forward), abs(backward), 1e-300)
@@ -602,7 +582,7 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     # Fourier-Parseval bridge of the coefficient kernels; sigma_rev's kernel is the lag flip of sigma's.
     # phi[i, j] convolves the kernel of a (i = 0) or c (i = 1) with that of
     # sigma_rev (j = 0) or sigma (j = 1)
-    phi = convolve(kernels[:2, None], np.stack((amp_kernel[::-1], amp_kernel)), eps)
+    phi = convolve(kernels[:2, None], np.array((amp_kernel[::-1], amp_kernel)), eps)
     bridge_minus, bridge_plus = spectrum_of(phi[0] + phi[1, ::-1], eps)
     f_minus = a * sigma_rev + c * sigma
     f_plus = a * sigma + c * sigma_rev
@@ -627,16 +607,16 @@ def _isometry_grams(model: stationary.StationaryModel, kernels: np.ndarray,
     (z, x) = sqrt(eps) * ``kernels`` and for their conjugates, on one DFT of
     the columns of K, K_rev, G, zeta, xi, conj(zeta) and conj(xi)."""
     columns = np.empty((7, model.n_points), dtype=complex)
-    columns[:3] = _column(np.stack((model.eigenvalues, model.eigenvalues, model.gamma), dtype=complex),
+    columns[:3] = _column(np.array((model.eigenvalues, model.eigenvalues, model.gamma), dtype=complex),
                           (False, True, False))
-    np.multiply(np.sqrt(eps), kernels, out=columns[3:5])
+    np.multiply(math.sqrt(eps), kernels, out=columns[3:5])
     np.conjugate(columns[3:5], out=columns[5:])
     spec_k, spec_k_rev, spec_g, *coefficients = _dft(columns, out=columns)
 
     def gram(spec_z, spec_x):
         # z† C x = sum_q conj(Z_q) C_q X_q / n for a circulant C, by Parseval
-        value = np.sum(np.conj(spec_z) * (spec_k * spec_z + spec_g * spec_x)
-                       + np.conj(spec_x) * (spec_g * spec_z + spec_k_rev * spec_x))
+        value = (np.conj(spec_z) * (spec_k * spec_z + spec_g * spec_x)
+                 + np.conj(spec_x) * (spec_g * spec_z + spec_k_rev * spec_x)).sum()
         return float(value.real) / spec_z.size
 
     return gram(*coefficients[:2]), gram(*coefficients[2:])
@@ -664,10 +644,10 @@ def mode_checks() -> list[CheckResult]:
     mode_a, mode_c = mode_algebra.invert_pair(noise, reverse, n)
     roundtrip = np.abs((mode_a.coefficients - mode_algebra.A.coefficients,
                         mode_c.coefficients - mode_algebra.C.coefficients))
-    # the worst term per occupation: np.max keeps a NaN and adding 0.0 turns
+    # the worst term per occupation: max keeps a NaN and adding 0.0 turns
     # -0.0 into 0.0, as in _worst
-    table_worst = np.max(table, axis=0) + 0.0
-    roundtrip_worst = np.max(roundtrip, axis=(0, 2)) + 0.0
+    table_worst = table.max(axis=0) + 0.0
+    roundtrip_worst = roundtrip.max(axis=(0, 2)) + 0.0
     out = []
     for occupation, table_residual, roundtrip_residual in zip(occupations, table_worst, roundtrip_worst):
         out.append(_result("mode", f"thermal_table_n={occupation:g}", table_residual, 1e-12))

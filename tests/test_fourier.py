@@ -48,6 +48,31 @@ def test_stacked_transforms_equal_the_row_by_row_ones_bit_for_bit(n):
             assert _bits(conv[i, j]) == _bits(convolve(mixed[i], real[j], 0.125))
 
 
+@pytest.mark.parametrize("n", [1, 9, 257])
+def test_equal_shape_convolve_takes_one_forward_fft_call(n, monkeypatch):
+    # The two operands go through one forward call as a stack; the result is
+    # bit for bit that of one forward call per operand.
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=n)
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    fft, ifft = np.fft.fft, np.fft.ifft
+    calls = []
+
+    def counted(values, *args, **kwargs):
+        calls.append(np.shape(values))
+        return fft(values, *args, **kwargs)
+
+    for x, y in ((a, b), (b, a)):
+        separate = _fftshift(ifft(fft(_ifftshift(x)) * fft(_ifftshift(y))))
+        separate *= 0.125
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "fft", counted)
+            calls.clear()
+            got = convolve(x, y, 0.125)
+        assert calls == [(2, n)]
+        assert _bits(got) == _bits(separate)
+
+
 def test_kernel_of_a_stack_scales_by_the_row_length():
     # Regression: the quadrature weight is step * n with n the length of a
     # row; the size of a (2, n) stack would scale every row twice too large.

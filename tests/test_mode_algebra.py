@@ -208,3 +208,12 @@ class TestAlgebraProperties:
         op1, op2 = ModeOperator(z1), ModeOperator(z2)
         scale = 1.0 + np.abs(z1).max() * np.abs(z2).max()
         assert abs(qn.commutator(op1, op2) + qn.commutator(op2, op1)) <= 1e-12 * scale
+
+
+def test_a_complex_coefficient_array_stays_writable_for_its_caller():
+    coefficients = np.array([1.0, 0.5j, 0.0, 2.0])
+    op = ModeOperator(coefficients)
+    assert coefficients.flags.writeable
+    assert not op.coefficients.flags.writeable
+    coefficients[0] = 7.0
+    assert op.coefficients[0] == 1.0

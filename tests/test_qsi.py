@@ -440,3 +440,18 @@ class TestTimeDomainRepresentation:
         scale = np.max(np.abs(phi_plus))
         np.testing.assert_allclose(phi_plus[::-1], swapped_plus, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(phi_minus[::-1], swapped_minus, rtol=0, atol=1e-12 * scale)
+
+
+def test_output_pair_copies_writable_amplitudes_and_keeps_read_only_ones():
+    grid = qn.make_grid(9, 0.5)
+    pair = qn.planck_density(1.0, 1.0, grid)
+    canonical, _ = qsi.canonical_from_vacuum(qn.tabulated_density((grid.points < 0).astype(float), grid))
+    sigma, sigma_rev = np.sqrt(pair.kappa), np.sqrt(pair.kappa_rev)
+    output = qsi.build_output_pair(canonical, sigma, sigma_rev)
+    assert sigma.flags.writeable and sigma_rev.flags.writeable
+    sigma[0] = sigma_rev[0] = -1.0  # the caller's arrays are its own again
+    assert np.array_equal(output.sigma, pair.sigma) and np.array_equal(output.sigma_rev, pair.sigma_rev)
+    assert not output.sigma.flags.writeable and not output.sigma_rev.flags.writeable
+    # the package's own read-only amplitudes are kept as they are
+    output = qsi.build_output_pair(canonical, pair.sigma, pair.sigma_rev)
+    assert output.sigma is pair.sigma and output.sigma_rev is pair.sigma_rev

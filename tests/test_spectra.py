@@ -301,3 +301,14 @@ def test_mixed_reference_masks(mixed_setup):
     np.testing.assert_array_equal(pair.n_plus, grid.points < -grid.nu_max / 2)
     np.testing.assert_array_equal(pair.n_minus, grid.points > grid.nu_max / 2)
     assert np.array_equal(pair.kappa, mixed_kappa(grid))
+
+
+def test_a_tabulated_input_stays_writable_for_its_caller():
+    # An all-zero input takes no snap of its own values, yet it must be
+    # copied too: freezing it in place would make the caller's array read-only.
+    grid = qn.make_grid(5, 1.0)
+    for values in (np.zeros(5), np.array([0.0, 1.0, 2.0, 1e-20, 0.5])):
+        pair = qn.tabulated_density(values, grid)
+        assert values.flags.writeable
+        assert not pair.kappa.flags.writeable
+        assert not np.shares_memory(pair.kappa, values)
