@@ -181,8 +181,6 @@ def build_pair(config: RunConfig) -> SpectralDensityPair:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):
@@ -198,24 +196,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {key: _jsonable(val) for key, val in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(val) for val in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(val) for val in value.tolist()]
-    return value
-
-
 def _write_json(path: Path, payload) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(text + "\n")
 
@@ -234,9 +216,9 @@ def _region_labels(pair: SpectralDensityPair) -> np.ndarray:
     return np.select([pair.n_plus, pair.n_minus, pair.theta], ["N+", "N-", "Theta"], "dropped")
 
 
-def _kernel_rows(name: str, lags, eps: float, kernel) -> list:
+def _kernel_rows(lags, eps: float, kernel, *label: str) -> list:
     return [
-        [name, int(j), eps * int(j), kernel[i].real, kernel[i].imag]
+        [*label, int(j), eps * int(j), kernel[i].real, kernel[i].imag]
         for i, j in enumerate(lags)
     ]
 
@@ -262,12 +244,12 @@ def cmd_corr(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     seq = pipe.seq
     lags = seq.lags
     rows = []
-    rows += _kernel_rows("k", lags, seq.eps, seq.values)
-    rows += _kernel_rows("k_rev", lags, seq.eps, seq.values[::-1])
-    rows += _kernel_rows("r", lags, seq.eps, seq.cross)
+    rows += _kernel_rows(lags, seq.eps, seq.values, "k")
+    rows += _kernel_rows(lags, seq.eps, seq.values[::-1], "k_rev")
+    rows += _kernel_rows(lags, seq.eps, seq.cross, "r")
     if pipe.filt is not None:
-        rows += _kernel_rows("l_half", lags, seq.eps, pipe.filt.kernel_half)
-        rows += _kernel_rows("l_inv_half", lags, seq.eps, pipe.filt.kernel_inv_half)
+        rows += _kernel_rows(lags, seq.eps, pipe.filt.kernel_half, "l_half")
+        rows += _kernel_rows(lags, seq.eps, pipe.filt.kernel_inv_half, "l_inv_half")
     _write_csv(out_dir / "corr_kernels.csv", ["kernel", "j", "t", "real", "imag"], rows)
 
     checks = verification.stationary_checks(pipe) + verification.modular_checks(pipe)
@@ -324,8 +306,8 @@ def cmd_decompose(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     rows = []
     if pair.theta.any():
         kernels = decomposition.modular_kernels_theta(pair, pipe.eps)
-        rows += _kernel_rows("theta_half", kernels.lags, kernels.eps, kernels.kernel_half)
-        rows += _kernel_rows("theta_inv_half", kernels.lags, kernels.eps, kernels.kernel_inv_half)
+        rows += _kernel_rows(kernels.lags, kernels.eps, kernels.kernel_half, "theta_half")
+        rows += _kernel_rows(kernels.lags, kernels.eps, kernels.kernel_inv_half, "theta_inv_half")
     _write_csv(out_dir / "decompose_kernels.csv", ["kernel", "j", "t", "real", "imag"], rows)
     print(f"wrote {out_dir / 'decompose_report.json'} and decompose_kernels.csv")
     return 0
@@ -359,10 +341,7 @@ def cmd_synth(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     _write_csv(
         out_dir / "synth_kernel.csv",
         ["j", "t", "real", "imag"],
-        [
-            [int(j), time_filter.eps * int(j), time_filter.phi[i].real, time_filter.phi[i].imag]
-            for i, j in enumerate(time_filter.lags)
-        ],
+        _kernel_rows(time_filter.lags, time_filter.eps, time_filter.phi),
     )
     print(f"max relative spectrum error = {_fmt(rel.max(initial=0.0))}")
     print(f"wrote {out_dir / 'synth_spectrum.csv'} and synth_kernel.csv")
@@ -448,7 +427,7 @@ def cmd_mode(n: float) -> int:
         "correlations_dag_second": correlations_dag_second,
         "commutators": commutators,
     }
-    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 

@@ -26,7 +26,8 @@ form (:func:`canonical_from_vacuum`): on the support of a standard vacuum the
 creator is (minus, plus) = (0, 1) and the annihilator (1, 0), both 0 off it.
 
 Intervals are unions of grid cells, represented as boolean masks; the
-measure of a cell is the grid step.
+measure of a cell is the grid step.  An output pair keeps its amplitudes
+sigma, sigma_rev only in its two measures.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import DegenerateRecoveryError, NonFiniteError, NotVacuumError
 from .fourier import kernel_of
-from .spectra import SpectralDensityPair, SpectralGrid, _frozen
+from .spectra import SpectralDensityPair, SpectralGrid, _checked_peak, _frozen
 
 if TYPE_CHECKING:
     from .stationary import StationaryModel
@@ -107,7 +108,6 @@ class IntegratorTable:
     kappa_rev) over the intersection of the cell sets.
     """
 
-    grid: SpectralGrid
     pair: SpectralDensityPair
 
     def density(self, first: str, second: str) -> np.ndarray:
@@ -124,12 +124,12 @@ class IntegratorTable:
 
     def second_moment(self, first: str, mask1, second: str, mask2) -> float:
         mask = np.asarray(mask1, dtype=bool) & np.asarray(mask2, dtype=bool)
-        return float(self.grid.step * self.density(first, second)[mask].sum())
+        return float(self.pair.grid.step * self.density(first, second)[mask].sum())
 
 
 def integrator_table(pair: SpectralDensityPair) -> IntegratorTable:
     """Second-moment table of the integrators of ``pair``."""
-    return IntegratorTable(grid=pair.grid, pair=pair)
+    return IntegratorTable(pair=pair)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,13 +218,11 @@ class OutputPair:
     < first(D1) second(D2)^dag > with names in {"output", "reverse"};
     ``density(first, second)`` is its per-cell density, which reproduces
     the four-entry multiplication table sigma^2, sigma*sigma_rev,
-    sigma_rev*sigma, sigma_rev^2.
+    sigma_rev*sigma, sigma_rev^2.  sigma and sigma_rev are ``output.minus`` and
+    ``output.plus`` on the canonical support, 0 off it; the grid is ``canonical.grid``.
     """
 
-    grid: SpectralGrid
     canonical: CanonicalPair
-    sigma: np.ndarray
-    sigma_rev: np.ndarray
     output: MeasureSymbol
     reverse: MeasureSymbol
 
@@ -237,7 +235,7 @@ class OutputPair:
     def moment(self, first: str, mask1, second: str, mask2) -> complex:
         sym1 = self._symbol(first)
         sym2 = adjoint(self._symbol(second))
-        return ordered_moment(sym1, mask1, sym2, flipped(mask2), self.grid.step)
+        return ordered_moment(sym1, mask1, sym2, flipped(mask2), self.canonical.grid.step)
 
     def density(self, first: str, second: str) -> np.ndarray:
         # Single-cell specialization of ``moment``: the creator amplitude of
@@ -267,34 +265,15 @@ def build_output_pair(
     n = canonical.grid.n_points
     if sigma.shape != (n,) or sigma_rev.shape != (n,):
         raise ValueError(f"amplitudes must have shape ({n},)")
-    # NaN passes through min and max, so it is caught before the sign check.
-    lows = (float(sigma.min()), float(sigma_rev.min()))
-    highs = (float(sigma.max()), float(sigma_rev.max()))
-    if not all(map(math.isfinite, lows + highs)):
-        raise NonFiniteError("output amplitudes must be finite (no NaN or infinity)")
-    if min(lows) < 0:
-        raise ValueError("output amplitudes must be nonnegative")
-    peak = max(highs)
-    # The output densities are squares of the amplitudes: keep them finite.
-    if not math.isfinite(peak * peak):
-        raise NonFiniteError(f"output amplitude {peak!r} is too large: its square overflows")
-    if np.abs(sigma_rev - sigma[::-1]).max() > FLIP_TOL * max(highs[0], 1e-300):
+    peak = _checked_peak("output amplitudes", sigma, sigma_rev)
+    if np.abs(sigma_rev - sigma[::-1]).max() > FLIP_TOL * max(peak, 1e-300):
         raise ValueError("sigma_rev is not the frequency flip of sigma")
-    # a writable array may be the caller's: keep a copy, as freezing it would make theirs read-only
-    sigma, sigma_rev = (s.copy() if s.flags.writeable else s for s in (sigma, sigma_rev))
     support = canonical.support
     on_sigma = _frozen(np.where(support, sigma, 0.0))
     on_sigma_rev = _frozen(np.where(support, sigma_rev, 0.0))
     output = MeasureSymbol(name="output", minus=on_sigma, plus=on_sigma_rev)
     reverse = MeasureSymbol(name="reverse", minus=on_sigma_rev, plus=on_sigma)
-    return OutputPair(
-        grid=canonical.grid,
-        canonical=canonical,
-        sigma=_frozen(sigma),
-        sigma_rev=_frozen(sigma_rev),
-        output=output,
-        reverse=reverse,
-    )
+    return OutputPair(canonical=canonical, output=output, reverse=reverse)
 
 
 def recover_canonical(
@@ -323,20 +302,18 @@ def recover_canonical(
         if where.shape != support.shape:
             raise ValueError("recovery mask has the wrong shape")
         support = support & where
-    sigma = output_pair.sigma
-    sigma_rev = output_pair.sigma_rev
+    output, reverse = output_pair.output, output_pair.reverse
+    sigma, sigma_rev = output.minus, output.plus
     denom = sigma_rev * sigma_rev - sigma * sigma
     degenerate = support & (denom == 0)
     if degenerate.any():
-        points = output_pair.grid.points[degenerate]
+        points = output_pair.canonical.grid.points[degenerate]
         raise DegenerateRecoveryError(
             "sigma equals sigma_rev at "
             f"{points.size} retained point(s) (first at nu = {points[0]}); "
             "exclude them via the recovery mask or accept that the "
             "classical direction cannot be inverted"
         )
-
-    output, reverse = output_pair.output, output_pair.reverse
 
     def combine(coeff_out, coeff_rev, name):
         rows = []
@@ -349,7 +326,7 @@ def recover_canonical(
 
     minus_sigma = -sigma
     return CanonicalPair(
-        grid=output_pair.grid,
+        grid=output_pair.canonical.grid,
         support=_frozen(support),
         creation=combine(sigma_rev, minus_sigma, "creation"),
         annihilation=combine(minus_sigma, sigma_rev, "annihilation"),

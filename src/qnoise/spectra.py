@@ -138,21 +138,30 @@ class SpectralDensityPair:
         return _frozen(np.sqrt(self.kappa_rev))
 
 
+def _checked_peak(what: str, *values: np.ndarray) -> float:
+    """The largest entry of ``values``, after checking that every entry is
+    finite and nonnegative and that the square of the largest is finite:
+    downstream code squares densities and amplitudes (norms, Gram products)."""
+    # NaN passes through min and max, so it is caught before the sign check.
+    lows = [float(v.min()) for v in values]
+    highs = [float(v.max()) for v in values]
+    if not all(map(math.isfinite, lows + highs)):
+        raise NonFiniteError(f"{what} must be finite (no NaN or infinity)")
+    if min(lows) < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    peak = max(highs)
+    if not math.isfinite(peak * peak):
+        raise NonFiniteError(f"the peak {peak!r} of the {what} is too large: its square overflows")
+    return peak
+
+
 def _pair_from_kappa(grid: SpectralGrid, kappa: np.ndarray, snap: float) -> SpectralDensityPair:
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape != (grid.n_points,):
         raise ValueError(
             f"expected {grid.n_points} density values, got shape {kappa.shape}"
         )
-    # NaN passes through min and max, so it is caught before the sign check.
-    low, peak = float(kappa.min()), float(kappa.max())
-    if not (math.isfinite(low) and math.isfinite(peak)):
-        raise NonFiniteError("density values must be finite (no NaN or infinity)")
-    if low < 0:
-        raise ValueError("density values must be nonnegative")
-    # Downstream code squares densities (norms, Gram products): keep that finite.
-    if not math.isfinite(peak * peak):
-        raise NonFiniteError(f"density peak {peak!r} is too large: its square overflows")
+    peak = _checked_peak("density values", kappa)
     if snap > 0:  # a new array even at peak 0, so the caller's values are not frozen
         kappa = np.where(kappa < snap * peak, 0.0, kappa)
     kappa_rev = kappa[::-1].copy()

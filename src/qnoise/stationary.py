@@ -14,8 +14,9 @@ stored, and nothing in the package forms an n x n matrix:
 
 With the duality n*step*eps = 1 the quadrature constant collapses to one:
 K, the circulant of eps * k_j, has eigenvalues exactly {kappa(nu_k)}, and the
-normalized spectral amplitudes (the root symbol sqrt(kappa) times a plane
-wave, and its star involution) reproduce K, K_rev and G with unit weight.
+normalized spectral amplitudes (the root symbol sqrt(kappa), which the
+pair holds once as ``sigma``, times a plane wave, and its star involution)
+reproduce K, K_rev and G with unit weight.
 """
 from __future__ import annotations
 
@@ -87,15 +88,14 @@ class StationaryModel:
     """Finite canonical realization of a noise and its time reverse.
 
     ``eigenvalues`` is the covariance symbol, ordered like the grid points
-    (entry k belongs to frequency nu_k = step*(k - (n-1)/2)).  It fixes
-    every operator of the family: the circulants K, K_rev = conj(K),
-    X = K^(1/2), X_rev = conj(X) and G, with X†X = K, X_rev†X_rev = K_rev
-    and X†X_rev = G.
+    (entry k belongs to frequency nu_k = step*(k - (n-1)/2), the pair's
+    ``grid.points``).  It fixes every operator of the family: the
+    circulants K, K_rev = conj(K), X = K^(1/2), X_rev = conj(X) and G, with
+    X†X = K, X_rev†X_rev = K_rev and X†X_rev = G.  The amplitudes are the pair's.
     """
 
     eps: float
     step: float
-    frequencies: np.ndarray
     eigenvalues: np.ndarray
 
     @property
@@ -119,8 +119,10 @@ def build_model(seq: CorrelationSequence) -> StationaryModel:
     The circulant closure of K_{ij} = eps * k_{i-j} has eigenvalues given by
     the DFT of the sequence; they must be real (Hermitian sequence) and no
     more than ``PSD_TOL`` relative below zero, else the sequence does not
-    come from a nonnegative spectrum.  Eigenvalues within ``EIGENVALUE_SNAP``
-    of zero are snapped to exact zeros before the square roots are taken.
+    come from a nonnegative spectrum.  Both bounds are at least n times the
+    smallest subnormal, the rounding a subnormal level keeps through the FFT.
+    Eigenvalues within ``EIGENVALUE_SNAP`` of zero are snapped to exact zeros
+    before the square roots are taken.
 
     Raises:
         NotPositiveDefiniteError: eigenvalue below -PSD_TOL * max.
@@ -131,23 +133,19 @@ def build_model(seq: CorrelationSequence) -> StationaryModel:
         raise ValueError("correlation sequence length must be odd")
     raw = seq.eps * _fftshift(np.fft.fft(_ifftshift(seq.values)))
     scale = float(np.abs(raw).max(initial=0.0))
-    if scale > 0 and np.abs(raw.imag).max() > 1e-9 * scale:
+    floor = n * np.finfo(float).smallest_subnormal
+    if scale > 0 and np.abs(raw.imag).max() > max(1e-9 * scale, floor):
         raise ValueError("correlation sequence is not Hermitian: complex spectrum")
     eigs = raw.real.copy()
     if scale > 0:
-        if eigs.min() < -PSD_TOL * scale:
+        if eigs.min() < -max(PSD_TOL * scale, floor):
             raise NotPositiveDefiniteError(
                 f"covariance has eigenvalue {eigs.min():.3e} < -{PSD_TOL:g} * {scale:.3e}; "
                 "the spectral input is invalid or aliased"
             )
         eigs[np.abs(eigs) < EIGENVALUE_SNAP * scale] = 0.0
     np.clip(eigs, 0.0, None, out=eigs)
-    return StationaryModel(
-        eps=seq.eps,
-        step=seq.step,
-        frequencies=_frozen(seq.step * time_lags(n)),
-        eigenvalues=_frozen(eigs),
-    )
+    return StationaryModel(eps=seq.eps, step=seq.step, eigenvalues=_frozen(eigs))
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,17 +54,16 @@ def build_standard_pair(target: SpectralDensityPair) -> StandardPair:
 class TransmissionFilter:
     """Real symmetric transmission function of a target pair.
 
+    ``pair`` is the target, whose grid the filter lives on and whose
+    amplitudes ``pair.sigma``/``pair.sigma_rev`` it must reproduce;
     ``time_kernel`` is the quadrature Fourier kernel of ``f`` (real up to
-    rounding since f is real and flip-symmetric); ``target_sigma`` is the
-    amplitude the filter must reproduce, its flip the reverse one, and
-    ``standard`` is the constructed standard pair the filter acts on.
+    rounding since f is real and flip-symmetric), and ``standard`` is the
+    constructed standard pair the filter acts on.
     """
 
-    grid_points: np.ndarray
-    step: float
+    pair: SpectralDensityPair
     f: np.ndarray
     time_kernel: np.ndarray
-    target_sigma: np.ndarray
     standard: StandardPair
 
 
@@ -82,38 +81,36 @@ def transmission_function(target: SpectralDensityPair) -> TransmissionFilter:
         np.maximum(sigma, sigma_rev),
     )
     return TransmissionFilter(
-        grid_points=target.grid.points,
-        step=target.grid.step,
+        pair=target,
         f=_frozen(f),
         time_kernel=_frozen(kernel_of(f, target.grid.step)),
-        target_sigma=sigma,
         standard=build_standard_pair(target),
     )
 
 
 @dataclass(frozen=True, eq=False)
 class SynthesisResult:
-    """Filtered amplitudes and the spectra they reproduce."""
+    """Filtered amplitudes and the noise density ``kappa_out`` = out_amp**2
+    they reproduce; the reproduced reverse density is out_amp_rev**2."""
 
     out_amp: np.ndarray
     out_amp_rev: np.ndarray
     kappa_out: np.ndarray
-    kappa_rev_out: np.ndarray
 
 
 def synthesize(filt: TransmissionFilter, standard: StandardPair) -> SynthesisResult:
     """Apply the transmission function to standard amplitudes.
 
     Returns the filtered pair f * amp, f * amp[::-1] together with the
-    reproduced densities (their squares); the reproduced densities match
-    the target pair at every retained point.
+    reproduced noise density; the squares of the filtered pair match the
+    target pair at every retained point.
 
     Raises:
         ValueError: if ``standard`` lives on a different grid than the
             filter.
     """
-    points = standard.pair.grid.points
-    if points is not filt.grid_points and not np.array_equal(points, filt.grid_points):
+    points, filt_points = standard.pair.grid.points, filt.pair.grid.points
+    if points is not filt_points and not np.array_equal(points, filt_points):
         raise ValueError("transmission filter and standard pair use different grids")
     out_amp = filt.f * standard.amp
     out_amp_rev = filt.f * standard.amp[::-1]
@@ -121,7 +118,6 @@ def synthesize(filt: TransmissionFilter, standard: StandardPair) -> SynthesisRes
         out_amp=_frozen(out_amp),
         out_amp_rev=_frozen(out_amp_rev),
         kappa_out=_frozen(out_amp * out_amp),
-        kappa_rev_out=_frozen(out_amp_rev * out_amp_rev),
     )
 
 
@@ -145,5 +141,5 @@ class TimeDomainFilter:
 def time_domain_filter(filt: TransmissionFilter, eps: float) -> TimeDomainFilter:
     """Time-domain form of the filter for the time step ``eps``."""
     n = filt.f.size
-    check_duality(n, filt.step, eps)
+    check_duality(n, filt.pair.grid.step, eps)
     return TimeDomainFilter(eps=float(eps), lags=_frozen(time_lags(n)), phi=filt.time_kernel)

@@ -357,10 +357,10 @@ def spliced_canonical(pair):
     }
 
 
-def combined_recovery(output_pair, support):
+def combined_recovery(output_pair, sigma, sigma_rev, support):
     """(minus, plus) of the recovered creation and annihilation measures, each
-    combined from the output and reverse measures and divided on ``support``."""
-    sigma, sigma_rev = output_pair.sigma, output_pair.sigma_rev
+    combined from the output and reverse measures with the amplitudes
+    ``sigma``, ``sigma_rev`` and divided on ``support``."""
     denom = sigma_rev * sigma_rev - sigma * sigma
     output, reverse = output_pair.output, output_pair.reverse
 

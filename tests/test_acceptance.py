@@ -156,7 +156,7 @@ def test_criterion_5_synthesis_theorem():
         result = qn.synthesize(filt, filt.standard)
         for label, reproduced, target in (
             ("kappa", result.kappa_out, pair.kappa),
-            ("kappa_rev", result.kappa_rev_out, pair.kappa_rev),
+            ("kappa_rev", result.out_amp_rev**2, pair.kappa_rev),
             ("gamma", result.out_amp * result.out_amp_rev, pair.gamma),
         ):
             positive = target > 0
@@ -169,7 +169,7 @@ def test_criterion_5_synthesis_theorem():
 
         time_filter = qn.time_domain_filter(filt, eps)
         chi_std = kernel_of(filt.standard.amp, pair.grid.step)
-        psi_target = kernel_of(filt.target_sigma, pair.grid.step)
+        psi_target = kernel_of(pair.sigma, pair.grid.step)
         sup = np.max(np.abs(time_filter.apply(chi_std) - psi_target))
         if sup > 1e-9:
             failures.append((name, "time_convolution", sup))

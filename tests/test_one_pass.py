@@ -110,13 +110,10 @@ def test_chain_records_equal_their_multi_pass_references(case):
     if pair.theta.any():
         filt = qn.modular_kernels_theta(pair, eps)
         assert_filter_equals(filt, pair.lambda_theta, pair.theta, eps, grid.step)
-    # build_model rejects some spectra whose peak is subnormal, a known defect
-    # (test_subnormal_flat_level_builds_a_model); the model is built above it.
-    if pair.kappa.max() >= np.finfo(float).tiny:
-        model = qn.build_model(qn.correlation_sequence(pair, eps))
-        if model.invertible:
-            lam = model.eigenvalues[::-1] / model.eigenvalues
-            assert_filter_equals(qn.modular_matrix(model), lam, np.ones(lam.size, dtype=bool), eps, grid.step)
+    model = qn.build_model(qn.correlation_sequence(pair, eps))
+    if model.invertible:
+        lam = model.eigenvalues[::-1] / model.eigenvalues
+        assert_filter_equals(qn.modular_matrix(model), lam, np.ones(lam.size, dtype=bool), eps, grid.step)
 
     standard = qn.build_standard_pair(pair)
     amp = scattered_standard_amp(pair)
@@ -144,7 +141,7 @@ def test_chain_records_equal_their_multi_pass_references(case):
         assert_same_bytes(output.reverse.plus, np.where(support, sigma, 0.0), "reverse.plus")
         separable = sigma != sigma_rev
         recovered = qn.recover_canonical(output, where=separable)
-        combined = combined_recovery(output, support & separable)
+        combined = combined_recovery(output, sigma, sigma_rev, support & separable)
         assert_same_bytes(recovered.support, support & separable, "recovered support")
         for name in ("creation", "annihilation"):
             symbol = getattr(recovered, name)

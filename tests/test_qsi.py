@@ -442,16 +442,22 @@ class TestTimeDomainRepresentation:
         np.testing.assert_allclose(phi_minus[::-1], swapped_minus, rtol=0, atol=1e-12 * scale)
 
 
-def test_output_pair_copies_writable_amplitudes_and_keeps_read_only_ones():
+def test_output_pair_leaves_the_callers_amplitudes_writable_and_unchanged():
     grid = qn.make_grid(9, 0.5)
     pair = qn.planck_density(1.0, 1.0, grid)
     canonical, _ = qsi.canonical_from_vacuum(qn.tabulated_density((grid.points < 0).astype(float), grid))
+    support = canonical.support
     sigma, sigma_rev = np.sqrt(pair.kappa), np.sqrt(pair.kappa_rev)
     output = qsi.build_output_pair(canonical, sigma, sigma_rev)
     assert sigma.flags.writeable and sigma_rev.flags.writeable
-    sigma[0] = sigma_rev[0] = -1.0  # the caller's arrays are its own again
-    assert np.array_equal(output.sigma, pair.sigma) and np.array_equal(output.sigma_rev, pair.sigma_rev)
-    assert not output.sigma.flags.writeable and not output.sigma_rev.flags.writeable
-    # the package's own read-only amplitudes are kept as they are
+    assert np.array_equal(sigma, pair.sigma) and np.array_equal(sigma_rev, pair.sigma_rev)
+    assert np.array_equal(output.output.minus, np.where(support, sigma, 0.0))
+    assert np.array_equal(output.output.plus, np.where(support, sigma_rev, 0.0))
+    sigma[0] = sigma_rev[0] = -1.0  # the caller's arrays are its own: the measures keep their values
+    assert np.array_equal(output.output.minus, np.where(support, pair.sigma, 0.0))
+    assert np.array_equal(output.reverse.minus, np.where(support, pair.sigma_rev, 0.0))
+    for symbol in (output.output, output.reverse):
+        assert not symbol.minus.flags.writeable and not symbol.plus.flags.writeable
+    # the package's own read-only amplitudes stay read-only and unchanged too
     output = qsi.build_output_pair(canonical, pair.sigma, pair.sigma_rev)
-    assert output.sigma is pair.sigma and output.sigma_rev is pair.sigma_rev
+    assert not pair.sigma.flags.writeable and output.output.minus is not pair.sigma

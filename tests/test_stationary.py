@@ -216,10 +216,18 @@ class TestBuildModel:
     def test_large_grid_holds_only_symbols(self):
         # One dense complex matrix at this size would take 16 n^2 bytes (17 GB),
         # so fail on the stored fields first, before anything that large is tried.
-        assert [f.name for f in dataclasses.fields(qn.StationaryModel)] == [
-            "eps", "step", "frequencies", "eigenvalues"]
-        assert [f.name for f in dataclasses.fields(qn.ModularFilter)] == [
-            "eps", "lags", "symbol", "kernel_half", "kernel_inv_half"]
+        # Each derived array has one home: no record stores a second copy of
+        # a grid, a step or an amplitude that another one owns.
+        fields = {
+            qn.StationaryModel: ["eps", "step", "eigenvalues"],
+            qn.ModularFilter: ["eps", "lags", "symbol", "kernel_half", "kernel_inv_half"],
+            qn.TransmissionFilter: ["pair", "f", "time_kernel", "standard"],
+            qn.SynthesisResult: ["out_amp", "out_amp_rev", "kappa_out"],
+            qn.OutputPair: ["canonical", "output", "reverse"],
+            qn.IntegratorTable: ["pair"],
+        }
+        for record, names in fields.items():
+            assert [f.name for f in dataclasses.fields(record)] == names, record.__name__
         n = 2**15 + 1
         grid, eps = grid_and_eps(n, 16.0 / (n - 1))
         seq = qn.correlation_sequence(qn.planck_density(1.0, 1.0, grid), eps)
@@ -281,14 +289,14 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="Hermitian"):
             qn.build_model(_hand_built_sequence(values, 0.25))
 
-    # A subnormal level keeps too few bits through the FFT round trip:
-    # build_model reads the rounding as an imaginary part and rejects a valid
-    # spectrum (a known defect; see CHANGES.md).
-    @pytest.mark.xfail(raises=ValueError, strict=True, reason="a subnormal flat level is called non-Hermitian")
+    # A subnormal level keeps too few bits through the FFT round trip: its
+    # rounding leaves an imaginary part of one subnormal quantum, which the
+    # Hermitian and PSD bounds must not read as a defect of the spectrum.
     def test_subnormal_flat_level_builds_a_model(self):
         grid, eps = grid_and_eps(269, 0.25)
-        model = qn.build_model(qn.correlation_sequence(qn.flat_density(1e-315, grid), eps))
-        assert np.all(model.eigenvalues == model.eigenvalues[0])
+        for level in (1e-315, 1e-320):
+            model = qn.build_model(qn.correlation_sequence(qn.flat_density(level, grid), eps))
+            assert np.all(model.eigenvalues == model.eigenvalues[0])
 
     def test_small_negative_eigenvalues_clamped(self):
         eps = 0.2

@@ -97,7 +97,7 @@ class TestSynthesize:
         filt = qn.transmission_function(pair)
         result = qn.synthesize(filt, filt.standard)
         np.testing.assert_allclose(result.kappa_out, pair.kappa, rtol=1e-10)
-        np.testing.assert_allclose(result.kappa_rev_out, pair.kappa_rev, rtol=1e-10)
+        np.testing.assert_allclose(result.out_amp_rev**2, pair.kappa_rev, rtol=1e-10)
 
     def test_vacuum_target_reproduced_on_supports(self, vacuum_setup):
         _, pair, _ = vacuum_setup
@@ -107,7 +107,7 @@ class TestSynthesize:
         plus = pair.n_plus
         np.testing.assert_allclose(result.kappa_out[minus], pair.kappa[minus], rtol=1e-12)
         np.testing.assert_allclose(
-            result.kappa_rev_out[plus], pair.kappa_rev[plus], rtol=1e-12
+            result.out_amp_rev[plus] ** 2, pair.kappa_rev[plus], rtol=1e-12
         )
         assert np.all(result.kappa_out[~minus] == 0.0)
 
@@ -145,7 +145,7 @@ class TestTimeDomainFilter:
         time_filter = qn.time_domain_filter(filt, eps)
         chi_std = kernel_of(filt.standard.amp, grid.step)
         psi = time_filter.apply(chi_std)
-        psi_target = kernel_of(filt.target_sigma, grid.step)
+        psi_target = kernel_of(pair.sigma, grid.step)
         assert np.max(np.abs(psi - psi_target)) <= 1e-9
 
     def test_convolution_matches_direct_cyclic_sum(self, mixed_setup):

@@ -249,6 +249,23 @@ def test_run_all_stacks_its_transforms_and_shifts_by_slices(monkeypatch):
     assert calls.get("fftshift", 0) == calls.get("ifftshift", 0) == 0, calls
 
 
+def test_run_all_leaves_no_chirp_tables_behind(monkeypatch):
+    # The chirp tables take about 48 bytes per grid point (50 MB at
+    # n = 2**20 + 1): run_all drops them on return, and when a suite raises.
+    pair = qn.planck_density(1.0, 1.0, qn.make_grid(65, 0.25))
+    verification.run_all(pair)
+    assert verification._chirp.cache_info().currsize == 0
+
+    def failing(pipe):
+        assert verification._chirp.cache_info().currsize == 1  # the earlier suites filled it
+        raise RuntimeError("suite failed")
+
+    monkeypatch.setattr(verification, "qsi_checks", failing)
+    with pytest.raises(RuntimeError, match="suite failed"):
+        verification.run_all(pair)
+    assert verification._chirp.cache_info().currsize == 0
+
+
 def test_worst_keeps_a_nan_anywhere_and_gives_no_negative_zero():
     for terms in ((np.nan, 1.0, 2.0), (1.0, np.nan, 2.0), (1.0, 2.0, np.nan), (np.float64(np.nan), 0.0)):
         assert np.isnan(verification._worst(*terms)), terms
@@ -311,7 +328,7 @@ def test_entry_of_k_rev_off_the_circulant_pattern_fails_at_any_scale(scale, monk
 def test_asymmetric_cross_kernel_fails_reflection_symmetry_at_any_scale(scale, monkeypatch):
     def skewed(model):
         gamma = np.sqrt(model.eigenvalues * model.eigenvalues[::-1])
-        return gamma * (1.0 + 1e-6 * (model.frequencies > 0))
+        return gamma * (1.0 + 1e-6 * (np.arange(model.n_points) > model.n_points // 2))  # nu > 0
 
     monkeypatch.setattr(stationary.StationaryModel, "gamma", property(skewed))
     assert not _verdicts(*_planck_times(scale))["qsi/reflection_symmetry"]
