@@ -165,10 +165,13 @@ class ModularFilter:
     """
 
     eps: float
-    lags: np.ndarray
     symbol: np.ndarray
     kernel_half: np.ndarray
     kernel_inv_half: np.ndarray
+
+    @property
+    def lags(self) -> np.ndarray:
+        return time_lags(self.symbol.size)
 
 
 def _masked_filter(lam: np.ndarray, support: np.ndarray, eps: float, step: float) -> ModularFilter:
@@ -181,7 +184,6 @@ def _masked_filter(lam: np.ndarray, support: np.ndarray, eps: float, step: float
     kernel_half, kernel_inv_half = kernels
     return ModularFilter(
         eps=float(eps),
-        lags=_frozen(time_lags(lam.size)),
         symbol=_frozen(symbol),
         kernel_half=_frozen(kernel_half),
         kernel_inv_half=_frozen(kernel_inv_half),

@@ -131,8 +131,11 @@ class TimeDomainFilter:
     """
 
     eps: float
-    lags: np.ndarray
     phi: np.ndarray
+
+    @property
+    def lags(self) -> np.ndarray:
+        return time_lags(self.phi.size)
 
     def apply(self, chi: np.ndarray) -> np.ndarray:
         return convolve(self.phi, chi, self.eps)
@@ -142,4 +145,4 @@ def time_domain_filter(filt: TransmissionFilter, eps: float) -> TimeDomainFilter
     """Time-domain form of the filter for the time step ``eps``."""
     n = filt.f.size
     check_duality(n, filt.pair.grid.step, eps)
-    return TimeDomainFilter(eps=float(eps), lags=_frozen(time_lags(n)), phi=filt.time_kernel)
+    return TimeDomainFilter(eps=float(eps), phi=filt.time_kernel)

@@ -41,7 +41,14 @@ all their occupations as one stack of operators.
 At the sizes verified interactively a check costs its calls, not its
 arithmetic, so per-check code calls no numpy wrapper on Python scalars:
 a few floats are combined by :func:`_worst` (``max`` with a NaN scan) or
-:mod:`math`, and arrays are reduced by the ufunc methods themselves.
+:mod:`math`, and arrays are reduced by the ufunc methods themselves.  Nor
+is a table built twice: those that read only the grid and eps (the chirp,
+``stationary``'s plane waves, ``qsi``'s interval masks and isometry
+coefficients with their kernels and DFTs) are kept for the last (n, step,
+eps) while the chirp kernel fits one ``_DFT_BLOCK`` (n <= 16,385; past it
+they would hold 200 bytes per point), and in one :func:`run_all` qsi's Gram
+oracle reads the DFTs of K, K_rev and G that ``stationary`` took.  The mode
+tables are built on every call: they read the algebra, which may change.
 
 ``qsi/reflection_symmetry`` divides the cross kernel's flip asymmetry by
 its lag-0 value step * sum(gamma), which bounds every lag as gamma >= 0.
@@ -58,7 +65,7 @@ from . import stationary
 from .errors import DegenerateRecoveryError
 from .fourier import _ifftshift, convolve, kernel_of, spectrum_of
 from .pipeline import Pipeline
-from .spectra import SpectralDensityPair, tabulated_density
+from .spectra import SpectralDensityPair, SpectralGrid, _frozen, tabulated_density
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,7 @@ def _fast_length(m: int) -> int:
     return best
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _chirp(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Bluestein's conjugate chirp exp(-i pi j^2 / n) for j < n, and the FFT of
     the chirp at j = -(n-1) .. n-1, wrapped onto the 5-smooth length
@@ -171,6 +178,56 @@ def _circular(products: np.ndarray) -> np.ndarray:
     _dft(products, 1, out=products)
     products /= products.shape[-1]
     return products
+
+
+class _GridTables:
+    """The tables of the checks that read only the grid and eps, each built on first read."""
+
+    def __init__(self, grid: SpectralGrid, eps: float):
+        self.grid, self.eps, self.key = grid, eps, (grid.n_points, grid.step, eps)
+
+    @functools.cached_property
+    def plane_waves(self) -> tuple[np.ndarray, np.ndarray]:
+        """stationary's weight step * eps * exp(-2 pi i m d / n), m = (n - 1) / 2, and test vector zeta."""
+        n = self.grid.n_points
+        weight = self.grid.step * self.eps * np.exp(-2j * np.pi / n * ((n - 1) // 2 * np.arange(n) % n))
+        return _frozen(weight), _frozen(np.exp(1j * np.linspace(0.0, 3.0, n)))
+
+    @functools.cached_property
+    def intervals(self) -> tuple[np.ndarray, ...]:
+        """qsi's cells of D = [0, nu_max], D' = [-nu_max/2, nu_max/2] and
+        [-nu_max, -step/2], and those of -D and of D & D'."""
+        from .qsi import flipped, interval_mask
+        grid, top = self.grid, self.grid.nu_max
+        bounds = ((0.0, top), (-top / 2, top / 2), (-top, -grid.step / 2))
+        delta, prime, negative = (interval_mask(grid, lo, hi) for lo, hi in bounds)
+        return delta, prime, negative, flipped(delta), _frozen(delta & prime)
+
+    @functools.cached_property
+    def isometry(self) -> tuple[np.ndarray, ...]:
+        """qsi's a = 1/(1+nu^2) and c = i nu/(1+nu^2), their kernels, and the DFTs
+        of the columns (z, x) = sqrt(eps) * kernels and of their conjugates."""
+        nu = self.grid.points
+        a, c = 1.0 / (1.0 + nu**2), 1j * nu / (1.0 + nu**2)
+        kernels = kernel_of(np.array((a, c)), self.grid.step)
+        columns = math.sqrt(self.eps) * kernels
+        columns = np.concatenate((columns, np.conj(columns)))
+        return tuple(map(_frozen, (a, c, kernels, _dft(columns, out=columns))))
+
+
+#: The tables of the last grid and eps a check read, if n <= 16,385.
+_tables: _GridTables | None = None
+#: While run_all runs, the DFTs of the columns of K, K_rev and G by model, for qsi's Gram oracle.
+_model_spectra: dict | None = None
+
+
+def _grid_tables(grid: SpectralGrid, eps: float) -> _GridTables:
+    global _tables
+    tables = _tables
+    if tables is None or tables.key != (grid.n_points, grid.step, float(eps)):
+        tables = _GridTables(grid, float(eps))
+        _tables = tables if _fast_length(2 * grid.n_points - 2) <= _DFT_BLOCK else None
+    return tables
 
 
 def spectra_checks(pipe: Pipeline) -> list[CheckResult]:
@@ -228,6 +285,9 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     spectra[5] = root * root
     spectra[6] = root * root[::-1]
     _dft(spectra, out=spectra)
+    held = _model_spectra
+    if held is not None:
+        held[model] = spectra[:3].copy()  # for qsi's Gram oracle, before the products scale them
     sums = np.conjugate(spectra[5:], out=spectra[5:])
     # the spectra of K and G in FFT order, read before the products scale them
     dft_defect = _maxabs(spectra[0] - _ifftshift(model.eigenvalues))
@@ -259,11 +319,10 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     # with root b = conj(a[::-1]).  Entry d of the first column of step * N†N
     # (step * N†R) is step * eps * sum_k w_k exp(2 pi i (k - m) d / n), with
     # m = (n - 1) / 2 and w = |a|^2 (conj(a) * b); a is real here.
-    weight = pair.grid.step * model.eps * np.exp(-2j * np.pi / n * ((n - 1) // 2 * np.arange(n) % n))
+    weight, zeta = _grid_tables(pair.grid, model.eps).plane_waves
     for check, total, column in (("amplitude_gram", sums[0], k), ("amplitude_cross", sums[1], g)):
         out.append(_result("stationary", check, _maxabs(weight * total - column) / norm, 1e-10))
 
-    zeta = np.exp(1j * np.linspace(0.0, 3.0, model.n_points))
     out.append(
         _result(
             "stationary",
@@ -397,44 +456,30 @@ def synthesis_checks(pipe: Pipeline) -> list[CheckResult]:
     if theta.any():
         law = std.pair.kappa[theta] * std.pair.kappa_rev[theta]
         out.append(_result("synthesis", "standard_law_thermal", _maxabs(law - 1.0), 1e-12))
-        out.append(
-            _result("synthesis", "standard_cross_unit", _maxabs(std.pair.gamma[theta] - 1.0), 1e-12)
-        )
+        out.append(_result("synthesis", "standard_cross_unit", _maxabs(std.pair.gamma[theta] - 1.0), 1e-12))
     if perp.any():
         level = std.pair.kappa[perp] + std.pair.kappa_rev[perp]
         out.append(_result("synthesis", "standard_law_vacuum", _maxabs(level - 1.0), 1e-12))
     out.append(_result("synthesis", "standard_cross_off_support", _maxabs(std.pair.gamma[~theta]), 0.0))
     out.append(_result("synthesis", "transmission_symmetric", _maxabs(filt.f - filt.f[::-1]), 0.0))
     kernel_scale = max(_maxabs(filt.time_kernel), 1e-300)
-    out.append(
-        _result("synthesis", "time_kernel_real", _maxabs(filt.time_kernel.imag) / kernel_scale, 1e-12)
-    )
+    out.append(_result("synthesis", "time_kernel_real", _maxabs(filt.time_kernel.imag) / kernel_scale, 1e-12))
 
     result = pipe.synthesized
-    for name, reproduced, target in (
-        ("reproduce_kappa", result.kappa_out, pair.kappa),
-        ("reproduce_kappa_rev", result.out_amp_rev * result.out_amp_rev, pair.kappa_rev),
+    for name, reproduced, target, on in (
+        ("reproduce_kappa", result.kappa_out, pair.kappa, pair.kappa > 0),
+        ("reproduce_kappa_rev", result.out_amp_rev * result.out_amp_rev, pair.kappa_rev, pair.kappa_rev > 0),
+        ("reproduce_gamma", result.out_amp * result.out_amp_rev, pair.gamma, theta),
     ):
-        positive = target > 0
-        rel = 0.0
-        if positive.any():
-            rel = _maxabs((reproduced[positive] - target[positive]) / target[positive])
-        exact_zero = _maxabs(reproduced[~positive])
-        out.append(_result("synthesis", name, _worst(rel, exact_zero), 1e-10))
-    gamma_out = result.out_amp * result.out_amp_rev
-    rel = 0.0
-    if theta.any():
-        rel = _maxabs((gamma_out[theta] - pair.gamma[theta]) / pair.gamma[theta])
-    out.append(_result("synthesis", "reproduce_gamma", _worst(rel, _maxabs(gamma_out[~theta])), 1e-10))
+        scale, defect = target[on], reproduced[on] - target[on]
+        if not scale.all():  # a target that underflowed to 0 (gamma on theta): inf where it is missed
+            defect = np.abs(defect)
+            defect, scale = np.divide(defect, scale, out=np.where(defect > 0, np.inf, defect), where=scale != 0), 1.0
+        rel = _maxabs(defect / scale)
+        out.append(_result("synthesis", name, _worst(rel, _maxabs(reproduced[~on])), 1e-10))
     sigma_scale = max(_maxabs(pair.sigma), 1e-300)
-    out.append(
-        _result(
-            "synthesis",
-            "amplitude_reproduction",
-            _maxabs(result.out_amp - pair.sigma) / sigma_scale,
-            1e-10,
-        )
-    )
+    amplitude = _maxabs(result.out_amp - pair.sigma) / sigma_scale
+    out.append(_result("synthesis", "amplitude_reproduction", amplitude, 1e-10))
 
     time_filter = synthesis.time_domain_filter(filt, eps)
     chi_std, psi_target, psi_out, psi_out_rev, correlations = kernel_of(
@@ -442,33 +487,13 @@ def synthesis_checks(pipe: Pipeline) -> list[CheckResult]:
         pair.grid.step,
     )
     psi_scale = max(_maxabs(psi_target), 1e-300)
-    out.append(
-        _result(
-            "synthesis",
-            "time_convolution",
-            _maxabs(time_filter.apply(chi_std) - psi_target) / psi_scale,
-            1e-9,
-        )
-    )
-    out.append(
-        _result(
-            "synthesis",
-            "kernel_time_reversal",
-            _maxabs(psi_out[::-1] - psi_out_rev) / psi_scale,
-            1e-12,
-        )
-    )
+    convolution = _maxabs(time_filter.apply(chi_std) - psi_target)
+    out.append(_result("synthesis", "time_convolution", convolution / psi_scale, 1e-9))
+    out.append(_result("synthesis", "kernel_time_reversal", _maxabs(psi_out[::-1] - psi_out_rev) / psi_scale, 1e-12))
 
     seq = pipe.seq
     corr_scale = max(_maxabs(seq.values), 1e-300)
-    out.append(
-        _result(
-            "synthesis",
-            "correlation_reproduction",
-            _maxabs(correlations - seq.values) / corr_scale,
-            1e-9,
-        )
-    )
+    out.append(_result("synthesis", "correlation_reproduction", _maxabs(correlations - seq.values) / corr_scale, 1e-9))
     return out
 
 
@@ -479,14 +504,14 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     grid = pair.grid
     step = grid.step
     table = qsi.integrator_table(pair)
-    delta = qsi.interval_mask(grid, 0.0, grid.nu_max)
-    delta_prime = qsi.interval_mask(grid, -grid.nu_max / 2, grid.nu_max / 2)
+    tables = _grid_tables(grid, eps)
+    delta, delta_prime, negative, flip, overlap = tables.intervals
 
     moment_scale = max(step * float(pair.kappa.sum()), 1e-300)
     defects = []
     for first in ("noise", "reverse"):
         for second in ("noise", "reverse"):
-            expected = step * math.fsum(table.density(first, second)[delta & delta_prime])
+            expected = step * math.fsum(table.density(first, second)[overlap])
             got = table.second_moment(first, delta, second, delta_prime)
             defects.append(abs(got - expected))
     out.append(_result("qsi", "integrator_moments", _worst(*defects) / moment_scale, 1e-12))
@@ -497,25 +522,18 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
         ) / max(float(pair.kappa_rev.max(initial=0.0)), 1e-300)
         out.append(_result("qsi", "reverse_density_modular", lam_defect, 1e-12))
 
-    disjoint = table.second_moment(
-        "noise", qsi.interval_mask(grid, 0.0, grid.nu_max), "noise",
-        qsi.interval_mask(grid, -grid.nu_max, -step / 2),
-    )
+    disjoint = table.second_moment("noise", delta, "noise", negative)
     out.append(_result("qsi", "disjoint_intervals_vanish", abs(disjoint), 0.0))
 
     # Canonical table on the pipeline's standard vacuum spectrum.
     vacuum_pair = pipe.vacuum_pair
     canonical, assembly = pipe.canonical
-    zeros = (
-        abs(canonical.vacuum_moment(canonical.creation, qsi.flipped(delta), canonical.annihilation, delta_prime))
-        + abs(canonical.vacuum_moment(canonical.creation, qsi.flipped(delta), canonical.creation, delta_prime))
-        + abs(canonical.vacuum_moment(canonical.annihilation, qsi.flipped(delta), canonical.annihilation, delta_prime))
-    )
+    creation, annihilation = canonical.creation, canonical.annihilation
+    zeros = sum(abs(canonical.vacuum_moment(first, flip, second, delta_prime))
+                for first, second in ((creation, annihilation), (creation, creation), (annihilation, annihilation)))
     out.append(_result("qsi", "canonical_zeros", zeros, 0.0))
-    pairing = canonical.vacuum_moment(
-        canonical.annihilation, qsi.flipped(delta), canonical.creation, delta_prime
-    )
-    expected = step * np.count_nonzero(delta & delta_prime & canonical.support)
+    pairing = canonical.vacuum_moment(annihilation, flip, creation, delta_prime)
+    expected = step * np.count_nonzero(overlap & canonical.support)
     out.append(_result("qsi", "canonical_pairing", abs(pairing - expected), 0.0))
     assembled = (
         _maxabs(assembly.noise.plus - vacuum_pair.kappa)
@@ -559,14 +577,12 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
 
     # Isometry of the mean-square integral against the Gram-matrix oracle.
     model = pipe.model
-    nu = grid.points
-    a = 1.0 / (1.0 + nu**2)
-    c = 1j * nu / (1.0 + nu**2)
+    a, c, kernels, coefficients = tables.isometry
     forward, backward = qsi.isometry_check(a, c, pair)
     out.append(_result("qsi", "isometry_nonnegative", _worst(0.0, -forward, -backward), 0.0))
-    kernels = kernel_of(np.array((a, c, sigma)), step)
-    amp_kernel = kernels[2]
-    gram_forward, gram_backward = _isometry_grams(model, kernels[:2], eps)
+    amp_kernel = kernel_of(sigma, step)
+    gram_forward, gram_backward = _isometry_grams(model, coefficients)
+    del tables, coefficients  # past one block no memo holds them: free them before the bridge
     scale = max(abs(forward), abs(backward), 1e-300)
     defect = _worst(abs(forward - gram_forward), abs(backward - gram_backward))
     out.append(_result("qsi", "isometry_gram_oracle", defect / scale, 1e-9))
@@ -579,7 +595,7 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     # Fourier-Parseval bridge of the coefficient kernels; sigma_rev's kernel is the lag flip of sigma's.
     # phi[i, j] convolves the kernel of a (i = 0) or c (i = 1) with that of
     # sigma_rev (j = 0) or sigma (j = 1)
-    phi = convolve(kernels[:2, None], np.array((amp_kernel[::-1], amp_kernel)), eps)
+    phi = convolve(kernels[:, None], np.array((amp_kernel[::-1], amp_kernel)), eps)
     bridge_minus, bridge_plus = spectrum_of(phi[0] + phi[1, ::-1], eps)
     f_minus = a * sigma_rev + c * sigma
     f_plus = a * sigma + c * sigma_rev
@@ -598,17 +614,16 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     return out
 
 
-def _isometry_grams(model: stationary.StationaryModel, kernels: np.ndarray,
-                    eps: float) -> tuple[float, float]:
+def _isometry_grams(model: stationary.StationaryModel, coefficients: np.ndarray) -> tuple[float, float]:
     """z† K z + z† G x + x† G z + x† K_rev x for the coefficient columns
-    (z, x) = sqrt(eps) * ``kernels`` and for their conjugates, on one DFT of
-    the columns of K, K_rev, G, zeta, xi, conj(zeta) and conj(xi)."""
-    columns = np.empty((7, model.n_points), dtype=complex)
-    columns[:3] = _column(np.array((model.eigenvalues, model.eigenvalues, model.gamma), dtype=complex),
-                          (False, True, False))
-    np.multiply(math.sqrt(eps), kernels, out=columns[3:5])
-    np.conjugate(columns[3:5], out=columns[5:])
-    spec_k, spec_k_rev, spec_g, *coefficients = _dft(columns, out=columns)
+    (z, x) and for their conjugates, from their DFTs ``coefficients`` and
+    those of the columns of K, K_rev and G: the ones stationary_checks took
+    in this run_all, else one DFT of the three columns."""
+    spectra = (_model_spectra or {}).pop(model, None)
+    if spectra is None:
+        spectra = _dft(_column(np.array((model.eigenvalues, model.eigenvalues, model.gamma), dtype=complex),
+                               (False, True, False)))
+    spec_k, spec_k_rev, spec_g = spectra
 
     def gram(spec_z, spec_x):
         # z† C x = sum_q conj(Z_q) C_q X_q / n for a circulant C, by Parseval
@@ -655,9 +670,11 @@ def mode_checks() -> list[CheckResult]:
 def run_all(pair: SpectralDensityPair | Pipeline, eps: float | None = None,
             tol_factor: float = 1.0) -> list[CheckResult]:
     """All suites on a pipeline, or on a pair at ``eps``, with optional tolerance scaling."""
+    global _model_spectra
     if not isinstance(pair, Pipeline) and eps is None:
         eps = 1.0 / (pair.grid.n_points * pair.grid.step)  # by the duality n * step * eps = 1
     pipe = pair if isinstance(pair, Pipeline) else Pipeline(pair, eps)
+    _model_spectra = {}
     try:
         results = []
         results += spectra_checks(pipe)
@@ -668,7 +685,9 @@ def run_all(pair: SpectralDensityPair | Pipeline, eps: float | None = None,
         results += qsi_checks(pipe)
         results += mode_checks()
     finally:
-        _chirp.cache_clear()  # its tables take 48 bytes per grid point: hold none past the call
+        _model_spectra = None
+        if _fast_length(2 * pipe.pair.grid.n_points - 2) > _DFT_BLOCK:
+            _chirp.cache_clear()  # past one block no grid table outlives the call
     if tol_factor != 1.0:
         results = [
             replace(

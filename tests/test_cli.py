@@ -75,6 +75,17 @@ class TestExitCodes:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["all_pass"] is False
 
+    @pytest.mark.filterwarnings("error")
+    def test_verify_reports_an_underflowed_cross_density_as_failed(self, tmp_path):
+        # gamma = sqrt(1e-200 * 1e-200) underflows to 0 while the synthesized
+        # one is 1e-200: the relative defect is inf, reported, not a warning.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"model": "flat", "sigma2": 1e-200, "n_points": 33, "step": 0.5}))
+        assert run("verify", "--config", path, "--out", tmp_path / "out") == 1
+        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        failed = {f"{c['suite']}/{c['check']}": c["residual"] for c in report["checks"] if not c["pass"]}
+        assert failed == {"synthesis/reproduce_gamma": float("inf")}
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_exits_two(self, tol, tmp_path, capsys):
         code = run("verify", "--config", CONFIGS["planck"], "--out", tmp_path / "out", "--tol", tol)

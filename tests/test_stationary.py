@@ -217,10 +217,11 @@ class TestBuildModel:
         # One dense complex matrix at this size would take 16 n^2 bytes (17 GB),
         # so fail on the stored fields first, before anything that large is tried.
         # Each derived array has one home: no record stores a second copy of
-        # a grid, a step or an amplitude that another one owns.
+        # a grid, a step, a lag array or an amplitude that another one owns.
         fields = {
             qn.StationaryModel: ["eps", "step", "eigenvalues"],
-            qn.ModularFilter: ["eps", "lags", "symbol", "kernel_half", "kernel_inv_half"],
+            qn.ModularFilter: ["eps", "symbol", "kernel_half", "kernel_inv_half"],
+            qn.TimeDomainFilter: ["eps", "phi"],
             qn.TransmissionFilter: ["pair", "f", "time_kernel", "standard"],
             qn.SynthesisResult: ["out_amp", "out_amp_rev", "kappa_out"],
             qn.OutputPair: ["canonical", "output", "reverse"],
@@ -247,6 +248,7 @@ class TestBuildModel:
         assert held <= 64 * n
         assert peak <= 512 * n
         assert model.invertible and filt.symbol.shape == (n,)
+        assert np.array_equal(filt.lags, seq.lags)
 
     def test_vacuum_spectrum_has_zero_cross_covariance(self, vacuum_setup):
         _, pair, eps = vacuum_setup

@@ -225,11 +225,18 @@ def test_chirp_z_transforms_pad_to_a_5_smooth_length(monkeypatch):
     assert max(lengths) == 512, sorted(lengths)
 
 
+def _clear_grid_tables(monkeypatch):
+    verification._chirp.cache_clear()
+    monkeypatch.setattr(verification, "_tables", None)
+
+
 def test_run_all_stacks_its_transforms_and_shifts_by_slices(monkeypatch):
     # Each stage takes its same-length transforms as one call on a stack of
     # rows (108 FFT calls unstacked), and no transform centres by np.roll.
-    # The chirp-z DFTs' own FFTs are counted too: none of them is cached.
-    verification._chirp.cache_clear()
+    # The chirp-z DFTs' own FFTs are counted too.  A second call on the same
+    # grid reads the grid tables of the first: the chirp's FFT, the kernels
+    # of qsi's isometry coefficients and the chirp-z DFT of their columns.
+    _clear_grid_tables(monkeypatch)
     calls = {}
 
     def counted(name):
@@ -243,27 +250,76 @@ def test_run_all_stacks_its_transforms_and_shifts_by_slices(monkeypatch):
     for name in ("fft", "ifft", "fftshift", "ifftshift"):
         monkeypatch.setattr(np.fft, name, counted(name))
     grid = qn.make_grid(33, 0.25)
-    results = verification.run_all(qn.planck_density(1.0, 1.0, grid), 1.0 / (33 * 0.25))
-    assert all(r.passed for r in results)
-    assert calls.get("fft", 0) + calls.get("ifft", 0) == 34, calls
-    assert calls.get("fftshift", 0) == calls.get("ifftshift", 0) == 0, calls
+    for expected in (34, 30):
+        calls.clear()
+        results = verification.run_all(qn.planck_density(1.0, 1.0, grid), 1.0 / (33 * 0.25))
+        assert all(r.passed for r in results)
+        assert calls.get("fft", 0) + calls.get("ifft", 0) == expected, calls
+        assert calls.get("fftshift", 0) == calls.get("ifftshift", 0) == 0, calls
 
 
 def test_run_all_leaves_no_chirp_tables_behind(monkeypatch):
-    # The chirp tables take about 48 bytes per grid point (50 MB at
-    # n = 2**20 + 1): run_all drops them on return, and when a suite raises.
-    pair = qn.planck_density(1.0, 1.0, qn.make_grid(65, 0.25))
+    # Past n = 16,385 the chirp kernel outgrows one _DFT_BLOCK, and the grid
+    # tables take about 200 bytes per grid point (200 MB at n = 2**20 + 1):
+    # run_all drops them and the model's spectra on return, and when a suite raises.
+    n = 16387
+    pair = qn.planck_density(1.0, 1.0, qn.make_grid(n, 16.0 / (n - 1)))
+
+    def held_nothing():
+        return (verification._chirp.cache_info().currsize == 0 and verification._tables is None
+                and verification._model_spectra is None)
+
     verification.run_all(pair)
-    assert verification._chirp.cache_info().currsize == 0
+    assert held_nothing()
 
     def failing(pipe):
-        assert verification._chirp.cache_info().currsize == 1  # the earlier suites filled it
+        # the earlier suites filled the chirp and left the model's spectra
+        assert verification._chirp.cache_info().currsize == 1 and verification._tables is None
+        assert list(verification._model_spectra) == [pipe.model]
         raise RuntimeError("suite failed")
 
     monkeypatch.setattr(verification, "qsi_checks", failing)
     with pytest.raises(RuntimeError, match="suite failed"):
         verification.run_all(pair)
-    assert verification._chirp.cache_info().currsize == 0
+    assert held_nothing()
+
+
+def test_grid_tables_are_kept_by_n_step_and_eps(monkeypatch):
+    # Each run in this order reads the tables the one before it left, or
+    # rebuilds them if its grid or eps differ: each gives the residuals, to
+    # the bit, of a run with every table cleared.
+    def planck(n, step):
+        return qn.planck_density(1.0, 1.0, qn.make_grid(n, step))
+
+    first = planck(257, 1 / 16)
+    dual = 1.0 / (257 * (1 / 16))
+    near = dual * (1 + 4e-16)  # n * step * eps = 1 up to rounding, other last bits
+    assert near != dual
+    runs = [(first, None), (planck(257, 1 / 16 * (1 + 4e-16)), dual), (planck(257, 1 / 8), None),
+            (planck(129, 1 / 8), None), (first, None), (first, None), (first, near)]
+
+    def bits(pair, eps):
+        return [(r.suite, r.check, r.residual.hex(), r.tolerance, r.passed)
+                for r in verification.run_all(pair, eps)]
+
+    cold = []
+    for pair, eps in runs:
+        _clear_grid_tables(monkeypatch)
+        cold.append(bits(pair, eps))
+    _clear_grid_tables(monkeypatch)
+    assert [bits(pair, eps) for pair, eps in runs] == cold
+    assert cold[5] != cold[6]  # eps reaches the residuals
+
+
+def test_isometry_oracle_reads_the_spectra_of_stationary_checks(planck_setup):
+    # In run_all, qsi's Gram oracle reads the DFTs of the columns of K, K_rev
+    # and G that stationary_checks took; alone, it takes them itself.
+    _, pair, eps = planck_setup
+    pipe = Pipeline(pair, eps)
+    alone = {r.check: r.residual for r in verification.qsi_checks(pipe)}
+    shared = {r.check: r.residual for r in verification.run_all(pipe) if r.suite == "qsi"}
+    assert shared == alone
+    assert verification._model_spectra is None
 
 
 def test_worst_keeps_a_nan_anywhere_and_gives_no_negative_zero():
