@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -197,19 +198,17 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)  # strict JSON: no Infinity or NaN
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(text + "\n")
 
 
 def _check_entry(check) -> dict:
-    return {
-        "suite": check.suite,
-        "check": check.check,
-        "residual": check.residual,
-        "tolerance": check.tolerance,
-        "pass": check.passed,
-    }
+    """A check as JSON, a non-finite residual or tolerance as the string "inf", "-inf" or "nan"."""
+    def number(x: float):
+        return x if math.isfinite(x) else repr(float(x))
+    return {"suite": check.suite, "check": check.check, "residual": number(check.residual),
+            "tolerance": number(check.tolerance), "pass": check.passed}
 
 
 def _region_labels(pair: SpectralDensityPair) -> np.ndarray:

@@ -3,55 +3,37 @@
 Each check computes a nonnegative residual and compares it against a
 pinned tolerance; a residual of exactly zero is required wherever the
 construction makes the identity structural (mask disjointness, flip
-symmetry of stored arrays, canonical table zeros).  The functions return
-plain :class:`CheckResult` records so callers can render them as JSON or
-aggregate them into a pass/fail verdict.
+symmetry of stored arrays, canonical table zeros).  Every suite but the
+mode tables reads one :class:`~qnoise.pipeline.Pipeline`, so :func:`run_all`
+builds each stage of the chain once for all suites.
 
-Every suite but the mode tables reads one :class:`~qnoise.pipeline.Pipeline`,
-so :func:`run_all` builds each stage of the chain once for all suites.
-
-No check forms an n x n array.  Every circulant the model and the modular
-filter stand for (K, K_rev, X, X_rev, G, L, L_half) is read through its
-first column, which :func:`_column` builds from the stored symbol.  The
-elementwise checks (``conjugation``, ``cross_cov_imag``,
-``cross_cov_symmetric``, the max |L| of ``modular``) read a column and its
-lag flip, as the 2n - 1 diagonals of a circulant are its column read
-twice.  Every other oracle is one chirp-z DFT (:func:`_dft`, Bluestein's
-algorithm), which shares none of the package's index shifts or scales and
-uses numpy's FFT only as a primitive at 5-smooth lengths 2**a 3**b 5**c:
-the spectrum checks (``dft_consistency``, ``cross_cov_psd``,
-``modular/spectrum_match``) read, in FFT order, the DFTs of the columns
-that the Grams, the root squares, ``conjugate_inverse``, ``geometric_mean``
-and ``covariances_commute`` multiply in pairs and transform back once;
-``isometry_gram_oracle`` sums the Gram blocks on the DFTs by
-Parseval, and ``amplitude_gram``/``amplitude_cross`` sum the weights of
-the spectral amplitudes against plane waves.  So every check takes
+No check forms an n x n array.  Every circulant (K, K_rev, X, X_rev, G, L,
+L_half) is read through its first column (:func:`_column`).  Every other
+oracle is one chirp-z DFT (:func:`_dft`, Bluestein's algorithm), which
+shares none of the package's index shifts or scales.  So every check takes
 O(n log n) time and O(n) memory.
 
-Each suite takes its transforms of one length as one call on a stack of
-rows, not one call per vector: ``stationary`` makes one :func:`_column`
-call for its five circulants, one :func:`_dft` of the five columns and
-the two amplitude weights and one :func:`_circular` of its six products,
-and ``modular``, ``synthesis`` and ``qsi`` stack theirs likewise.  The
-products are formed in place, and :func:`_dft` takes a stack in blocks of
-rows bounded by ``_DFT_BLOCK`` padded entries, so stacking saves calls at
-small n without raising the peak memory at large n.  The mode tables take
-all their occupations as one stack of operators.
+The suites that transform are generators: a suite's r-th yield asks for its
+transforms of round r (a dict from a kind to the operands of its call, empty
+for none) and gets their results back.  :func:`_lockstep` takes the requests
+of one kind in a round as one call on their stacked rows; numpy transforms
+each row alone, so each comes out bit for bit.  Round 1 is one
+:func:`_column` call for every symbol-to-lag transform (a lag kernel is a
+centred column), round 2 one :func:`_dft` of the rows of ``stationary`` and
+``modular``, round 3 one :func:`_circular` of their products and one
+:func:`convolve` at eps 1 of every kernel pair, each row then scaled by its
+eps.  The pairs wait for round 3 so that qsi's Gram oracle reads the DFTs of
+K, K_rev and G that ``stationary`` takes in round 2, and frees its tables
+before its bridge.  A suite called alone runs its generator by itself.
+:func:`run_all` runs the suites in lockstep up to n = 1025, one after
+another above, so no row outlives its suite.  The calls the checks test stay
+their own (``modular_kernels_theta``, ``coefficient_norm``,
+``reflection_symmetry_check``, ``time_domain_filter``, qsi's
+``spectrum_of``).
 
-At the sizes verified interactively a check costs its calls, not its
-arithmetic, so per-check code calls no numpy wrapper on Python scalars:
-a few floats are combined by :func:`_worst` (``max`` with a NaN scan) or
-:mod:`math`, and arrays are reduced by the ufunc methods themselves.  Nor
-is a table built twice: those that read only the grid and eps (the chirp,
-``stationary``'s plane waves, ``qsi``'s interval masks and isometry
-coefficients with their kernels and DFTs) are kept for the last (n, step,
-eps) while the chirp kernel fits one ``_DFT_BLOCK`` (n <= 16,385; past it
-they would hold 200 bytes per point), and in one :func:`run_all` qsi's Gram
-oracle reads the DFTs of K, K_rev and G that ``stationary`` took.  The mode
-tables are built on every call: they read the algebra, which may change.
-
-``qsi/reflection_symmetry`` divides the cross kernel's flip asymmetry by
-its lag-0 value step * sum(gamma), which bounds every lag as gamma >= 0.
+The tables that read only the grid and eps (the chirp, the plane waves,
+qsi's masks and isometry tables) are kept for the last (n, step, eps) up to
+n = 16,385.  The mode tables read the algebra, which may change.
 """
 from __future__ import annotations
 
@@ -63,7 +45,7 @@ import numpy as np
 
 from . import stationary
 from .errors import DegenerateRecoveryError
-from .fourier import _ifftshift, convolve, kernel_of, spectrum_of
+from .fourier import _fftshift, _ifftshift, convolve, kernel_of, spectrum_of
 from .pipeline import Pipeline
 from .spectra import SpectralDensityPair, SpectralGrid, _frozen, tabulated_density
 
@@ -95,9 +77,7 @@ def _worst(*terms: float) -> float:
 def _column(symbols: np.ndarray, conjugate: bool | tuple[bool, ...] = False) -> np.ndarray:
     """The one route from symbols in grid order to the first columns of their
     circulants: row i of a stack gives the column of the conjugate circulant
-    (K_rev, X_rev from K, X) where ``conjugate[i]``, one flag or one per row.
-    The suites stack their symbols as complex, as the FFT would copy a real
-    stack to complex anyway."""
+    (K_rev, X_rev from K, X) where ``conjugate[i]``, one flag or one per row."""
     columns = np.fft.ifft(_ifftshift(symbols))
     return np.conjugate(columns, out=columns, where=np.asarray(conjugate)[..., None])
 
@@ -110,11 +90,8 @@ def _products(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return out
 
 
-#: Entries of the padded chirp-z working set one FFT call may take: the rows
-#: of a stack go through :func:`_dft` in blocks of at most this many padded
-#: entries, so every stack of one ``run_all`` at n = 257 takes one call and,
-#: above n = 2**13 + 1, each row takes its own: a stack holds the padded
-#: arrays of one row at a time at large n.
+#: Entries of the padded chirp-z working set one FFT call may take: :func:`_dft`
+#: takes a stack in blocks of rows, one row per call above n = 2**13 + 1.
 _DFT_BLOCK = 1 << 15
 
 
@@ -135,10 +112,8 @@ def _fast_length(m: int) -> int:
 @functools.lru_cache(maxsize=1)
 def _chirp(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Bluestein's conjugate chirp exp(-i pi j^2 / n) for j < n, and the FFT of
-    the chirp at j = -(n-1) .. n-1, wrapped onto the 5-smooth length
-    :func:`_fast_length` (2n - 2).  The chirp is even, so on a circle of
-    2n - 2 slots its two ends j = +-(n-1) meet on one slot with one value,
-    and no other lag of the convolution wraps."""
+    the chirp at j = -(n-1) .. n-1 wrapped onto the length :func:`_fast_length`
+    (2n - 2): the chirp is even, so its two ends meet on one slot with one value."""
     j = np.arange(n, dtype=np.int64)
     chirp = np.exp(1j * np.pi / n * (j * j % (2 * n)))  # j^2 reduced mod 2n: phases below 2 pi
     wrapped = np.zeros(_fast_length(2 * n - 2), dtype=complex)
@@ -149,11 +124,9 @@ def _chirp(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _dft(weights: np.ndarray, sign: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """sum_k w_k exp(sign * 2 pi i k d / n) for d = 0 .. n-1 along the last axis,
-    by Bluestein's chirp-z transform: kd = (k^2 + d^2 - (d - k)^2) / 2 makes it
-    one linear convolution with the chirp, taken by FFTs of a 5-smooth length
-    on blocks of rows (conjugated in and out for sign > 0).  Written to ``out``,
-    a new array if None; ``out`` may be ``weights`` itself, as each block is
-    read before it is written."""
+    by Bluestein's chirp-z transform (kd = (k^2 + d^2 - (d - k)^2) / 2) on
+    blocks of rows, conjugated in and out for sign > 0.  Written to ``out``, a
+    new array if None, which may be ``weights`` itself."""
     n = weights.shape[-1]
     conj_chirp, kernel = _chirp(n)
     rows = weights.reshape(-1, n)
@@ -178,6 +151,69 @@ def _circular(products: np.ndarray) -> np.ndarray:
     _dft(products, 1, out=products)
     products /= products.shape[-1]
     return products
+
+
+def _kernels(columns: np.ndarray, step: float) -> np.ndarray:
+    """The :func:`kernel_of` of these columns' symbols."""
+    kernels = _fftshift(columns)
+    kernels *= columns.shape[-1] * step
+    return kernels
+
+
+#: Each kind of request's call, in round order; a dft is in place.
+_CALLS = {"column": lambda *args: _column(*args), "dft": lambda rows: _dft(rows, out=rows),
+          "circular": _circular, "convolve": lambda a, b: convolve(a, b, 1.0)}
+
+
+def _lockstep(suites) -> list[list[CheckResult]]:
+    """Suite generators run in lockstep to their checks: each round's requests
+    of one kind take one call on their stacked rows, a lone one its own."""
+    checks, replies = [None] * len(suites), [None] * len(suites)
+    while None in checks:
+        asked = {}
+        for i, suite in enumerate(suites):
+            if checks[i] is None:
+                try:
+                    for kind, request in suite.send(replies[i]).items():
+                        asked.setdefault(kind, []).append((i, request))
+                except StopIteration as done:
+                    checks[i] = done.value
+        replies = [{} for _ in suites]
+        for kind, call in _CALLS.items():
+            asking = asked.get(kind, ())
+            if len(asking) == 1:
+                replies[asking[0][0]][kind] = call(*asking[0][1])
+            elif asking:
+                requests = [r if r[0].ndim == 2 else _rows(*r) for _, r in asking]
+                stacked, start = call(*(sum(xs, ()) if isinstance(xs[0], tuple) else np.concatenate(xs)
+                                        for xs in zip(*requests))), 0
+                for (i, _), request in zip(asking, requests):
+                    replies[i][kind], start = stacked[start:start + len(request[0])], start + len(request[0])
+        request = asking = None  # no request outlives its round
+    return checks
+
+
+def _rows(*operands):
+    """Operands (qsi's pair) broadcast, as 2-D stacks."""
+    shape = np.broadcast(*operands).shape
+    stacks = [np.empty(shape, x.dtype) for x in operands]
+    for stack, x in zip(stacks, operands):
+        stack[...] = x
+    return [stack.reshape(-1, shape[-1]) for stack in stacks]
+
+
+#: The suites that transform, as generators, in report order.
+_ROUNDS = []
+
+
+def _alone(rounds):
+    """The suite ``rounds`` run by itself."""
+    _ROUNDS.append(rounds)
+
+    @functools.wraps(rounds)
+    def checks(pipe: Pipeline) -> list[CheckResult]:
+        return _lockstep([rounds(pipe)])[0]
+    return checks
 
 
 class _GridTables:
@@ -234,16 +270,10 @@ def spectra_checks(pipe: Pipeline) -> list[CheckResult]:
     out = []
     pair = pipe.pair
     grid = pair.grid
-    out.append(
-        _result("spectra", "grid_flip_symmetry", _maxabs(grid.points + grid.points[::-1]), 0.0)
-    )
-    out.append(
-        _result("spectra", "flip_relation", _maxabs(pair.kappa_rev - pair.kappa[::-1]), 0.0)
-    )
+    out.append(_result("spectra", "grid_flip_symmetry", _maxabs(grid.points + grid.points[::-1]), 0.0))
+    out.append(_result("spectra", "flip_relation", _maxabs(pair.kappa_rev - pair.kappa[::-1]), 0.0))
     double_flip = tabulated_density(pair.kappa_rev, grid)
-    out.append(
-        _result("spectra", "flip_involution", _maxabs(double_flip.kappa_rev - pair.kappa), 0.0)
-    )
+    out.append(_result("spectra", "flip_involution", _maxabs(double_flip.kappa_rev - pair.kappa), 0.0))
     overlap = (np.count_nonzero(pair.n_plus & pair.n_minus) + np.count_nonzero(pair.n_plus & pair.theta)
                + np.count_nonzero(pair.n_minus & pair.theta))
     covered = pair.n_plus | pair.n_minus | pair.theta
@@ -257,7 +287,8 @@ def spectra_checks(pipe: Pipeline) -> list[CheckResult]:
     return out
 
 
-def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
+@_alone
+def stationary_checks(pipe: Pipeline):
     out = []
     pair, seq, model = pipe.pair, pipe.seq, pipe.model
     # floor keeps the empty spectrum finite, including when squared
@@ -272,28 +303,22 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     out.append(_result("stationary", "cross_real_even", cross_defect / r_scale, 1e-12))
     out.append(_result("stationary", "eigenvalue_match", _maxabs(model.eigenvalues - pair.kappa) / norm, 1e-10))
     root = np.sqrt(model.eigenvalues)
-    columns = _column(
-        np.array((model.eigenvalues, model.eigenvalues, model.gamma, root, root), dtype=complex),
-        (False, True, False, False, True),
-    )
+    symbols = (model.eigenvalues, model.eigenvalues, model.gamma, root, root)
+    columns = (yield {"column": (np.array(symbols, dtype=complex), (False, True, False, False, True))})["column"]
     k, k_rev, g, x, x_rev = columns
     # The DFTs of the five columns and the sums of the amplitude checks below,
     # in one call: sum_k w_k exp(+2 pi i k d / n) is the conjugate of the DFT
     # of conj(w), and the weights w are real.
-    spectra = np.empty((7, n), dtype=complex)
-    spectra[:5] = columns
-    spectra[5] = root * root
-    spectra[6] = root * root[::-1]
-    _dft(spectra, out=spectra)
-    held = _model_spectra
-    if held is not None:
-        held[model] = spectra[:3].copy()  # for qsi's Gram oracle, before the products scale them
+    spectra = (yield {"dft": (np.concatenate((columns, (root * root, root * root[::-1]))),)})["dft"]
+    if _model_spectra is not None:  # for qsi's Gram oracle, unscaled
+        _model_spectra[model] = spectra[:3].copy()
     sums = np.conjugate(spectra[5:], out=spectra[5:])
     # the spectra of K and G in FFT order, read before the products scale them
     dft_defect = _maxabs(spectra[0] - _ifftshift(model.eigenvalues))
     negative = _worst(0.0, -float(spectra[2].real.min()))
     out.append(_result("stationary", "dft_consistency", dft_defect / norm, 1e-12))
-    gram_k, gram_k_rev, gram_g, squares, mean, commute = _circular(_stationary_products(spectra[:5], norm))
+    products = (yield {"circular": (_stationary_products(spectra[:5], norm),)})["circular"]
+    gram_k, gram_k_rev, gram_g, squares, mean, commute = products
 
     out.append(_result("stationary", "gram_noise", _maxabs(gram_k - k) / norm, 1e-10))
     out.append(_result("stationary", "gram_reverse", _maxabs(gram_k_rev - k_rev) / norm, 1e-10))
@@ -323,14 +348,8 @@ def stationary_checks(pipe: Pipeline) -> list[CheckResult]:
     for check, total, column in (("amplitude_gram", sums[0], k), ("amplitude_cross", sums[1], g)):
         out.append(_result("stationary", check, _maxabs(weight * total - column) / norm, 1e-10))
 
-    out.append(
-        _result(
-            "stationary",
-            "test_norm_nonnegative",
-            _worst(0.0, -stationary.coefficient_norm(model, zeta)),
-            0.0,
-        )
-    )
+    negative = _worst(0.0, -stationary.coefficient_norm(model, zeta))
+    out.append(_result("stationary", "test_norm_nonnegative", negative, 0.0))
     return out
 
 
@@ -350,41 +369,45 @@ def _stationary_products(spectra: np.ndarray, norm: float) -> np.ndarray:
     return products
 
 
-def modular_checks(pipe: Pipeline) -> list[CheckResult]:
+@_alone
+def modular_checks(pipe: Pipeline):
     filt = pipe.filt
     if filt is None:
         return []
     out = []
     model = pipe.model
     lam = filt.symbol
-    columns = _column(np.array((lam, lam, np.sqrt(lam)), dtype=complex), (False, True, False))
+    columns = (yield {"column": (np.array((lam, lam, np.sqrt(lam)), dtype=complex), (False, True, False))})["column"]
     l_col = columns[0]
-    spec_l, spec_l_conj, spec_l_half = _dft(columns)
+    spec_l, spec_l_conj, spec_l_half = (yield {"dft": (columns.copy(),)})["dft"]
     out.append(_result("modular", "spectrum_match", _maxabs(spec_l - _ifftshift(lam)) / float(lam.max()), 1e-10))
-    inverse, squares = _circular(_products((spec_l, spec_l_conj), (spec_l_half, spec_l_half)))
+    products = _products((spec_l, spec_l_conj), (spec_l_half, spec_l_half))
+    got = yield {"circular": (products,), "convolve": (filt.kernel_half[None], filt.kernel_inv_half[None])}
+    inverse, squares = got["circular"]
     l_norm = max(_maxabs(l_col), 1.0)
     inverse = np.conj(inverse)
     inverse[0] -= 1.0
     out.append(_result("modular", "conjugate_inverse", _maxabs(inverse) / l_norm**2, 1e-12))
     unit = np.zeros(model.n_points)
     unit[(model.n_points - 1) // 2] = 1.0
-    out += _kernel_checks("modular", ("kernel_modular_property", "kernel_convolution_unit"), filt, unit)
+    names = ("kernel_modular_property", "kernel_convolution_unit")
+    out += _kernel_checks("modular", names, filt, got["convolve"][0], unit)
     out.append(_result("modular", "root_squares", _maxabs(squares - l_col) / l_norm, 1e-10))
     return out
 
 
-def _kernel_checks(suite: str, names: tuple[str, str], filt: stationary.ModularFilter,
+def _kernel_checks(suite: str, names: tuple[str, str], filt: stationary.ModularFilter, conv: np.ndarray,
                    indicator: np.ndarray) -> list[CheckResult]:
-    """The modular property of a filter's kernels, and their plain circular
-    convolution against ``indicator``, the kernel of the filter's support."""
+    """The modular property of a filter's kernels, and their circular convolution
+    ``conv`` against ``indicator``, the kernel of its support."""
     half, inv_half = filt.kernel_half, filt.kernel_inv_half
     defect = _worst(_maxabs(half[::-1] - np.conj(half)), _maxabs(np.conj(half) - inv_half))
-    conv = convolve(half, inv_half, 1.0)
     return [_result(suite, names[0], defect / max(_maxabs(half), 1e-300), 1e-10),
             _result(suite, names[1], _maxabs(conv - indicator), 1e-9)]
 
 
-def decomposition_checks(pipe: Pipeline) -> list[CheckResult]:
+@_alone
+def decomposition_checks(pipe: Pipeline):
     from . import decomposition
     out = []
     pair, eps, parts = pipe.pair, pipe.eps, pipe.parts
@@ -406,46 +429,29 @@ def decomposition_checks(pipe: Pipeline) -> list[CheckResult]:
     if theta.any():
         filtered = np.sqrt(pair.lambda_theta[theta]) * parts.amp[theta]
         scale = max(_maxabs(parts.amp_rev), 1e-300)
-        out.append(
-            _result(
-                "decomposition",
-                "estimate_is_modular_filter",
-                _maxabs(estimate[theta] - filtered) / scale,
-                1e-10,
-            )
-        )
+        defect = _maxabs(estimate[theta] - filtered) / scale
+        out.append(_result("decomposition", "estimate_is_modular_filter", defect, 1e-10))
     residual = parts.amp_rev - estimate
-    out.append(
-        _result("decomposition", "residual_support", np.count_nonzero((residual != 0) & ~pair.n_plus), 0.0)
-    )
+    out.append(_result("decomposition", "residual_support", np.count_nonzero((residual != 0) & ~pair.n_plus), 0.0))
     residual_norm2, expected = decomposition.residual_norm2(parts, residual)
-    out.append(
-        _result(
-            "decomposition",
-            "residual_norm",
-            abs(residual_norm2 - expected) / max(1.0, expected),
-            1e-12,
-        )
-    )
-    out.append(
-        _result(
-            "decomposition",
-            "flip_exchange",
-            _maxabs(parts.amp_vac[::-1] - parts.amp_rev_vac)
-            + _maxabs(parts.amp_thermal[::-1] - parts.amp_rev_thermal),
-            0.0,
-        )
-    )
+    out.append(_result("decomposition", "residual_norm", abs(residual_norm2 - expected) / max(1.0, expected), 1e-12))
+    flips = _maxabs(parts.amp_vac[::-1] - parts.amp_rev_vac)
+    flips += _maxabs(parts.amp_thermal[::-1] - parts.amp_rev_thermal)
+    out.append(_result("decomposition", "flip_exchange", flips, 0.0))
 
     if pair.theta.any():
         kernels = decomposition.modular_kernels_theta(pair, eps)
-        indicator_kernel = eps * kernel_of(pair.theta.astype(float), pair.grid.step)
-        out += _kernel_checks("decomposition", ("theta_kernel_modular", "theta_kernel_convolution"),
-                              kernels, indicator_kernel)
+        indicator = (yield {"column": (pair.theta.astype(float)[None], (False,))})["column"]
+        indicator = eps * _kernels(indicator, pair.grid.step)[0]
+        yield {}
+        conv = (yield {"convolve": (kernels.kernel_half[None], kernels.kernel_inv_half[None])})["convolve"][0]
+        names = ("theta_kernel_modular", "theta_kernel_convolution")
+        out += _kernel_checks("decomposition", names, kernels, conv, indicator)
     return out
 
 
-def synthesis_checks(pipe: Pipeline) -> list[CheckResult]:
+@_alone
+def synthesis_checks(pipe: Pipeline):
     from . import synthesis
     out = []
     pair, eps, filt = pipe.pair, pipe.eps, pipe.transmission
@@ -482,12 +488,13 @@ def synthesis_checks(pipe: Pipeline) -> list[CheckResult]:
     out.append(_result("synthesis", "amplitude_reproduction", amplitude, 1e-10))
 
     time_filter = synthesis.time_domain_filter(filt, eps)
-    chi_std, psi_target, psi_out, psi_out_rev, correlations = kernel_of(
-        np.array((std.amp, pair.sigma, result.out_amp_rev, result.out_amp, result.kappa_out)),
-        pair.grid.step,
-    )
+    symbols = (std.amp, pair.sigma, result.out_amp_rev, result.out_amp, result.kappa_out)
+    kernels = _kernels((yield {"column": (np.array(symbols), (False,) * 5)})["column"], pair.grid.step)
+    chi_std, psi_target, psi_out, psi_out_rev, correlations = kernels
+    yield {}
+    applied = (yield {"convolve": (time_filter.phi[None], chi_std[None])})["convolve"][0] * time_filter.eps
     psi_scale = max(_maxabs(psi_target), 1e-300)
-    convolution = _maxabs(time_filter.apply(chi_std) - psi_target)
+    convolution = _maxabs(applied - psi_target)
     out.append(_result("synthesis", "time_convolution", convolution / psi_scale, 1e-9))
     out.append(_result("synthesis", "kernel_time_reversal", _maxabs(psi_out[::-1] - psi_out_rev) / psi_scale, 1e-12))
 
@@ -497,7 +504,8 @@ def synthesis_checks(pipe: Pipeline) -> list[CheckResult]:
     return out
 
 
-def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
+@_alone
+def qsi_checks(pipe: Pipeline):
     from . import qsi
     out = []
     pair, eps = pipe.pair, pipe.eps
@@ -517,9 +525,9 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     out.append(_result("qsi", "integrator_moments", _worst(*defects) / moment_scale, 1e-12))
 
     if pair.theta.any():
-        lam_defect = _maxabs(
-            pair.kappa_rev[pair.theta] - pair.lambda_theta[pair.theta] * pair.kappa[pair.theta]
-        ) / max(float(pair.kappa_rev.max(initial=0.0)), 1e-300)
+        theta = pair.theta
+        lam_defect = _maxabs(pair.kappa_rev[theta] - pair.lambda_theta[theta] * pair.kappa[theta])
+        lam_defect /= max(float(pair.kappa_rev.max(initial=0.0)), 1e-300)
         out.append(_result("qsi", "reverse_density_modular", lam_defect, 1e-12))
 
     disjoint = table.second_moment("noise", delta, "noise", negative)
@@ -535,10 +543,8 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     pairing = canonical.vacuum_moment(annihilation, flip, creation, delta_prime)
     expected = step * np.count_nonzero(overlap & canonical.support)
     out.append(_result("qsi", "canonical_pairing", abs(pairing - expected), 0.0))
-    assembled = (
-        _maxabs(assembly.noise.plus - vacuum_pair.kappa)
-        + _maxabs(assembly.reverse.plus - vacuum_pair.kappa_rev)
-    )
+    assembled = _maxabs(assembly.noise.plus - vacuum_pair.kappa)
+    assembled += _maxabs(assembly.reverse.plus - vacuum_pair.kappa_rev)
     out.append(_result("qsi", "vacuum_assembly", assembled, 1e-12))
 
     # Output pair over the canonical support, with the configured amplitudes.
@@ -547,12 +553,8 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     support = canonical.support
     amplitudes = {"output": sigma, "reverse": sigma_rev}
     density_scale = max(_maxabs(sigma) ** 2, 1e-300)
-    defects = [
-        _maxabs(output_pair.density(first, second)[support]
-                - (amplitudes[first] * amplitudes[second])[support])
-        for first, second in (("output", "output"), ("reverse", "output"),
-                              ("output", "reverse"), ("reverse", "reverse"))
-    ]
+    defects = [_maxabs(output_pair.density(first, second)[support] - (amplitudes[first] * amplitudes[second])[support])
+               for first in ("output", "reverse") for second in ("output", "reverse")]
     out.append(_result("qsi", "output_table", _worst(*defects) / density_scale, 1e-12))
 
     degenerate = support & (sigma_rev == sigma)
@@ -567,12 +569,8 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     if recoverable.any():
         recovered = qsi.recover_canonical(output_pair, where=recoverable)
         on = recoverable
-        roundtrip = _worst(
-            _maxabs(recovered.creation.plus[on] - 1.0),
-            _maxabs(recovered.creation.minus[on]),
-            _maxabs(recovered.annihilation.minus[on] - 1.0),
-            _maxabs(recovered.annihilation.plus[on]),
-        )
+        roundtrip = _worst(_maxabs(recovered.creation.plus[on] - 1.0), _maxabs(recovered.creation.minus[on]),
+                           _maxabs(recovered.annihilation.minus[on] - 1.0), _maxabs(recovered.annihilation.plus[on]))
         out.append(_result("qsi", "canonical_roundtrip", roundtrip, 0.0))
 
     # Isometry of the mean-square integral against the Gram-matrix oracle.
@@ -580,45 +578,41 @@ def qsi_checks(pipe: Pipeline) -> list[CheckResult]:
     a, c, kernels, coefficients = tables.isometry
     forward, backward = qsi.isometry_check(a, c, pair)
     out.append(_result("qsi", "isometry_nonnegative", _worst(0.0, -forward, -backward), 0.0))
-    amp_kernel = kernel_of(sigma, step)
+    amp_kernel = _kernels((yield {"column": (sigma[None], (False,))})["column"], step)[0]
+    yield {}  # round 2: stationary's DFTs, for the Gram oracle
     gram_forward, gram_backward = _isometry_grams(model, coefficients)
     del tables, coefficients  # past one block no memo holds them: free them before the bridge
     scale = max(abs(forward), abs(backward), 1e-300)
     defect = _worst(abs(forward - gram_forward), abs(backward - gram_backward))
     out.append(_result("qsi", "isometry_gram_oracle", defect / scale, 1e-9))
 
-    r_scale = max(step * float(model.gamma.sum()), 1e-300)
-    out.append(
-        _result("qsi", "reflection_symmetry", qsi.reflection_symmetry_check(model) / r_scale, 1e-10)
-    )
+    r_scale = max(step * float(model.gamma.sum()), 1e-300)  # lag 0 bounds every lag, as gamma >= 0
+    out.append(_result("qsi", "reflection_symmetry", qsi.reflection_symmetry_check(model) / r_scale, 1e-10))
 
     # Fourier-Parseval bridge of the coefficient kernels; sigma_rev's kernel is the lag flip of sigma's.
     # phi[i, j] convolves the kernel of a (i = 0) or c (i = 1) with that of
     # sigma_rev (j = 0) or sigma (j = 1)
-    phi = convolve(kernels[:, None], np.array((amp_kernel[::-1], amp_kernel)), eps)
+    phi = (yield {"convolve": (kernels[:, None], np.array((amp_kernel[::-1], amp_kernel)))})["convolve"]
+    phi = phi.reshape(2, 2, -1)
+    phi *= eps
     bridge_minus, bridge_plus = spectrum_of(phi[0] + phi[1, ::-1], eps)
     f_minus = a * sigma_rev + c * sigma
     f_plus = a * sigma + c * sigma_rev
     parseval_scale = max(_maxabs(f_plus), _maxabs(f_minus), 1e-300)
-    defect = _worst(
-        _maxabs(bridge_minus - f_minus),
-        _maxabs(bridge_plus - f_plus),
-    )
+    defect = _worst(_maxabs(bridge_minus - f_minus), _maxabs(bridge_plus - f_plus))
     out.append(_result("qsi", "parseval_bridge", defect / parseval_scale, 1e-10))
 
     # Cross-module consistency with the synthesis spectra.
-    consistency = _maxabs(
-        output_pair.density("output", "output")[support] - pipe.synthesized.kappa_out[support]
-    ) / density_scale
+    consistency = _maxabs(output_pair.density("output", "output")[support] - pipe.synthesized.kappa_out[support])
+    consistency /= density_scale
     out.append(_result("qsi", "synthesis_consistency", consistency, 1e-12))
     return out
 
 
 def _isometry_grams(model: stationary.StationaryModel, coefficients: np.ndarray) -> tuple[float, float]:
     """z† K z + z† G x + x† G z + x† K_rev x for the coefficient columns
-    (z, x) and for their conjugates, from their DFTs ``coefficients`` and
-    those of the columns of K, K_rev and G: the ones stationary_checks took
-    in this run_all, else one DFT of the three columns."""
+    (z, x) and their conjugates, from their DFTs ``coefficients`` and those of
+    the columns of K, K_rev and G that stationary_checks took, else its own."""
     spectra = (_model_spectra or {}).pop(model, None)
     if spectra is None:
         spectra = _dft(_column(np.array((model.eigenvalues, model.eigenvalues, model.gamma), dtype=complex),
@@ -674,27 +668,20 @@ def run_all(pair: SpectralDensityPair | Pipeline, eps: float | None = None,
     if not isinstance(pair, Pipeline) and eps is None:
         eps = 1.0 / (pair.grid.n_points * pair.grid.step)  # by the duality n * step * eps = 1
     pipe = pair if isinstance(pair, Pipeline) else Pipeline(pair, eps)
+    kernel_size = _fast_length(2 * pipe.pair.grid.n_points - 2)
     _model_spectra = {}
     try:
-        results = []
-        results += spectra_checks(pipe)
-        results += stationary_checks(pipe)
-        results += modular_checks(pipe)
-        results += decomposition_checks(pipe)
-        results += synthesis_checks(pipe)
-        results += qsi_checks(pipe)
+        results = spectra_checks(pipe)
+        suites = [rounds(pipe) for rounds in _ROUNDS]
+        # in lockstep while a _dft block takes 16 rows (n <= 1025), where calls cost more than rows
+        lockstep = 16 * kernel_size <= _DFT_BLOCK
+        for checks in _lockstep(suites) if lockstep else (_lockstep([suite])[0] for suite in suites):
+            results += checks
         results += mode_checks()
     finally:
         _model_spectra = None
-        if _fast_length(2 * pipe.pair.grid.n_points - 2) > _DFT_BLOCK:
+        if kernel_size > _DFT_BLOCK:
             _chirp.cache_clear()  # past one block no grid table outlives the call
     if tol_factor != 1.0:
-        results = [
-            replace(
-                r,
-                tolerance=r.tolerance * tol_factor,
-                passed=bool(r.residual <= r.tolerance * tol_factor),
-            )
-            for r in results
-        ]
+        results = [replace(r, tolerance=(t := r.tolerance * tol_factor), passed=bool(r.residual <= t)) for r in results]
     return results

@@ -82,9 +82,11 @@ class TestExitCodes:
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"model": "flat", "sigma2": 1e-200, "n_points": 33, "step": 0.5}))
         assert run("verify", "--config", path, "--out", tmp_path / "out") == 1
-        report = json.loads((tmp_path / "out" / "verify_report.json").read_text())
+        # strict JSON (RFC 8259 has no Infinity): the residual is the string "inf"
+        text = (tmp_path / "out" / "verify_report.json").read_text()
+        report = json.loads(text, parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
         failed = {f"{c['suite']}/{c['check']}": c["residual"] for c in report["checks"] if not c["pass"]}
-        assert failed == {"synthesis/reproduce_gamma": float("inf")}
+        assert failed == {"synthesis/reproduce_gamma": "inf"}
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_exits_two(self, tol, tmp_path, capsys):

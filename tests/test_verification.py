@@ -231,11 +231,14 @@ def _clear_grid_tables(monkeypatch):
 
 
 def test_run_all_stacks_its_transforms_and_shifts_by_slices(monkeypatch):
-    # Each stage takes its same-length transforms as one call on a stack of
-    # rows (108 FFT calls unstacked), and no transform centres by np.roll.
-    # The chirp-z DFTs' own FFTs are counted too.  A second call on the same
-    # grid reads the grid tables of the first: the chirp's FFT, the kernels
-    # of qsi's isometry coefficients and the chirp-z DFT of their columns.
+    # Each round of the suites takes its transforms of one kind as one call
+    # on a stack of rows (108 FFT calls unstacked, 30 with each suite
+    # stacking its own), and no transform centres by np.roll.  The chain
+    # takes 4 calls, modular_kernels_theta, coefficient_norm and
+    # reflection_symmetry_check one each, the rounds 7 and qsi's bridge
+    # spectrum 1.  The chirp-z DFTs' own FFTs are counted too.  A second call
+    # on the same grid reads the grid tables of the first: the chirp's FFT,
+    # the kernels of qsi's isometry coefficients and the chirp-z DFT of their columns.
     _clear_grid_tables(monkeypatch)
     calls = {}
 
@@ -249,13 +252,14 @@ def test_run_all_stacks_its_transforms_and_shifts_by_slices(monkeypatch):
 
     for name in ("fft", "ifft", "fftshift", "ifftshift"):
         monkeypatch.setattr(np.fft, name, counted(name))
-    grid = qn.make_grid(33, 0.25)
-    for expected in (34, 30):
-        calls.clear()
-        results = verification.run_all(qn.planck_density(1.0, 1.0, grid), 1.0 / (33 * 0.25))
-        assert all(r.passed for r in results)
-        assert calls.get("fft", 0) + calls.get("ifft", 0) == expected, calls
-        assert calls.get("fftshift", 0) == calls.get("ifftshift", 0) == 0, calls
+    for n in (33, 257):
+        grid = qn.make_grid(n, 8.0 / (n - 1))
+        for expected in (19, 15):
+            calls.clear()
+            results = verification.run_all(qn.planck_density(1.0, 1.0, grid))
+            assert all(r.passed for r in results)
+            assert calls.get("fft", 0) + calls.get("ifft", 0) == expected, (n, calls)
+            assert calls.get("fftshift", 0) == calls.get("ifftshift", 0) == 0, calls
 
 
 def test_run_all_leaves_no_chirp_tables_behind(monkeypatch):
@@ -271,17 +275,65 @@ def test_run_all_leaves_no_chirp_tables_behind(monkeypatch):
 
     verification.run_all(pair)
     assert held_nothing()
+    pipe = Pipeline(pair, 1.0 / (n * pair.grid.step))
 
-    def failing(pipe):
-        # the earlier suites filled the chirp and left the model's spectra
+    def failing(pair):
+        # qsi_checks runs last: the earlier suites filled the chirp and left the model's spectra
         assert verification._chirp.cache_info().currsize == 1 and verification._tables is None
         assert list(verification._model_spectra) == [pipe.model]
         raise RuntimeError("suite failed")
 
-    monkeypatch.setattr(verification, "qsi_checks", failing)
+    monkeypatch.setattr(qsi, "integrator_table", failing)
     with pytest.raises(RuntimeError, match="suite failed"):
-        verification.run_all(pair)
+        verification.run_all(pipe)
     assert held_nothing()
+
+
+def _suite_pairs(n):
+    """Planck, Planck at beta*h*nu_max = 48, flat, a mixed tabulated spectrum
+    and the half-line vacuum; all but Planck and flat skip the modular suite."""
+    grid = qn.make_grid(n, 16.0 / (n - 1))
+    values = np.random.default_rng(n).uniform(0.1, 2.0, n)
+    values[::3] = 0.0
+    return {"planck": qn.planck_density(1.0, 1.0, grid), "planck-hdr": qn.planck_density(6.0, 1.0, grid),
+            "flat": qn.flat_density(1.0, grid), "mixed": qn.tabulated_density(values, grid),
+            "vacuum": qn.tabulated_density((grid.points < 0).astype(float), grid)}
+
+
+@pytest.mark.parametrize("n", [33, 257, 16387])
+def test_each_suite_alone_gives_its_slice_of_run_all(n):
+    # run_all advances the suites in lockstep up to n = 1025 and one after
+    # another above; each suite called alone runs its rounds by itself.
+    def bits(results):
+        return [(r.suite, r.check, r.residual.hex(), r.tolerance, r.passed) for r in results]
+
+    for name, pair in _suite_pairs(n).items():
+        pipe = Pipeline(pair, 1.0 / (n * pair.grid.step))
+        together = bits(verification.run_all(pipe))
+        alone = []
+        for suite in ("spectra", "stationary", "modular", "decomposition", "synthesis", "qsi"):
+            alone += bits(getattr(verification, f"{suite}_checks")(pipe))
+        alone += bits(verification.mode_checks())
+        assert alone == together, name
+        assert any(r[0] == "modular" for r in together) == (name in ("planck", "flat")), name
+
+
+@pytest.mark.parametrize("n, most", [(257, 15), (1025, 15), (1027, 5), (16387, 5)])
+def test_run_all_takes_the_symbol_to_lag_transforms_of_all_suites_in_one_stack(n, most, monkeypatch):
+    # Round 1 up to n = 1025 is one ifft of 15 rows: stationary's 5 columns,
+    # modular's 3, the theta indicator, synthesis's 5 kernels and sigma's.
+    # Past the lockstep bound no stack holds more than one suite's rows.
+    rows = []
+    transform = np.fft.ifft
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a)[-1] == n and not args and "n" not in kwargs:
+            rows.append(int(np.prod(np.shape(a)[:-1])))
+        return transform(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    assert all(r.passed for r in verification.run_all(_suite_pairs(n)["planck"]))
+    assert max(rows) == most, rows
 
 
 def test_grid_tables_are_kept_by_n_step_and_eps(monkeypatch):
