@@ -57,16 +57,10 @@ def split(model: StationaryModel, pair: SpectralDensityPair) -> ComponentSplit:
     if np.abs(model.eigenvalues - pair.kappa).max() > MODEL_MATCH_TOL * scale:
         raise ValueError("model was not built from this density pair")
 
-    amp, amp_rev = pair.sigma, pair.sigma_rev
-    return ComponentSplit(
-        pair=pair,
-        amp=amp,
-        amp_rev=amp_rev,
-        amp_vac=_frozen(np.where(pair.n_minus, amp, 0.0)),
-        amp_thermal=_frozen(np.where(pair.theta, amp, 0.0)),
-        amp_rev_vac=_frozen(np.where(pair.n_plus, amp_rev, 0.0)),
-        amp_rev_thermal=_frozen(np.where(pair.theta, amp_rev, 0.0)),
-    )
+    # n_plus, theta and sigma_rev are the flips of n_minus, theta and sigma:
+    # so are the reverse parts of the forward ones
+    parts = np.where((pair.n_minus, pair.theta), pair.sigma, 0.0)
+    return ComponentSplit(pair, pair.sigma, pair.sigma_rev, *_frozen(parts), *_frozen(parts[:, ::-1]))
 
 
 def best_estimate(split_result: ComponentSplit, direction: str) -> np.ndarray:
@@ -80,9 +74,9 @@ def best_estimate(split_result: ComponentSplit, direction: str) -> np.ndarray:
     is the symmetric statement with sqrt(lambda)^-1 and n_minus.
     """
     if direction == INPUT_TO_OUTPUT:
-        return _frozen(np.where(split_result.pair.theta, split_result.amp_rev, 0.0))
+        return split_result.amp_rev_thermal
     if direction == OUTPUT_TO_INPUT:
-        return _frozen(np.where(split_result.pair.theta, split_result.amp, 0.0))
+        return split_result.amp_thermal
     raise ValueError(
         f"direction must be {INPUT_TO_OUTPUT!r} or {OUTPUT_TO_INPUT!r}, got {direction!r}"
     )
@@ -113,4 +107,4 @@ def modular_kernels_theta(pair: SpectralDensityPair, eps: float) -> ModularFilte
     check_duality(grid.n_points, grid.step, eps)
     if not pair.theta.any():
         raise EmptySupportError("thermal support is empty; no modular kernels exist")
-    return _masked_filter(pair.lambda_theta, pair.theta, eps, grid.step)
+    return _masked_filter(pair.lambda_theta, eps, grid.step)

@@ -50,7 +50,7 @@ class ModeOperator:
         coeffs = np.array(self.coefficients, dtype=complex)  # a copy: the caller's stays writable
         if coeffs.shape[-1:] != (4,):
             raise ValueError(f"expected 4 coefficients, got shape {coeffs.shape}")
-        coeffs.setflags(write=False)
+        coeffs.setflags(False)
         object.__setattr__(self, "coefficients", coeffs)
 
     def dagger(self) -> "ModeOperator":

@@ -98,6 +98,14 @@ def ordered_moment(
     return complex(step * terms.sum())
 
 
+_DENSITIES = {
+    ("noise", "noise"): "kappa",
+    ("noise", "reverse"): "gamma",
+    ("reverse", "noise"): "gamma",
+    ("reverse", "reverse"): "kappa_rev",
+}
+
+
 @dataclass(frozen=True, eq=False)
 class IntegratorTable:
     """Dagger-first second moments of the noise/reverse integrator pair.
@@ -111,14 +119,8 @@ class IntegratorTable:
     pair: SpectralDensityPair
 
     def density(self, first: str, second: str) -> np.ndarray:
-        table = {
-            ("noise", "noise"): self.pair.kappa,
-            ("noise", "reverse"): self.pair.gamma,
-            ("reverse", "noise"): self.pair.gamma,
-            ("reverse", "reverse"): self.pair.kappa_rev,
-        }
         try:
-            return table[(first, second)]
+            return getattr(self.pair, _DENSITIES[first, second])
         except KeyError:
             raise ValueError(f"unknown integrator names: {(first, second)!r}") from None
 
@@ -188,19 +190,18 @@ def canonical_from_vacuum(
             "pair has a nonempty thermal support; the canonical splice "
             "requires disjoint noise/reverse supports"
         )
-    retained = pair.retained
-    if retained.any():
-        level = pair.kappa[retained] + pair.kappa_rev[retained]
-        if np.abs(level - 1.0).max() > STANDARD_VACUUM_TOL:
-            raise ValueError(
-                "vacuum pair is not standard: kappa + kappa_rev deviates from 1"
-            )
+    retained = pair.n_plus | pair.n_minus  # theta is empty
+    # kappa + kappa_rev - 1 on retained points; off them both densities are 0
+    if np.abs(pair.kappa + pair.kappa_rev - retained).max() > STANDARD_VACUUM_TOL:
+        raise ValueError(
+            "vacuum pair is not standard: kappa + kappa_rev deviates from 1"
+        )
 
-    on_noise = _frozen(pair.n_minus.astype(float))  # kappa > 0 here
-    on_reverse = _frozen(pair.n_plus.astype(float))  # kappa_rev > 0 here
+    # on_noise: kappa > 0 there; on_reverse: kappa_rev > 0 there
+    on_noise, on_reverse, ones = _frozen(np.array((pair.n_minus, pair.n_plus, retained), float))
     noise = MeasureSymbol(name="noise", minus=on_reverse, plus=on_noise)
     reverse = MeasureSymbol(name="reverse", minus=on_noise, plus=on_reverse)
-    ones, zeros = _frozen(retained.astype(float)), _frozen(np.zeros(retained.size))
+    zeros = _frozen(np.zeros(retained.size))
     canonical = CanonicalPair(
         grid=pair.grid,
         support=_frozen(retained),
@@ -268,9 +269,7 @@ def build_output_pair(
     peak = _checked_peak("output amplitudes", sigma, sigma_rev)
     if np.abs(sigma_rev - sigma[::-1]).max() > FLIP_TOL * max(peak, 1e-300):
         raise ValueError("sigma_rev is not the frequency flip of sigma")
-    support = canonical.support
-    on_sigma = _frozen(np.where(support, sigma, 0.0))
-    on_sigma_rev = _frozen(np.where(support, sigma_rev, 0.0))
+    on_sigma, on_sigma_rev = _frozen(np.where(canonical.support, (sigma, sigma_rev), 0.0))
     output = MeasureSymbol(name="output", minus=on_sigma, plus=on_sigma_rev)
     reverse = MeasureSymbol(name="reverse", minus=on_sigma_rev, plus=on_sigma)
     return OutputPair(canonical=canonical, output=output, reverse=reverse)
@@ -315,21 +314,19 @@ def recover_canonical(
             "classical direction cannot be inverted"
         )
 
-    def combine(coeff_out, coeff_rev, name):
-        rows = []
-        for on_output, on_reverse in ((output.minus, reverse.minus), (output.plus, reverse.plus)):
-            row = coeff_out * on_output
-            row += coeff_rev * on_reverse
-            # denom != 0 on the support, and the result is exactly 0 off it
-            rows.append(_frozen(np.divide(row, denom, out=np.zeros_like(row), where=support)))
-        return MeasureSymbol(name, *rows)
-
-    minus_sigma = -sigma
+    # rows (minus, plus) of creation, then of annihilation: output and reverse
+    # weighted by (sigma_rev, -sigma) for creation, by (-sigma, sigma_rev) for annihilation
+    coeffs = np.array((sigma_rev, -sigma))[:, None]
+    rows = coeffs * (output.minus, output.plus)
+    rows += coeffs[::-1] * (reverse.minus, reverse.plus)
+    # denom != 0 on the support, and the result is exactly 0 off it
+    out = np.zeros(rows.shape, rows.dtype)
+    creation, annihilation = _frozen(np.divide(rows, denom, out=out, where=support))
     return CanonicalPair(
         grid=output_pair.canonical.grid,
         support=_frozen(support),
-        creation=combine(sigma_rev, minus_sigma, "creation"),
-        annihilation=combine(minus_sigma, sigma_rev, "annihilation"),
+        creation=MeasureSymbol("creation", *creation),
+        annihilation=MeasureSymbol("annihilation", *annihilation),
     )
 
 

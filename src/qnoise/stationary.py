@@ -74,13 +74,8 @@ def correlation_sequence(pair: SpectralDensityPair, eps: float) -> CorrelationSe
     """
     grid = pair.grid
     check_duality(grid.n_points, grid.step, eps)
-    values, cross = kernel_of((pair.kappa, pair.gamma), grid.step)
-    return CorrelationSequence(
-        eps=float(eps),
-        step=grid.step,
-        values=_frozen(values),
-        cross=_frozen(cross),
-    )
+    values, cross = _frozen(kernel_of((pair.kappa, pair.gamma), grid.step))
+    return CorrelationSequence(float(eps), grid.step, values, cross)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +99,9 @@ class StationaryModel:
 
     @property
     def invertible(self) -> bool:
-        scale = float(self.eigenvalues.max(initial=0.0))
-        return bool(scale > 0 and float(self.eigenvalues.min()) > INVERTIBILITY_FLOOR * scale)
+        eigs = self.eigenvalues
+        scale = np.maximum.reduce(eigs, initial=0.0)
+        return bool(scale > 0 and np.minimum.reduce(eigs) > INVERTIBILITY_FLOOR * scale)
 
     @property
     def gamma(self) -> np.ndarray:
@@ -131,20 +127,24 @@ def build_model(seq: CorrelationSequence) -> StationaryModel:
     n = seq.n_points
     if n % 2 == 0:
         raise ValueError("correlation sequence length must be odd")
-    raw = seq.eps * _fftshift(np.fft.fft(_ifftshift(seq.values)))
+    # in FFT order: the checks do not depend on the order, and only the eigenvalues are shifted
+    raw = seq.eps * np.fft.fft(_ifftshift(seq.values))
     scale = float(np.abs(raw).max(initial=0.0))
     floor = n * np.finfo(float).smallest_subnormal
     if scale > 0 and np.abs(raw.imag).max() > max(1e-9 * scale, floor):
         raise ValueError("correlation sequence is not Hermitian: complex spectrum")
-    eigs = raw.real.copy()
+    eigs = _fftshift(raw.real)
     if scale > 0:
-        if eigs.min() < -max(PSD_TOL * scale, floor):
+        low = eigs.min()
+        if low < -max(PSD_TOL * scale, floor):
             raise NotPositiveDefiniteError(
-                f"covariance has eigenvalue {eigs.min():.3e} < -{PSD_TOL:g} * {scale:.3e}; "
+                f"covariance has eigenvalue {low:.3e} < -{PSD_TOL:g} * {scale:.3e}; "
                 "the spectral input is invalid or aliased"
             )
-        eigs[np.abs(eigs) < EIGENVALUE_SNAP * scale] = 0.0
-    np.clip(eigs, 0.0, None, out=eigs)
+        # the snap of |eig| < EIGENVALUE_SNAP * scale and the clip of the negatives at once
+        eigs[eigs < EIGENVALUE_SNAP * scale] = 0.0
+    else:
+        np.maximum(eigs, 0.0, out=eigs)  # the clip: -0.0 to 0.0, NaN kept
     return StationaryModel(eps=seq.eps, step=seq.step, eigenvalues=_frozen(eigs))
 
 
@@ -174,20 +174,14 @@ class ModularFilter:
         return time_lags(self.symbol.size)
 
 
-def _masked_filter(lam: np.ndarray, support: np.ndarray, eps: float, step: float) -> ModularFilter:
-    """The one builder of lambda^(+-1/2) kernels: the modular filter of ``lam``
-    on ``support``, exactly zero off it (``lam`` is read only on ``support``)."""
-    symbol = np.where(support, lam, 0.0)
-    # Off the support both roots are sqrt(0) and sqrt(1 / inf) = 0.
-    kernels = kernel_of(np.sqrt((symbol, 1.0 / np.where(support, lam, np.inf))), step)
+def _masked_filter(lam: np.ndarray, eps: float, step: float) -> ModularFilter:
+    """The one builder of lambda^(+-1/2) kernels: the modular filter of ``lam``,
+    exactly zero off its support, where ``lam`` is NaN."""
+    # fmax makes each NaN of lam and 1 / lam a 0: off the support both roots are sqrt(0)
+    symbols = np.fmax((lam, 1.0 / lam), 0.0)
+    kernels = kernel_of(np.sqrt(symbols), step)
     kernels *= eps
-    kernel_half, kernel_inv_half = kernels
-    return ModularFilter(
-        eps=float(eps),
-        symbol=_frozen(symbol),
-        kernel_half=_frozen(kernel_half),
-        kernel_inv_half=_frozen(kernel_inv_half),
-    )
+    return ModularFilter(float(eps), _frozen(symbols)[0], *_frozen(kernels))
 
 
 def modular_matrix(model: StationaryModel) -> ModularFilter:
@@ -203,8 +197,7 @@ def modular_matrix(model: StationaryModel) -> ModularFilter:
             "covariance is singular (vacuum components present); "
             "the modular filter is undefined"
         )
-    lam = model.eigenvalues[::-1] / model.eigenvalues
-    return _masked_filter(lam, np.ones(lam.size, dtype=bool), model.eps, model.step)
+    return _masked_filter(model.eigenvalues[::-1] / model.eigenvalues, model.eps, model.step)
 
 
 def coefficient_norm(model: StationaryModel, zeta: np.ndarray) -> float:

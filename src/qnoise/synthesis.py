@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import check_duality, convolve, kernel_of, time_lags
-from .spectra import SpectralDensityPair, _frozen, tabulated_density
+from .spectra import SpectralDensityPair, _frozen, _pair_from_kappa
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +46,7 @@ def build_standard_pair(target: SpectralDensityPair) -> StandardPair:
     """Standard pair underlying ``target``; see the module docstring."""
     # lambda_theta is NaN off theta, and NaN ** -0.25 is a quiet NaN
     amp = np.where(target.theta, np.power(target.lambda_theta, -0.25), target.n_minus)
-    pair = tabulated_density(amp * amp, target.grid)
+    pair = _pair_from_kappa(target.grid, amp * amp, snap=0.0)
     return StandardPair(pair=pair, amp=_frozen(amp))
 
 

@@ -118,7 +118,7 @@ def test_chain_records_equal_their_multi_pass_references(case):
     standard = qn.build_standard_pair(pair)
     amp = scattered_standard_amp(pair)
     assert_same_bytes(standard.amp, amp, "standard amp")
-    assert_pair_equals(standard.pair, gathered_pair(amp * amp, ZERO_SNAP))
+    assert_pair_equals(standard.pair, gathered_pair(amp * amp, 0.0))
 
     for values in (_standard_vacuum_values(rng, grid.n_points), (grid.points < 0).astype(float)):
         vacuum = qn.tabulated_density(values, grid)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import qnoise as qn
-from qnoise import cli, stationary, verification
+from qnoise import cli, spectra, stationary, synthesis, verification
 from qnoise.pipeline import Pipeline
+
+from oracles import mixed_kappa
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,3 +83,57 @@ def test_vacuum_pair_is_the_configured_pair_only_if_standard_vacuum(vacuum_setup
     reference = Pipeline(planck, eps).vacuum_pair
     assert reference is not planck
     assert np.array_equal(reference.kappa, (grid.points < 0).astype(float))
+
+
+def _public_chain(pair, occupation=1.5):
+    """Every public stage of one density pair, called one by one as a user would."""
+    grid = pair.grid
+    eps = 1.0 / (grid.n_points * grid.step)
+    qn.classify(pair)
+    model = qn.build_model(qn.correlation_sequence(pair, eps))
+    if model.invertible:
+        qn.modular_matrix(model)
+    qn.best_estimate(qn.split(model, pair), qn.INPUT_TO_OUTPUT)
+    if pair.theta.any():
+        qn.modular_kernels_theta(pair, eps)
+    transmission = qn.transmission_function(pair)
+    qn.synthesize(transmission, transmission.standard)
+    qn.time_domain_filter(transmission, eps)
+    table = qn.integrator_table(pair)
+    half = qn.interval_mask(grid, 0.0, grid.nu_max)
+    everywhere = qn.interval_mask(grid, -grid.nu_max, grid.nu_max)
+    for first in ("noise", "reverse"):
+        for second in ("noise", "reverse"):
+            table.second_moment(first, half, second, everywhere)
+    canonical, _ = qn.canonical_from_vacuum(qn.tabulated_density((grid.points < 0).astype(float), grid))
+    output = qn.build_output_pair(canonical, pair.sigma, pair.sigma_rev)
+    qn.recover_canonical(output, where=pair.sigma != pair.sigma_rev)
+    b, b_out = qn.thermal_pair(occupation)
+    qn.invert_pair(b, b_out, occupation)
+
+
+@pytest.mark.parametrize("kind, transforms", [("planck", 5), ("tabulated", 4)])
+def test_public_chain_makes_a_fixed_number_of_transforms_and_pair_builds(monkeypatch, kind, transforms):
+    # At n = 1025 one FFT call each builds the correlation sequence, the model,
+    # the modular filter (of an invertible model only), the theta kernels and
+    # the transmission kernel; three density pairs are built: the input, its
+    # standard pair and the vacuum pair of the canonical measures.
+    calls = {"fft": 0, "ifft": 0, "_pair_from_kappa": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (spectra, "_pair_from_kappa"),
+                         (synthesis, "_pair_from_kappa")):
+        count(module, name)
+    grid = qn.make_grid(1025, 16.0 / 1024)
+    pair = (qn.planck_density(1.0, 1.0, grid) if kind == "planck"
+            else qn.tabulated_density(mixed_kappa(grid), grid))
+    _public_chain(pair)
+    assert (calls["fft"] + calls["ifft"], calls["_pair_from_kappa"]) == (transforms, 3), calls
