@@ -31,7 +31,7 @@ _EXPORTS = {
     ),
     "pipeline": ("Pipeline",),
     "qsi": (
-        "CanonicalPair", "IntegratorTable", "MeasureSymbol", "OutputPair", "VacuumAssembly",
+        "CanonicalPair", "IntegratorTable", "MeasureSymbol", "OutputPair",
         "build_output_pair", "canonical_from_vacuum", "integrator_table", "interval_mask",
         "isometry_check", "recover_canonical", "reflection_symmetry_check",
     ),
@@ -45,7 +45,7 @@ _EXPORTS = {
         "coefficient_norm", "correlation_sequence", "modular_matrix",
     ),
     "synthesis": (
-        "StandardPair", "SynthesisResult", "TimeDomainFilter", "TransmissionFilter",
+        "SynthesisResult", "TimeDomainFilter", "TransmissionFilter",
         "build_standard_pair", "synthesize", "time_domain_filter", "transmission_function",
     ),
 }

@@ -327,8 +327,8 @@ def cmd_synth(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     columns = (
         pair.grid.points,
         filt.f,
-        filt.standard.pair.kappa,
-        filt.standard.pair.kappa_rev,
+        filt.standard.kappa,
+        filt.standard.kappa_rev,
     )
     rows = zip(*(column[retained] for column in columns), reproduced, target, rel)
     _write_csv(
@@ -368,8 +368,8 @@ def cmd_qsi(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
 
     canonical, _ = pipe.canonical
     canonical_moments = {
-        f"{first}_{second}": canonical.vacuum_moment(
-            getattr(canonical, first), qsi.flipped(delta), getattr(canonical, second), delta_prime
+        f"{first}_{second}": qsi.ordered_moment(
+            getattr(canonical, first), qsi.flipped(delta), getattr(canonical, second), delta_prime, grid.step
         ).real
         for first in ("annihilation", "creation")
         for second in ("creation", "annihilation")

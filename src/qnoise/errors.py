@@ -6,7 +6,7 @@ class NotPositiveDefiniteError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """An input is NaN or infinite, or a density so large that its square is."""
+    """An input is NaN or infinite, a density so large that its square is, or one so cold that it is 0."""
 
 
 class NotInvertibleError(ValueError):

@@ -74,7 +74,7 @@ class Pipeline:
         return spectra.tabulated_density((grid.points < 0).astype(float), grid)
 
     @cached_property
-    def canonical(self) -> tuple[qsi.CanonicalPair, qsi.VacuumAssembly]:
-        """Canonical pair of ``vacuum_pair`` with its vacuum assembly."""
+    def canonical(self) -> tuple[qsi.CanonicalPair, tuple[qsi.MeasureSymbol, qsi.MeasureSymbol]]:
+        """Canonical pair of ``vacuum_pair`` with its (noise, reverse) measures."""
         from . import qsi
         return qsi.canonical_from_vacuum(self.vacuum_pair)

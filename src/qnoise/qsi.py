@@ -11,7 +11,8 @@ vacuum moment is the flip-paired contraction
     < A_minus(dnu) A_plus(dnu') > = delta(nu' + nu) dnu.
 
 Second moments of arbitrary integrators follow by bilinear expansion over
-that single rule, which keeps the table identities exactly checkable:
+that single rule (:func:`ordered_moment`), which keeps the table identities
+exactly checkable:
 
     ordered   < M1(D1) M2(D2) >   = step * sum over {k in D1, flip(k) in D2}
                                       minus1[k] * plus2[flip k]
@@ -22,8 +23,9 @@ is the measure of D), the annihilator kills the vacuum, and all remaining
 ordered canonical products are structural zeros.
 
 The canonical pair is the paper's canonical pair on the spectrum, in closed
-form (:func:`canonical_from_vacuum`): on the support of a standard vacuum the
-creator is (minus, plus) = (0, 1) and the annihilator (1, 0), both 0 off it.
+form (:func:`canonical_from_vacuum`, with the noise and reverse measures it
+splices): on a standard vacuum's support the creator is (minus, plus) =
+(0, 1) and the annihilator (1, 0), both 0 off it.
 
 Intervals are unions of grid cells, represented as boolean masks; the
 measure of a cell is the grid step.  An output pair keeps its amplitudes
@@ -69,18 +71,13 @@ def flipped(mask: np.ndarray) -> np.ndarray:
 class MeasureSymbol:
     """Integrator measure as amplitudes over the canonical pair."""
 
-    name: str
     minus: np.ndarray
     plus: np.ndarray
 
 
 def adjoint(symbol: MeasureSymbol) -> MeasureSymbol:
     """Amplitudes of M(D)^dag, to be evaluated on the flipped cell set."""
-    return MeasureSymbol(
-        name=f"{symbol.name}_dag",
-        minus=_frozen(np.conj(symbol.plus[::-1])),
-        plus=_frozen(np.conj(symbol.minus[::-1])),
-    )
+    return MeasureSymbol(_frozen(np.conj(symbol.plus[::-1])), _frozen(np.conj(symbol.minus[::-1])))
 
 
 def ordered_moment(
@@ -138,9 +135,9 @@ def integrator_table(pair: SpectralDensityPair) -> IntegratorTable:
 class CanonicalPair:
     """Canonical creation/annihilation measures over a support mask.
 
-    ``vacuum_moment`` evaluates ordered products in the vacuum; all of
-    them vanish structurally except annihilation-then-creation on
-    flip-matched cells, which returns the measure of the intersection.
+    Under :func:`ordered_moment` every ordered product of the two vanishes
+    structurally except annihilation-then-creation on flip-matched cells,
+    which is the measure of the intersection.
     """
 
     grid: SpectralGrid
@@ -148,24 +145,10 @@ class CanonicalPair:
     creation: MeasureSymbol
     annihilation: MeasureSymbol
 
-    def vacuum_moment(
-        self, first: MeasureSymbol, mask1, second: MeasureSymbol, mask2
-    ) -> complex:
-        return ordered_moment(first, mask1, second, mask2, self.grid.step)
 
-
-@dataclass(frozen=True, eq=False)
-class VacuumAssembly:
-    """The casewise integrator measures of a standard vacuum pair."""
-
-    noise: MeasureSymbol
-    reverse: MeasureSymbol
-
-
-def canonical_from_vacuum(
-    pair: SpectralDensityPair,
-) -> tuple[CanonicalPair, VacuumAssembly]:
-    """Canonical pair carried by a standard vacuum spectrum.
+def canonical_from_vacuum(pair: SpectralDensityPair) -> tuple[CanonicalPair, tuple[MeasureSymbol, MeasureSymbol]]:
+    """Canonical pair carried by a standard vacuum spectrum, with the
+    casewise integrator measures ``(noise, reverse)`` it is spliced from.
 
     For a standard vacuum pair the noise integrator creates on the points
     where kappa is positive and annihilates where kappa_rev is positive
@@ -199,16 +182,16 @@ def canonical_from_vacuum(
 
     # on_noise: kappa > 0 there; on_reverse: kappa_rev > 0 there
     on_noise, on_reverse, ones = _frozen(np.array((pair.n_minus, pair.n_plus, retained), float))
-    noise = MeasureSymbol(name="noise", minus=on_reverse, plus=on_noise)
-    reverse = MeasureSymbol(name="reverse", minus=on_noise, plus=on_reverse)
+    noise = MeasureSymbol(minus=on_reverse, plus=on_noise)
+    reverse = MeasureSymbol(minus=on_noise, plus=on_reverse)
     zeros = _frozen(np.zeros(retained.size))
     canonical = CanonicalPair(
         grid=pair.grid,
         support=_frozen(retained),
-        creation=MeasureSymbol("creation", zeros, ones),
-        annihilation=MeasureSymbol("annihilation", ones, zeros),
+        creation=MeasureSymbol(zeros, ones),
+        annihilation=MeasureSymbol(ones, zeros),
     )
-    return canonical, VacuumAssembly(noise=noise, reverse=reverse)
+    return canonical, (noise, reverse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,8 +253,8 @@ def build_output_pair(
     if np.abs(sigma_rev - sigma[::-1]).max() > FLIP_TOL * max(peak, 1e-300):
         raise ValueError("sigma_rev is not the frequency flip of sigma")
     on_sigma, on_sigma_rev = _frozen(np.where(canonical.support, (sigma, sigma_rev), 0.0))
-    output = MeasureSymbol(name="output", minus=on_sigma, plus=on_sigma_rev)
-    reverse = MeasureSymbol(name="reverse", minus=on_sigma_rev, plus=on_sigma)
+    output = MeasureSymbol(minus=on_sigma, plus=on_sigma_rev)
+    reverse = MeasureSymbol(minus=on_sigma_rev, plus=on_sigma)
     return OutputPair(canonical=canonical, output=output, reverse=reverse)
 
 
@@ -325,8 +308,8 @@ def recover_canonical(
     return CanonicalPair(
         grid=output_pair.canonical.grid,
         support=_frozen(support),
-        creation=MeasureSymbol("creation", *creation),
-        annihilation=MeasureSymbol("annihilation", *annihilation),
+        creation=MeasureSymbol(*creation),
+        annihilation=MeasureSymbol(*annihilation),
     )
 
 

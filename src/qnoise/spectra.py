@@ -194,6 +194,8 @@ def planck_density(beta: float, h: float, grid: SpectralGrid) -> SpectralDensity
         ValueError: for beta < 0 or h <= 0.  beta == 0 (infinite
             temperature) has no finite density level; request that regime
             through :func:`flat_density` instead.
+        NonFiniteError: where beta h nu is so large that kappa underflows
+            to 0, which would make the noise mixed.
     """
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
@@ -209,6 +211,8 @@ def planck_density(beta: float, h: float, grid: SpectralGrid) -> SpectralDensity
     with np.errstate(over="ignore", invalid="ignore"):
         kappa = h * nu / np.expm1(beta * h * nu)
     kappa[grid.n_points // 2] = 1.0 / beta
+    if not kappa.all():  # underflow, as where beta h nu > ln(float max) ~ 709.78 and expm1 overflows
+        raise NonFiniteError(f"beta * h * nu_max = {beta * h * grid.nu_max!r} is too cold: kappa underflows to 0")
     return _pair_from_kappa(grid, kappa, snap=0.0)
 
 

@@ -7,15 +7,16 @@ the target's own modular data:
     kappa_std     = 1 on n_minus,  lambda^(-1/2) on theta,  0 on n_plus
     kappa_rev_std = the flip of kappa_std
 
-so the standard pair has unit cross density on the thermal support
-(kappa_std * kappa_rev_std = 1 there) and kappa_std + kappa_rev_std = 1 on
-the vacuum points.  The real symmetric transmission function
+so the standard pair, a ``SpectralDensityPair``, has unit cross density on
+the thermal support (kappa_std * kappa_rev_std = 1 there) and kappa_std +
+kappa_rev_std = 1 on the vacuum points.  The real symmetric transmission
+function
 
     f = sqrt(sigma * sigma_rev)   on theta
     f = max(sigma, sigma_rev)     off theta
 
-then reproduces the target spectrum exactly: f^2 * kappa_std = kappa at
-every retained point, and the time-domain filter is the quadrature
+times the standard pair's own ``sigma`` reproduces the target spectrum
+exactly: f^2 * kappa_std = kappa at every retained point, and the time-domain filter is the quadrature
 Fourier kernel of f.
 """
 from __future__ import annotations
@@ -28,26 +29,12 @@ from .fourier import check_duality, convolve, kernel_of, time_lags
 from .spectra import SpectralDensityPair, _frozen, _pair_from_kappa
 
 
-@dataclass(frozen=True, eq=False)
-class StandardPair:
-    """The standard density pair of a target, with its amplitudes.
-
-    ``amp`` is the standard noise amplitude (1 on n_minus of the target,
-    lambda^(-1/4) on theta); the reverse amplitude is its exact frequency
-    flip ``amp[::-1]``.  The squared amplitudes are the densities of
-    ``pair`` bit for bit.
-    """
-
-    pair: SpectralDensityPair
-    amp: np.ndarray
-
-
-def build_standard_pair(target: SpectralDensityPair) -> StandardPair:
-    """Standard pair underlying ``target``; see the module docstring."""
+def build_standard_pair(target: SpectralDensityPair) -> SpectralDensityPair:
+    """Standard pair underlying ``target``; see the module docstring.  Its ``sigma`` is the amplitude
+    a bit for bit: sqrt(a * a) == a, as a * a is never subnormal (a = 0 or a >= 2.7e-78)."""
     # lambda_theta is NaN off theta, and NaN ** -0.25 is a quiet NaN
     amp = np.where(target.theta, np.power(target.lambda_theta, -0.25), target.n_minus)
-    pair = _pair_from_kappa(target.grid, amp * amp, snap=0.0)
-    return StandardPair(pair=pair, amp=_frozen(amp))
+    return _pair_from_kappa(target.grid, amp * amp, snap=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +51,7 @@ class TransmissionFilter:
     pair: SpectralDensityPair
     f: np.ndarray
     time_kernel: np.ndarray
-    standard: StandardPair
+    standard: SpectralDensityPair
 
 
 def transmission_function(target: SpectralDensityPair) -> TransmissionFilter:
@@ -98,22 +85,22 @@ class SynthesisResult:
     kappa_out: np.ndarray
 
 
-def synthesize(filt: TransmissionFilter, standard: StandardPair) -> SynthesisResult:
-    """Apply the transmission function to standard amplitudes.
+def synthesize(filt: TransmissionFilter, standard: SpectralDensityPair) -> SynthesisResult:
+    """Apply the transmission function to the standard amplitudes.
 
-    Returns the filtered pair f * amp, f * amp[::-1] together with the
-    reproduced noise density; the squares of the filtered pair match the
-    target pair at every retained point.
+    Returns the filtered pair f * sigma, f * sigma_rev of ``standard``
+    together with the reproduced noise density; the squares of the filtered
+    pair match the target pair at every retained point.
 
     Raises:
         ValueError: if ``standard`` lives on a different grid than the
             filter.
     """
-    points, filt_points = standard.pair.grid.points, filt.pair.grid.points
+    points, filt_points = standard.grid.points, filt.pair.grid.points
     if points is not filt_points and not np.array_equal(points, filt_points):
         raise ValueError("transmission filter and standard pair use different grids")
-    out_amp = filt.f * standard.amp
-    out_amp_rev = filt.f * standard.amp[::-1]
+    out_amp = filt.f * standard.sigma
+    out_amp_rev = filt.f * standard.sigma_rev
     return SynthesisResult(
         out_amp=_frozen(out_amp),
         out_amp_rev=_frozen(out_amp_rev),

@@ -460,13 +460,13 @@ def synthesis_checks(pipe: Pipeline):
     perp = pair.retained & ~theta
 
     if theta.any():
-        law = std.pair.kappa[theta] * std.pair.kappa_rev[theta]
+        law = std.kappa[theta] * std.kappa_rev[theta]
         out.append(_result("synthesis", "standard_law_thermal", _maxabs(law - 1.0), 1e-12))
-        out.append(_result("synthesis", "standard_cross_unit", _maxabs(std.pair.gamma[theta] - 1.0), 1e-12))
+        out.append(_result("synthesis", "standard_cross_unit", _maxabs(std.gamma[theta] - 1.0), 1e-12))
     if perp.any():
-        level = std.pair.kappa[perp] + std.pair.kappa_rev[perp]
+        level = std.kappa[perp] + std.kappa_rev[perp]
         out.append(_result("synthesis", "standard_law_vacuum", _maxabs(level - 1.0), 1e-12))
-    out.append(_result("synthesis", "standard_cross_off_support", _maxabs(std.pair.gamma[~theta]), 0.0))
+    out.append(_result("synthesis", "standard_cross_off_support", _maxabs(std.gamma[~theta]), 0.0))
     out.append(_result("synthesis", "transmission_symmetric", _maxabs(filt.f - filt.f[::-1]), 0.0))
     kernel_scale = max(_maxabs(filt.time_kernel), 1e-300)
     out.append(_result("synthesis", "time_kernel_real", _maxabs(filt.time_kernel.imag) / kernel_scale, 1e-12))
@@ -488,7 +488,7 @@ def synthesis_checks(pipe: Pipeline):
     out.append(_result("synthesis", "amplitude_reproduction", amplitude, 1e-10))
 
     time_filter = synthesis.time_domain_filter(filt, eps)
-    symbols = (std.amp, pair.sigma, result.out_amp_rev, result.out_amp, result.kappa_out)
+    symbols = (std.sigma, pair.sigma, result.out_amp_rev, result.out_amp, result.kappa_out)
     kernels = _kernels((yield {"column": (np.array(symbols), (False,) * 5)})["column"], pair.grid.step)
     chi_std, psi_target, psi_out, psi_out_rev, correlations = kernels
     yield {}
@@ -535,16 +535,15 @@ def qsi_checks(pipe: Pipeline):
 
     # Canonical table on the pipeline's standard vacuum spectrum.
     vacuum_pair = pipe.vacuum_pair
-    canonical, assembly = pipe.canonical
+    canonical, (noise, reverse) = pipe.canonical
     creation, annihilation = canonical.creation, canonical.annihilation
-    zeros = sum(abs(canonical.vacuum_moment(first, flip, second, delta_prime))
+    zeros = sum(abs(qsi.ordered_moment(first, flip, second, delta_prime, step))
                 for first, second in ((creation, annihilation), (creation, creation), (annihilation, annihilation)))
     out.append(_result("qsi", "canonical_zeros", zeros, 0.0))
-    pairing = canonical.vacuum_moment(annihilation, flip, creation, delta_prime)
+    pairing = qsi.ordered_moment(annihilation, flip, creation, delta_prime, step)
     expected = step * np.count_nonzero(overlap & canonical.support)
     out.append(_result("qsi", "canonical_pairing", abs(pairing - expected), 0.0))
-    assembled = _maxabs(assembly.noise.plus - vacuum_pair.kappa)
-    assembled += _maxabs(assembly.reverse.plus - vacuum_pair.kappa_rev)
+    assembled = _maxabs(noise.plus - vacuum_pair.kappa) + _maxabs(reverse.plus - vacuum_pair.kappa_rev)
     out.append(_result("qsi", "vacuum_assembly", assembled, 1e-12))
 
     # Output pair over the canonical support, with the configured amplitudes.

@@ -168,7 +168,7 @@ def test_criterion_5_synthesis_theorem():
                 failures.append((name, label, "support_leak"))
 
         time_filter = qn.time_domain_filter(filt, eps)
-        chi_std = kernel_of(filt.standard.amp, pair.grid.step)
+        chi_std = kernel_of(filt.standard.sigma, pair.grid.step)
         psi_target = kernel_of(pair.sigma, pair.grid.step)
         sup = np.max(np.abs(time_filter.apply(chi_std) - psi_target))
         if sup > 1e-9:
@@ -188,9 +188,9 @@ def test_criterion_6_qsi_tables():
     delta_prime = qn.interval_mask(grid, -grid.nu_max / 2, grid.nu_max / 2)
     flipped = qsi.flipped(delta)
     zeros = (
-        canonical.vacuum_moment(canonical.creation, flipped, canonical.annihilation, delta_prime),
-        canonical.vacuum_moment(canonical.creation, flipped, canonical.creation, delta_prime),
-        canonical.vacuum_moment(canonical.annihilation, flipped, canonical.annihilation, delta_prime),
+        qsi.ordered_moment(canonical.creation, flipped, canonical.annihilation, delta_prime, grid.step),
+        qsi.ordered_moment(canonical.creation, flipped, canonical.creation, delta_prime, grid.step),
+        qsi.ordered_moment(canonical.annihilation, flipped, canonical.annihilation, delta_prime, grid.step),
     )
     if any(z != 0.0 for z in zeros):
         failures.append(("canonical_zeros", zeros))
@@ -258,7 +258,7 @@ def test_criterion_7_classification_and_standard_laws():
         failures.append(("flat_labels", flat_labels))
 
     for name, (pair, _) in _spectrum_family(33).items():
-        std = qn.build_standard_pair(pair).pair
+        std = qn.build_standard_pair(pair)
         theta = pair.theta
         perp = pair.retained & ~theta
         if theta.any():

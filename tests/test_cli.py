@@ -171,6 +171,7 @@ class TestExitCodes:
             {**FLAT, "model": "pink"},
             {**FLAT, "model": ["flat"]},
             {"model": "planck", "beta": 1e-300, "h": 1.0, "n_points": 33, "step": 0.25},
+            {"model": "planck", "beta": 89.0, "h": 1.0, "n_points": 65, "step": 0.25},
             {"model": "flat", "sigma2": 1e308, "n_points": 33, "step": 0.25},
             {"model": "planck", "beta": 1.0, "h": 1e306, "n_points": 33, "step": 0.25},
             {"model": "flat", "sigma2": 1.0, "n_points": 3, "step": 1e308},
@@ -189,6 +190,7 @@ class TestExitCodes:
             "unknown_model",
             "list_model",
             "tiny_beta",
+            "cold_beta",
             "huge_sigma2",
             "huge_h",
             "overflowing_span",

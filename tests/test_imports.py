@@ -21,8 +21,8 @@ A A_DAG C C_DAG CanonicalPair ComponentSplit CorrelationSequence DegenerateRecov
 EmptySupportError INPUT_TO_OUTPUT IntegratorTable MIXED MeasureSymbol ModeOperator
 ModularFilter NonFiniteError NotInvertibleError NotPositiveDefiniteError NotVacuumError
 OUTPUT_TO_INPUT OutputPair Pipeline STANDARD_THERMAL STANDARD_VACUUM SpectralDensityPair
-SpectralGrid StandardPair StationaryModel SynthesisResult THERMAL TimeDomainFilter
-TransmissionFilter VACUUM VacuumAssembly WHITE best_estimate build_model
+SpectralGrid StationaryModel SynthesisResult THERMAL TimeDomainFilter
+TransmissionFilter VACUUM WHITE best_estimate build_model
 build_output_pair build_standard_pair canonical_from_vacuum classify coefficient_norm
 commutator correlation_sequence expectation flat_density integrator_table interval_mask
 invert_pair isometry_check make_grid modular_kernels_theta modular_matrix planck_density

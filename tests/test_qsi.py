@@ -12,8 +12,8 @@ from oracles import gram_quadratic_form, riemann_moment
 
 def vacuum_canonical(grid):
     pair = qn.tabulated_density((grid.points < 0).astype(float), grid)
-    canonical, assembly = qn.canonical_from_vacuum(pair)
-    return pair, canonical, assembly
+    canonical, measures = qn.canonical_from_vacuum(pair)
+    return pair, canonical, measures
 
 
 class TestIntervalMask:
@@ -79,7 +79,7 @@ class TestIntegratorTable:
     def test_standard_pair_cross_moment_is_support_measure(self, mixed_setup):
         grid, pair, _ = mixed_setup
         std = qn.build_standard_pair(pair)
-        table = qn.integrator_table(std.pair)
+        table = qn.integrator_table(std)
         delta = qn.interval_mask(grid, -grid.nu_max, grid.nu_max)
         got = table.second_moment("noise", delta, "reverse", delta)
         expected = grid.step * np.sum(pair.theta)
@@ -99,8 +99,8 @@ class TestCanonicalFromVacuum:
         pair, canonical, _ = vacuum_canonical(grid)
         for lo, hi in [(0.0, grid.nu_max), (-1.0, 1.0), (-grid.nu_max, grid.nu_max)]:
             delta = qn.interval_mask(grid, lo, hi)
-            got = canonical.vacuum_moment(
-                canonical.annihilation, qsi.flipped(delta), canonical.creation, delta
+            got = qsi.ordered_moment(
+                canonical.annihilation, qsi.flipped(delta), canonical.creation, delta, grid.step
             )
             expected = grid.step * np.sum(delta & canonical.support)
             assert got.real == pytest.approx(expected, abs=0.0)
@@ -112,29 +112,29 @@ class TestCanonicalFromVacuum:
         delta = qn.interval_mask(grid, -grid.nu_max, grid.nu_max)
         flipped = qsi.flipped(delta)
         a_plus, a_minus = canonical.creation, canonical.annihilation
-        assert canonical.vacuum_moment(a_plus, flipped, a_minus, delta) == 0.0
-        assert canonical.vacuum_moment(a_plus, flipped, a_plus, delta) == 0.0
-        assert canonical.vacuum_moment(a_minus, flipped, a_minus, delta) == 0.0
+        assert qsi.ordered_moment(a_plus, flipped, a_minus, delta, grid.step) == 0.0
+        assert qsi.ordered_moment(a_plus, flipped, a_plus, delta, grid.step) == 0.0
+        assert qsi.ordered_moment(a_minus, flipped, a_minus, delta, grid.step) == 0.0
 
     def test_assembled_measures_reproduce_integrator_table(self):
         grid, _ = grid_and_eps(9, 0.5)
-        pair, canonical, assembly = vacuum_canonical(grid)
+        pair, _, (noise, reverse) = vacuum_canonical(grid)
         delta = qn.interval_mask(grid, -grid.nu_max, 0.0)
         delta_prime = qn.interval_mask(grid, -1.0, grid.nu_max)
         # dagger-first moments via the canonical contraction
         got = qsi.ordered_moment(
-            qsi.adjoint(assembly.noise),
+            qsi.adjoint(noise),
             qsi.flipped(delta),
-            assembly.noise,
+            noise,
             delta_prime,
             grid.step,
         )
         expected = riemann_moment(pair.kappa, grid, delta, delta_prime)
         assert got.real == pytest.approx(expected, abs=1e-15)
         got_cross = qsi.ordered_moment(
-            qsi.adjoint(assembly.noise),
+            qsi.adjoint(noise),
             qsi.flipped(delta),
-            assembly.reverse,
+            reverse,
             delta_prime,
             grid.step,
         )

@@ -127,6 +127,31 @@ class TestPlanckDensity:
         with pytest.raises(ValueError, match="h must be positive"):
             qn.planck_density(1.0, 0.0, grid)
 
+    def test_too_cold_rejected_not_mixed(self):
+        # beta * h * nu_max = 712 > ln(float max): expm1 overflows and kappa
+        # would underflow to exactly 0 at nu_max, a vacuum point.
+        grid, _ = grid_and_eps(65, 0.25)
+        pair = qn.planck_density(88.5, 1.0, grid)
+        assert qn.classify(pair) == {qn.THERMAL}
+        assert not pair.n_plus.any() and not pair.n_minus.any()
+        with pytest.raises(qn.NonFiniteError, match="too cold"):
+            qn.planck_density(89.0, 1.0, grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 128), st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(1e-6, 800.0))
+def test_planck_is_thermal_or_rejected(half, nu_max, h, cold):
+    """At any beta * h * nu_max (``cold``) Planck is thermal on the whole grid,
+    or planck_density raises NonFiniteError; it is never mixed."""
+    grid = qn.make_grid(2 * half + 1, nu_max / half)
+    try:
+        pair = qn.planck_density(cold / (h * grid.nu_max), h, grid)
+    except qn.NonFiniteError:
+        return
+    assert not pair.n_plus.any() and not pair.n_minus.any()
+    labels = qn.classify(pair)
+    assert qn.THERMAL in labels and qn.MIXED not in labels
+
 
 class TestFlatDensity:
     def test_unit_level(self, flat_setup):
@@ -286,10 +311,10 @@ class TestClassify:
         grid, pair, _ = mixed_setup
         std = qn.build_standard_pair(pair)
         thermal_part = qn.tabulated_density(
-            np.where(pair.theta, std.pair.kappa, 0.0), grid
+            np.where(pair.theta, std.kappa, 0.0), grid
         )
         vacuum_part = qn.tabulated_density(
-            np.where(~pair.theta, std.pair.kappa, 0.0), grid
+            np.where(~pair.theta, std.kappa, 0.0), grid
         )
         assert qn.STANDARD_THERMAL in qn.classify(thermal_part)
         assert qn.classify(vacuum_part) == {qn.VACUUM, qn.STANDARD_VACUUM}

@@ -12,27 +12,39 @@ class TestBuildStandardPair:
     def test_white_target_gives_unit_levels(self, flat_setup):
         _, pair, _ = flat_setup
         std = qn.build_standard_pair(pair)
-        assert np.all(std.pair.kappa == 1.0)
-        assert np.all(std.pair.kappa_rev == 1.0)
+        assert np.all(std.kappa == 1.0)
+        assert np.all(std.kappa_rev == 1.0)
 
     def test_planck_target_gives_boltzmann_halves(self, planck_setup):
         grid, pair, _ = planck_setup
         std = qn.build_standard_pair(pair)
-        np.testing.assert_allclose(std.pair.kappa, np.exp(-grid.points / 2), rtol=1e-12)
-        np.testing.assert_allclose(std.pair.kappa_rev, np.exp(grid.points / 2), rtol=1e-12)
-        np.testing.assert_allclose(std.pair.kappa * std.pair.kappa_rev, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(std.kappa, np.exp(-grid.points / 2), rtol=1e-12)
+        np.testing.assert_allclose(std.kappa_rev, np.exp(grid.points / 2), rtol=1e-12)
+        np.testing.assert_allclose(std.kappa * std.kappa_rev, 1.0, rtol=1e-12)
 
     def test_vacuum_target_gives_indicators(self, vacuum_setup):
         _, pair, _ = vacuum_setup
         std = qn.build_standard_pair(pair)
-        assert np.array_equal(std.pair.kappa, pair.n_minus.astype(float))
-        assert np.array_equal(std.pair.kappa_rev, pair.n_plus.astype(float))
+        assert np.array_equal(std.kappa, pair.n_minus.astype(float))
+        assert np.array_equal(std.kappa_rev, pair.n_plus.astype(float))
+
+    @pytest.mark.parametrize("cold", [1e-6, 1.0, 50.0, 700.0])
+    def test_amplitude_is_the_standard_amplitude_bit_for_bit(self, cold, mixed_setup):
+        # sqrt(a * a) == a while a * a is normal: the pair's own sigma is the standard
+        # amplitude, 1 on n_minus and lambda^(-1/4) on theta, for a Planck target at
+        # beta * h * nu_max = cold, a mixed target with exact zeros and a flat one.
+        grid, _ = grid_and_eps(65, 0.25)
+        mixed = mixed_setup[1]
+        assert (mixed.kappa == 0).any()
+        for target in (qn.planck_density(cold / grid.nu_max, 1.0, grid), mixed, qn.flat_density(2.5, grid)):
+            want = np.where(target.theta, target.lambda_theta ** -0.25, target.n_minus)
+            assert qn.build_standard_pair(target).sigma.tobytes() == want.tobytes()
 
     def test_amplitudes_square_to_densities_exactly(self, mixed_setup):
         _, pair, _ = mixed_setup
         std = qn.build_standard_pair(pair)
-        assert np.array_equal(std.amp * std.amp, std.pair.kappa)
-        assert np.array_equal(std.amp[::-1] * std.amp[::-1], std.pair.kappa_rev)
+        assert np.array_equal(std.sigma * std.sigma, std.kappa)
+        assert np.array_equal(std.sigma_rev * std.sigma_rev, std.kappa_rev)
 
     def test_standard_laws(self, mixed_setup):
         _, pair, _ = mixed_setup
@@ -40,13 +52,13 @@ class TestBuildStandardPair:
         theta = pair.theta
         perp = pair.retained & ~theta
         np.testing.assert_allclose(
-            std.pair.kappa[theta] * std.pair.kappa_rev[theta], 1.0, atol=1e-12
+            std.kappa[theta] * std.kappa_rev[theta], 1.0, atol=1e-12
         )
         np.testing.assert_allclose(
-            std.pair.kappa[perp] + std.pair.kappa_rev[perp], 1.0, atol=1e-12
+            std.kappa[perp] + std.kappa_rev[perp], 1.0, atol=1e-12
         )
-        np.testing.assert_allclose(std.pair.gamma[theta], 1.0, atol=1e-12)
-        assert np.all(std.pair.gamma[~theta] == 0.0)
+        np.testing.assert_allclose(std.gamma[theta], 1.0, atol=1e-12)
+        assert np.all(std.gamma[~theta] == 0.0)
 
 
 class TestTransmissionFunction:
@@ -88,7 +100,7 @@ class TestSynthesize:
         _, pair, _ = flat_setup
         filt = qn.transmission_function(pair)
         result = qn.synthesize(filt, filt.standard)
-        assert np.array_equal(result.out_amp, filt.standard.amp)
+        assert np.array_equal(result.out_amp, filt.standard.sigma)
 
     @pytest.mark.parametrize("n_points", [17, 33, 65])
     def test_planck_spectrum_reproduction(self, n_points):
@@ -134,7 +146,7 @@ class TestTimeDomainFilter:
         grid, pair, eps = flat_setup
         filt = qn.transmission_function(pair)
         time_filter = qn.time_domain_filter(filt, eps)
-        chi = kernel_of(filt.standard.amp, grid.step)
+        chi = kernel_of(filt.standard.sigma, grid.step)
         np.testing.assert_allclose(time_filter.apply(chi), chi, rtol=0, atol=1e-12 / eps)
 
     @pytest.mark.parametrize("n_points", [17, 65])
@@ -143,7 +155,7 @@ class TestTimeDomainFilter:
         pair = qn.planck_density(1.0, 1.0, grid)
         filt = qn.transmission_function(pair)
         time_filter = qn.time_domain_filter(filt, eps)
-        chi_std = kernel_of(filt.standard.amp, grid.step)
+        chi_std = kernel_of(filt.standard.sigma, grid.step)
         psi = time_filter.apply(chi_std)
         psi_target = kernel_of(pair.sigma, grid.step)
         assert np.max(np.abs(psi - psi_target)) <= 1e-9
@@ -152,7 +164,7 @@ class TestTimeDomainFilter:
         grid, pair, eps = mixed_setup
         filt = qn.transmission_function(pair)
         time_filter = qn.time_domain_filter(filt, eps)
-        chi_std = kernel_of(filt.standard.amp, grid.step)
+        chi_std = kernel_of(filt.standard.sigma, grid.step)
         direct = slow_convolve(filt.time_kernel, chi_std, eps)
         np.testing.assert_allclose(time_filter.apply(chi_std), direct, rtol=0, atol=1e-12)
 
