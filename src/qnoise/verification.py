@@ -14,26 +14,25 @@ shares none of the package's index shifts or scales.  So every check takes
 O(n log n) time and O(n) memory.
 
 The suites that transform are generators: a suite's r-th yield asks for its
-transforms of round r (a dict from a kind to the operands of its call, empty
-for none) and gets their results back.  :func:`_lockstep` takes the requests
-of one kind in a round as one call on their stacked rows; numpy transforms
-each row alone, so each comes out bit for bit.  Round 1 is one
-:func:`_column` call for every symbol-to-lag transform (a lag kernel is a
-centred column), round 2 one :func:`_dft` of the rows of ``stationary`` and
-``modular``, round 3 one :func:`_circular` of their products and one
+transforms of round r (a dict from a kind to the operands of its call) and
+gets their results back.  :func:`_lockstep` takes the requests of one kind in
+a round as one call on their stacked rows; numpy transforms each row alone,
+so each comes out bit for bit.  Round 1 is one :func:`_column` call for every
+symbol-to-lag transform (a lag kernel is a centred column), round 2 one
+:func:`_dft` of the rows of ``stationary`` and ``modular`` and one
 :func:`convolve` at eps 1 of every kernel pair, each row then scaled by its
-eps.  The pairs wait for round 3 so that qsi's Gram oracle reads the DFTs of
-K, K_rev and G that ``stationary`` takes in round 2, and frees its tables
-before its bridge.  A suite called alone runs its generator by itself.
-:func:`run_all` runs the suites in lockstep up to n = 1025, one after
-another above, so no row outlives its suite.  The calls the checks test stay
-their own (``modular_kernels_theta``, ``coefficient_norm``,
-``reflection_symmetry_check``, ``time_domain_filter``, qsi's
-``spectrum_of``).
+eps, round 3 one :func:`_circular` of the products of those DFTs.  qsi's
+Gram oracle reads K, K_rev and G by their symbols.  A suite called alone runs
+its generator by itself.  :func:`run_all` runs the suites in lockstep up to
+n = 1025, one after another above, so no row outlives its suite.  The calls
+the checks test stay their own (``modular_kernels_theta``,
+``coefficient_norm``, ``reflection_symmetry_check``, ``time_domain_filter``,
+qsi's ``spectrum_of``).
 
 The tables that read only the grid and eps (the chirp, the plane waves,
 qsi's masks and isometry tables) are kept for the last (n, step, eps) up to
-n = 16,385.  The mode tables read the algebra, which may change.
+n = 16,385; above it every suite run drops the chirp when it ends.  The mode
+tables read the algebra, which may change.
 """
 from __future__ import annotations
 
@@ -47,7 +46,7 @@ from . import stationary
 from .errors import DegenerateRecoveryError
 from .fourier import _fftshift, _ifftshift, convolve, kernel_of, spectrum_of
 from .pipeline import Pipeline
-from .spectra import SpectralDensityPair, SpectralGrid, _frozen, tabulated_density
+from .spectra import SpectralDensityPair, SpectralGrid, _frozen, _pair_from_kappa, make_grid
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,8 @@ def _products(*pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
 
 #: Entries of the padded chirp-z working set one FFT call may take: :func:`_dft`
-#: takes a stack in blocks of rows, one row per call above n = 2**13 + 1.
+#: takes a stack in blocks of rows, one row per call above n = 2**13 + 1.  A
+#: power of two, so k chirp kernels of n fit one block where k * (2n - 2) does.
 _DFT_BLOCK = 1 << 15
 
 
@@ -193,6 +193,23 @@ def _lockstep(suites) -> list[list[CheckResult]]:
     return checks
 
 
+def _run(suites, n: int) -> list[list[CheckResult]]:
+    """The checks of suite generators on an n-point grid: in lockstep while a
+    _dft block takes 16 rows (n <= 1025), where calls cost more than rows, one
+    after another above, so no row outlives its suite.  Past one _DFT_BLOCK
+    no chirp outlives its suite, even when the suite raises."""
+    if 16 * (2 * n - 2) <= _DFT_BLOCK:
+        return _lockstep(suites)
+    checks = []
+    for suite in suites:
+        try:
+            checks += _lockstep([suite])
+        finally:
+            if 2 * n - 2 > _DFT_BLOCK:
+                _chirp.cache_clear()
+    return checks
+
+
 def _rows(*operands):
     """Operands (qsi's pair) broadcast, as 2-D stacks."""
     shape = np.broadcast(*operands).shape
@@ -212,15 +229,15 @@ def _alone(rounds):
 
     @functools.wraps(rounds)
     def checks(pipe: Pipeline) -> list[CheckResult]:
-        return _lockstep([rounds(pipe)])[0]
+        return _run([rounds(pipe)], pipe.pair.grid.n_points)[0]
     return checks
 
 
 class _GridTables:
     """The tables of the checks that read only the grid and eps, each built on first read."""
 
-    def __init__(self, grid: SpectralGrid, eps: float):
-        self.grid, self.eps, self.key = grid, eps, (grid.n_points, grid.step, eps)
+    def __init__(self, n: int, step: float, eps: float):
+        self.grid, self.eps = make_grid(n, step), eps
 
     @functools.cached_property
     def plane_waves(self) -> tuple[np.ndarray, np.ndarray]:
@@ -251,19 +268,13 @@ class _GridTables:
         return tuple(map(_frozen, (a, c, kernels, _dft(columns, out=columns))))
 
 
-#: The tables of the last grid and eps a check read, if n <= 16,385.
-_tables: _GridTables | None = None
-#: While run_all runs, the DFTs of the columns of K, K_rev and G by model, for qsi's Gram oracle.
-_model_spectra: dict | None = None
+#: The tables of the last (n, step, eps) a check read.
+_kept_tables = functools.lru_cache(maxsize=1)(_GridTables)
 
 
 def _grid_tables(grid: SpectralGrid, eps: float) -> _GridTables:
-    global _tables
-    tables = _tables
-    if tables is None or tables.key != (grid.n_points, grid.step, float(eps)):
-        tables = _GridTables(grid, float(eps))
-        _tables = tables if _fast_length(2 * grid.n_points - 2) <= _DFT_BLOCK else None
-    return tables
+    """The grid tables, kept for the last (n, step, eps) while the chirp kernel fits one _DFT_BLOCK."""
+    return (_kept_tables if 2 * grid.n_points - 2 <= _DFT_BLOCK else _GridTables)(grid.n_points, grid.step, float(eps))
 
 
 def spectra_checks(pipe: Pipeline) -> list[CheckResult]:
@@ -272,7 +283,7 @@ def spectra_checks(pipe: Pipeline) -> list[CheckResult]:
     grid = pair.grid
     out.append(_result("spectra", "grid_flip_symmetry", _maxabs(grid.points + grid.points[::-1]), 0.0))
     out.append(_result("spectra", "flip_relation", _maxabs(pair.kappa_rev - pair.kappa[::-1]), 0.0))
-    double_flip = tabulated_density(pair.kappa_rev, grid)
+    double_flip = _pair_from_kappa(grid, pair.kappa_rev, snap=0.0)
     out.append(_result("spectra", "flip_involution", _maxabs(double_flip.kappa_rev - pair.kappa), 0.0))
     overlap = (np.count_nonzero(pair.n_plus & pair.n_minus) + np.count_nonzero(pair.n_plus & pair.theta)
                + np.count_nonzero(pair.n_minus & pair.theta))
@@ -310,8 +321,6 @@ def stationary_checks(pipe: Pipeline):
     # in one call: sum_k w_k exp(+2 pi i k d / n) is the conjugate of the DFT
     # of conj(w), and the weights w are real.
     spectra = (yield {"dft": (np.concatenate((columns, (root * root, root * root[::-1]))),)})["dft"]
-    if _model_spectra is not None:  # for qsi's Gram oracle, unscaled
-        _model_spectra[model] = spectra[:3].copy()
     sums = np.conjugate(spectra[5:], out=spectra[5:])
     # the spectra of K and G in FFT order, read before the products scale them
     dft_defect = _maxabs(spectra[0] - _ifftshift(model.eigenvalues))
@@ -379,11 +388,11 @@ def modular_checks(pipe: Pipeline):
     lam = filt.symbol
     columns = (yield {"column": (np.array((lam, lam, np.sqrt(lam)), dtype=complex), (False, True, False))})["column"]
     l_col = columns[0]
-    spec_l, spec_l_conj, spec_l_half = (yield {"dft": (columns.copy(),)})["dft"]
+    got = yield {"dft": (columns.copy(),), "convolve": (filt.kernel_half[None], filt.kernel_inv_half[None])}
+    spec_l, spec_l_conj, spec_l_half = got["dft"]
     out.append(_result("modular", "spectrum_match", _maxabs(spec_l - _ifftshift(lam)) / float(lam.max()), 1e-10))
     products = _products((spec_l, spec_l_conj), (spec_l_half, spec_l_half))
-    got = yield {"circular": (products,), "convolve": (filt.kernel_half[None], filt.kernel_inv_half[None])}
-    inverse, squares = got["circular"]
+    inverse, squares = (yield {"circular": (products,)})["circular"]
     l_norm = max(_maxabs(l_col), 1.0)
     inverse = np.conj(inverse)
     inverse[0] -= 1.0
@@ -443,7 +452,6 @@ def decomposition_checks(pipe: Pipeline):
         kernels = decomposition.modular_kernels_theta(pair, eps)
         indicator = (yield {"column": (pair.theta.astype(float)[None], (False,))})["column"]
         indicator = eps * _kernels(indicator, pair.grid.step)[0]
-        yield {}
         conv = (yield {"convolve": (kernels.kernel_half[None], kernels.kernel_inv_half[None])})["convolve"][0]
         names = ("theta_kernel_modular", "theta_kernel_convolution")
         out += _kernel_checks("decomposition", names, kernels, conv, indicator)
@@ -491,7 +499,6 @@ def synthesis_checks(pipe: Pipeline):
     symbols = (std.sigma, pair.sigma, result.out_amp_rev, result.out_amp, result.kappa_out)
     kernels = _kernels((yield {"column": (np.array(symbols), (False,) * 5)})["column"], pair.grid.step)
     chi_std, psi_target, psi_out, psi_out_rev, correlations = kernels
-    yield {}
     applied = (yield {"convolve": (time_filter.phi[None], chi_std[None])})["convolve"][0] * time_filter.eps
     psi_scale = max(_maxabs(psi_target), 1e-300)
     convolution = _maxabs(applied - psi_target)
@@ -578,7 +585,6 @@ def qsi_checks(pipe: Pipeline):
     forward, backward = qsi.isometry_check(a, c, pair)
     out.append(_result("qsi", "isometry_nonnegative", _worst(0.0, -forward, -backward), 0.0))
     amp_kernel = _kernels((yield {"column": (sigma[None], (False,))})["column"], step)[0]
-    yield {}  # round 2: stationary's DFTs, for the Gram oracle
     gram_forward, gram_backward = _isometry_grams(model, coefficients)
     del tables, coefficients  # past one block no memo holds them: free them before the bridge
     scale = max(abs(forward), abs(backward), 1e-300)
@@ -610,13 +616,12 @@ def qsi_checks(pipe: Pipeline):
 
 def _isometry_grams(model: stationary.StationaryModel, coefficients: np.ndarray) -> tuple[float, float]:
     """z† K z + z† G x + x† G z + x† K_rev x for the coefficient columns
-    (z, x) and their conjugates, from their DFTs ``coefficients`` and those of
-    the columns of K, K_rev and G that stationary_checks took, else its own."""
-    spectra = (_model_spectra or {}).pop(model, None)
-    if spectra is None:
-        spectra = _dft(_column(np.array((model.eigenvalues, model.eigenvalues, model.gamma), dtype=complex),
-                               (False, True, False)))
-    spec_k, spec_k_rev, spec_g = spectra
+    (z, x) and then their conjugates, from their DFTs ``coefficients``.  The
+    DFT of a circulant's column is its symbol in FFT order
+    (stationary/dft_consistency checks it for K), so K, K_rev and G enter by
+    κ, its flip and γ."""
+    eigenvalues = model.eigenvalues
+    spec_k, spec_k_rev, spec_g = _ifftshift(np.array((eigenvalues, eigenvalues[::-1], model.gamma)))
 
     def gram(spec_z, spec_x):
         # z† C x = sum_q conj(Z_q) C_q X_q / n for a circulant C, by Parseval
@@ -663,24 +668,13 @@ def mode_checks() -> list[CheckResult]:
 def run_all(pair: SpectralDensityPair | Pipeline, eps: float | None = None,
             tol_factor: float = 1.0) -> list[CheckResult]:
     """All suites on a pipeline, or on a pair at ``eps``, with optional tolerance scaling."""
-    global _model_spectra
     if not isinstance(pair, Pipeline) and eps is None:
         eps = 1.0 / (pair.grid.n_points * pair.grid.step)  # by the duality n * step * eps = 1
     pipe = pair if isinstance(pair, Pipeline) else Pipeline(pair, eps)
-    kernel_size = _fast_length(2 * pipe.pair.grid.n_points - 2)
-    _model_spectra = {}
-    try:
-        results = spectra_checks(pipe)
-        suites = [rounds(pipe) for rounds in _ROUNDS]
-        # in lockstep while a _dft block takes 16 rows (n <= 1025), where calls cost more than rows
-        lockstep = 16 * kernel_size <= _DFT_BLOCK
-        for checks in _lockstep(suites) if lockstep else (_lockstep([suite])[0] for suite in suites):
-            results += checks
-        results += mode_checks()
-    finally:
-        _model_spectra = None
-        if kernel_size > _DFT_BLOCK:
-            _chirp.cache_clear()  # past one block no grid table outlives the call
+    results = spectra_checks(pipe)
+    for checks in _run([rounds(pipe) for rounds in _ROUNDS], pipe.pair.grid.n_points):
+        results += checks
+    results += mode_checks()
     if tol_factor != 1.0:
         results = [replace(r, tolerance=(t := r.tolerance * tol_factor), passed=bool(r.residual <= t)) for r in results]
     return results

@@ -1,0 +1,44 @@
+"""The benchmark trajectory's compare: end-to-end metrics side by side, with quartiles and pairs."""
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
+spec = importlib.util.spec_from_file_location("bench", TOOL)
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+
+
+def _trajectory(path, label, values):
+    """A trajectory of `verify` runs, one per seed, with these op_p50_ref and verify_pass_frac values."""
+    runs = [{"workload": "verify", "seed": seed, "seconds": 36.0, "commit": "abc1234", "env": {"numpy": "2.4.6"},
+             "inputs": "sha256=00", "result": {"correct": True, "attempted": 100, "failed": 0, "metrics": {
+                 "op_p50_ref": {"value": p50, "unit": "ref"}, "verify_pass_frac": {"value": frac, "unit": "ratio"}}}}
+            for seed, (p50, frac) in enumerate(values, start=41)]
+    path.write_text(json.dumps({"label": label, "runs": runs}))
+    return str(path)
+
+
+def test_compare_prints_medians_quartiles_and_the_pairs_b_wins(tmp_path, capsys):
+    a = _trajectory(tmp_path / "a.json", "parent", [(0.070, 0.99), (0.068, 0.99), (0.072, 0.99), (0.069, 0.99)])
+    b = _trajectory(tmp_path / "b.json", "change", [(0.071, 1.0), (0.067, 1.0), (0.070, 1.0), (0.070, 0.98)])
+    assert bench.compare(a, b) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "A = parent, B = change: median [q1, q3] (runs)"
+    assert out[1] == "verify:"
+    # op_p50_ref is better lower: B wins the pairs of seeds 42 and 43
+    assert out[2] == ("  op_p50_ref: A 0.0695 [0.06875, 0.0705] (4)  B 0.07 [0.06925, 0.07025] (4)"
+                      "  +0.7%, B better in 2 of 4 pairs")
+    # verify_pass_frac is better higher: B wins 3 pairs and loses seed 44's
+    assert out[3] == "  verify_pass_frac: A 0.99 [0.99, 0.99] (4)  B 1 [0.995, 1] (4)  +1.0%, B better in 3 of 4 pairs"
+
+
+def test_compare_names_a_workload_in_one_file_only(tmp_path, capsys):
+    a = _trajectory(tmp_path / "a.json", "one", [(0.07, 0.99)])
+    data = json.loads(Path(a).read_text())
+    data["runs"][0]["workload"] = "large-grid"
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(data))
+    assert bench.compare(a, str(b)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["large-grid: in one file only", "verify: in one file only"]

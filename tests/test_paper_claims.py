@@ -1,0 +1,162 @@
+"""Which verify checks and tests stand for each claim of the paper.
+
+The claims are those of PAPER.md's abstract:
+
+(a) KMS noise, such as Planck's law, is a stationary noise, with modular
+    function lambda = exp(beta h nu);
+(b) its natural output process equals the noise in the infinite-temperature
+    limit;
+(c) at finite temperature, the output flips with the noise when time is
+    reversed;
+(d) there is a canonical Hilbert-space representation of the noise and the
+    output, and their spectra decompose;
+(e) quantum stochastic integration can be stated with correlation functions
+    alone;
+(f) the coloured noise and its time reverse are a linear, non-adapted
+    filtering of the standard vacuum noise, uniquely defined by the canonical
+    creation and annihilation operators on the spectrum of the pair.
+
+``CLAIMS`` maps each claim to the ``verify`` checks (suite/check) and the
+tests (module::Class::test, or module::test) that stand for it.  The table
+is checked against the names ``run_all`` reports on Planck and on the mixed
+tabulated spectrum, and against the test modules, so it cannot name a check
+or a test that does not exist.  No ``verify`` check stands for claim (b): it
+is a limit in beta, and a check sees one spectrum.  The property below and
+the flat-density tests stand for it.
+"""
+import importlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qnoise as qn
+from qnoise import verification
+
+from oracles import mixed_kappa
+
+#: The single-mode thermal tables, then their inversions, per occupation.
+_THERMAL_TABLES = tuple(f"mode/{kind}_n={n}" for kind in ("thermal_table", "inversion")
+                        for n in ("0", "0.5", "1", "2", "10"))
+
+CLAIMS = {
+    "a": {
+        "checks": ("spectra/modular_reciprocal", "qsi/reverse_density_modular", "stationary/sequence_hermitian",
+                   "stationary/eigenvalue_match", "stationary/dft_consistency", "stationary/gram_noise",
+                   "stationary/gram_reverse", "stationary/covariances_commute", "stationary/test_norm_nonnegative",
+                   *_THERMAL_TABLES[:5]),
+        "tests": ("test_spectra::TestPlanckDensity::test_modular_function_is_boltzmann_weight",
+                  "test_spectra::test_planck_is_thermal_or_rejected",
+                  "test_spectra::TestPlanckDensity::test_too_cold_rejected_not_mixed",
+                  "test_acceptance::test_criterion_1_single_mode_table",
+                  "test_acceptance::test_criterion_2_gram_identities"),
+    },
+    "b": {
+        "checks": (),
+        "tests": ("test_paper_claims::test_planck_tends_to_its_time_reverse_at_infinite_temperature",
+                  "test_spectra::TestClassify::test_flat_unit_is_white_standard_thermal",
+                  "test_synthesis::TestSynthesize::test_white_output_is_standard_amplitude",
+                  "test_decomposition::TestBestEstimate::test_white_estimate_has_zero_residual"),
+    },
+    "c": {
+        "checks": ("spectra/flip_relation", "spectra/flip_involution", "spectra/cross_density_even",
+                   "stationary/star_involution", "stationary/conjugation", "stationary/cross_real_even",
+                   "stationary/cross_cov_symmetric", "decomposition/flip_exchange", "synthesis/kernel_time_reversal",
+                   "synthesis/transmission_symmetric", "qsi/reflection_symmetry"),
+        "tests": ("test_synthesis::TestTimeDomainFilter::test_time_reversal_of_output_kernels",
+                  "test_decomposition::TestSplit::test_star_involution_swaps_splits",
+                  "test_qsi::TestTimeDomainRepresentation::test_reversal_swaps_coefficient_roles"),
+    },
+    "d": {
+        "checks": ("spectra/mask_partition", "stationary/gram_cross", "stationary/root_squares",
+                   "stationary/geometric_mean", "stationary/cross_cov_imag", "stationary/cross_cov_psd",
+                   "stationary/amplitude_gram", "stationary/amplitude_cross", "modular/spectrum_match",
+                   "modular/conjugate_inverse", "modular/root_squares", "modular/kernel_modular_property",
+                   "modular/kernel_convolution_unit", "decomposition/support_partition",
+                   "decomposition/component_orthogonality", "decomposition/projector_algebra",
+                   "decomposition/estimate_is_modular_filter", "decomposition/residual_support",
+                   "decomposition/residual_norm", "decomposition/theta_kernel_modular",
+                   "decomposition/theta_kernel_convolution", "qsi/canonical_zeros", "qsi/canonical_pairing",
+                   "qsi/output_table", *_THERMAL_TABLES[5:]),
+        "tests": ("test_acceptance::test_criterion_3_modular_structure",
+                  "test_acceptance::test_criterion_4_decomposition",
+                  "test_decomposition::TestSplit::test_mixed_supports_partition_exactly",
+                  "test_qsi::TestCanonicalFromVacuum::test_all_other_ordered_products_vanish_exactly"),
+    },
+    "e": {
+        "checks": ("qsi/integrator_moments", "qsi/disjoint_intervals_vanish", "qsi/isometry_nonnegative",
+                   "qsi/isometry_gram_oracle", "qsi/parseval_bridge", "synthesis/correlation_reproduction"),
+        "tests": ("test_acceptance::test_criterion_6_qsi_tables",
+                  "test_qsi::TestIntegratorTable::test_planck_moment_matches_riemann_oracle",
+                  "test_qsi::TestIsometryCheck::test_complex_coefficients_match_gram_oracle"),
+    },
+    "f": {
+        "checks": ("synthesis/standard_law_thermal", "synthesis/standard_law_vacuum", "synthesis/standard_cross_unit",
+                   "synthesis/standard_cross_off_support", "synthesis/time_kernel_real", "synthesis/reproduce_kappa",
+                   "synthesis/reproduce_kappa_rev", "synthesis/reproduce_gamma", "synthesis/amplitude_reproduction",
+                   "synthesis/time_convolution", "qsi/vacuum_assembly", "qsi/canonical_roundtrip",
+                   "qsi/synthesis_consistency"),
+        "tests": ("test_acceptance::test_criterion_5_synthesis_theorem",
+                  "test_synthesis::TestBuildStandardPair::test_standard_laws",
+                  "test_qsi::TestRecoverCanonical::test_planck_roundtrip_exact_off_zero",
+                  "test_qsi::TestRecoverCanonical::test_equal_amplitude_point_raises_loudly"),
+    },
+}
+
+#: Checks of the grid alone, which no claim needs: the flip is exact by construction.
+STRUCTURAL = ("spectra/grid_flip_symmetry",)
+
+
+def _names(pair):
+    return {f"{r.suite}/{r.check}": r.passed for r in verification.run_all(pair)}
+
+
+@pytest.fixture(scope="module")
+def reported():
+    """The checks run_all reports, with their pass flags, on Planck (n = 65) and on the mixed spectrum (n = 33)."""
+    planck = qn.planck_density(1.0, 1.0, qn.make_grid(65, 0.25))
+    grid = qn.make_grid(33, 0.25)
+    return {"planck": _names(planck), "mixed": _names(qn.tabulated_density(mixed_kappa(grid), grid))}
+
+
+def test_every_check_stands_for_a_claim_and_every_named_check_exists(reported):
+    named = [check for claim in CLAIMS.values() for check in claim["checks"]]
+    assert len(named) == len(set(named)), "a check is listed under two claims"
+    every = reported["planck"].keys() | reported["mixed"].keys()
+    assert set(named) | set(STRUCTURAL) == every
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+def test_each_claims_checks_pass_where_they_run(claim, reported):
+    for spectrum, passed in reported.items():
+        failed = [check for check in CLAIMS[claim]["checks"] if passed.get(check) is False]
+        assert not failed, (spectrum, failed)
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+def test_each_claim_names_tests_that_exist(claim):
+    assert CLAIMS[claim]["tests"], claim
+    for node in CLAIMS[claim]["tests"]:
+        module, *path = node.split("::")
+        target = importlib.import_module(module)
+        for name in path:
+            target = getattr(target, name)
+        assert callable(target), node
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(-100.0, 0.0))
+def test_planck_tends_to_its_time_reverse_at_infinite_temperature(half, nu_max, h, log_cold):
+    """Claim (b): lambda = exp(beta h nu) -> 1 as beta -> 0, so kappa_rev -> kappa:
+    max |lambda - 1| is at most expm1(beta h nu_max) plus a few ulp."""
+    grid = qn.make_grid(2 * half + 1, nu_max / half)
+    cold = 10.0 ** log_cold  # beta h nu_max, from 1e-100 to 1
+    pair = qn.planck_density(cold / (h * grid.nu_max), h, grid)
+    lam = pair.lambda_theta
+    assert pair.theta.all()
+    bound = math.expm1(cold)
+    assert float(np.abs(lam - 1.0).max()) <= bound + 4 * np.finfo(float).eps * (1.0 + bound)
+    gap = np.abs(pair.kappa_rev - pair.kappa) / pair.kappa
+    assert float(gap.max()) <= bound + 4 * np.finfo(float).eps * (1.0 + bound)

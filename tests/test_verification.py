@@ -16,6 +16,7 @@ from oracles import (
     direct_dft,
     filter_views,
     gather_circulant,
+    gram_quadratic_form,
     mixed_kappa,
     model_views,
 )
@@ -225,9 +226,9 @@ def test_chirp_z_transforms_pad_to_a_5_smooth_length(monkeypatch):
     assert max(lengths) == 512, sorted(lengths)
 
 
-def _clear_grid_tables(monkeypatch):
+def _clear_grid_tables():
     verification._chirp.cache_clear()
-    monkeypatch.setattr(verification, "_tables", None)
+    verification._kept_tables.cache_clear()
 
 
 def test_run_all_stacks_its_transforms_and_shifts_by_slices(monkeypatch):
@@ -238,8 +239,10 @@ def test_run_all_stacks_its_transforms_and_shifts_by_slices(monkeypatch):
     # reflection_symmetry_check one each, the rounds 7 and qsi's bridge
     # spectrum 1.  The chirp-z DFTs' own FFTs are counted too.  A second call
     # on the same grid reads the grid tables of the first: the chirp's FFT,
-    # the kernels of qsi's isometry coefficients and the chirp-z DFT of their columns.
-    _clear_grid_tables(monkeypatch)
+    # the kernels of qsi's isometry coefficients and the chirp-z DFT of their
+    # columns.  qsi_checks alone on a built chain then takes 6: its Gram
+    # oracle reads K, K_rev and G by their symbols and transforms nothing.
+    _clear_grid_tables()
     calls = {}
 
     def counted(name):
@@ -260,42 +263,60 @@ def test_run_all_stacks_its_transforms_and_shifts_by_slices(monkeypatch):
             assert all(r.passed for r in results)
             assert calls.get("fft", 0) + calls.get("ifft", 0) == expected, (n, calls)
             assert calls.get("fftshift", 0) == calls.get("ifftshift", 0) == 0, calls
+        pipe = Pipeline(qn.planck_density(1.0, 1.0, grid), 1.0 / (n * grid.step))
+        verification.run_all(pipe)
+        calls.clear()
+        verification.qsi_checks(pipe)
+        assert calls.get("fft", 0) + calls.get("ifft", 0) == 6, (n, calls)
 
 
-def test_high_dynamic_range_planck_fails_only_the_kernel_and_flip_checks():
+def test_high_dynamic_range_planck_fails_only_the_kernel_checks():
     # beta * h * nu_max = 400.  The standard pair takes the target's exact
-    # amplitudes with no second snap, so the standard-law checks pass; the
-    # flip re-snap and the kernel identities still fail (the dynamic-range
-    # defect that is left).
+    # amplitudes with no second snap, so the standard-law checks pass, and
+    # the double flip is not re-snapped, so flip_involution passes; two
+    # kernel identities still fail (the dynamic-range defect that is left).
     pair = qn.planck_density(50.0, 1.0, qn.make_grid(65, 0.25))
     failed = {f"{r.suite}/{r.check}" for r in verification.run_all(pair) if not r.passed}
-    assert failed == {
-        "spectra/flip_involution", "decomposition/theta_kernel_convolution", "synthesis/time_convolution",
-    }
+    assert failed == {"decomposition/theta_kernel_convolution", "synthesis/time_convolution"}
+
+
+@pytest.mark.parametrize("cold", [40.0, 200.0, 700.0])
+def test_flip_involution_passes_on_high_dynamic_range_planck(cold):
+    # beta * h * nu_max = cold: kappa spans up to 300 decades, and a re-snap
+    # at ZERO_SNAP times the peak would zero its tail.
+    grid = qn.make_grid(65, 0.25)
+    pair = qn.planck_density(cold / grid.nu_max, 1.0, grid)
+    [flip] = [r for r in verification.spectra_checks(Pipeline(pair, 1.0 / (65 * 0.25)))
+              if r.check == "flip_involution"]
+    assert flip.passed and flip.residual == 0.0
 
 
 def test_run_all_leaves_no_chirp_tables_behind(monkeypatch):
     # Past n = 16,385 the chirp kernel outgrows one _DFT_BLOCK, and the grid
     # tables take about 200 bytes per grid point (200 MB at n = 2**20 + 1):
-    # run_all drops them and the model's spectra on return, and when a suite raises.
+    # no grid table is kept, and every suite run drops the chirp when it
+    # ends: run_all, each suite called alone (qnoise corr runs stationary
+    # and modular), and a suite that raises.
     n = 16387
     pair = qn.planck_density(1.0, 1.0, qn.make_grid(n, 16.0 / (n - 1)))
+    pipe = Pipeline(pair, 1.0 / (n * pair.grid.step))
+    _clear_grid_tables()
 
     def held_nothing():
-        return (verification._chirp.cache_info().currsize == 0 and verification._tables is None
-                and verification._model_spectra is None)
+        return verification._chirp.cache_info().currsize == verification._kept_tables.cache_info().currsize == 0
 
     verification.run_all(pair)
     assert held_nothing()
-    pipe = Pipeline(pair, 1.0 / (n * pair.grid.step))
+    for suite in (verification.stationary_checks, verification.modular_checks, verification.qsi_checks):
+        suite(pipe)
+        assert held_nothing(), suite.__name__
 
-    def failing(pair):
-        # qsi_checks runs last: the earlier suites filled the chirp and left the model's spectra
-        assert verification._chirp.cache_info().currsize == 1 and verification._tables is None
-        assert list(verification._model_spectra) == [pipe.model]
+    def failing(*args):
+        # past qsi's chirp-z DFT of its isometry coefficients
+        assert verification._chirp.cache_info().currsize == 1
         raise RuntimeError("suite failed")
 
-    monkeypatch.setattr(qsi, "integrator_table", failing)
+    monkeypatch.setattr(qsi, "isometry_check", failing)
     with pytest.raises(RuntimeError, match="suite failed"):
         verification.run_all(pipe)
     assert held_nothing()
@@ -368,22 +389,28 @@ def test_grid_tables_are_kept_by_n_step_and_eps(monkeypatch):
 
     cold = []
     for pair, eps in runs:
-        _clear_grid_tables(monkeypatch)
+        _clear_grid_tables()
         cold.append(bits(pair, eps))
-    _clear_grid_tables(monkeypatch)
+    _clear_grid_tables()
     assert [bits(pair, eps) for pair, eps in runs] == cold
     assert cold[5] != cold[6]  # eps reaches the residuals
 
 
-def test_isometry_oracle_reads_the_spectra_of_stationary_checks(planck_setup):
-    # In run_all, qsi's Gram oracle reads the DFTs of the columns of K, K_rev
-    # and G that stationary_checks took; alone, it takes them itself.
-    _, pair, eps = planck_setup
+@pytest.mark.parametrize("setup_name", ["planck_setup", "mixed_setup"])
+def test_isometry_oracle_reads_the_model_symbol(setup_name, request):
+    # qsi's Gram oracle reads K, K_rev and G by their symbols, so it gives the
+    # same bits in run_all and alone, and the forms of the dense Gram blocks on
+    # the coefficient columns (z, x) = sqrt(eps) * kernels of a and c.
+    _, pair, eps = request.getfixturevalue(setup_name)
     pipe = Pipeline(pair, eps)
     alone = {r.check: r.residual for r in verification.qsi_checks(pipe)}
     shared = {r.check: r.residual for r in verification.run_all(pipe) if r.suite == "qsi"}
     assert shared == alone
-    assert verification._model_spectra is None
+    _, _, kernels, coefficients = verification._grid_tables(pair.grid, eps).isometry
+    zeta, xi = np.sqrt(eps) * kernels
+    forward, backward = verification._isometry_grams(pipe.model, coefficients)
+    assert forward == pytest.approx(gram_quadratic_form(pipe.model, zeta, xi), rel=1e-12)
+    assert backward == pytest.approx(gram_quadratic_form(pipe.model, np.conj(zeta), np.conj(xi)), rel=1e-12)
 
 
 def test_worst_keeps_a_nan_anywhere_and_gives_no_negative_zero():

@@ -1,0 +1,117 @@
+"""Benchmark trajectory: end-to-end benchmark runs kept as committed files.
+
+    python tools/bench.py --label L [--workload W ...] [--seed N] [--seconds S] [--root DIR]
+        runs perfbench/run.py of the checkout DIR (this one by default) once
+        per workload, untraced, and appends each run to tools/bench/BENCH_L.json
+    python tools/bench.py --compare A B
+        prints each end-to-end metric of two files side by side, each a label or a path
+
+A file is a JSON object ``{"label": L, "runs": [...]}``.  A run holds the
+workload, the seed, the seconds, the checkout's commit (``git describe
+--always --dirty``), the ``env:`` and ``inputs:`` lines of perfbench's output
+and its last line, the JSON object with every end-to-end metric.  Runs are
+appended, so alternating pairs of two checkouts are taken by alternating
+calls with two labels.  Nothing of ``perfbench/`` is changed or imported.
+
+``--compare`` gives, per workload and metric, the median of each file's runs
+with its quartiles and run count, the change of the medians, and, over the
+seeds both files ran, the number of pairs in which B is better (by the
+direction ``BENCHMARK.json`` gives).
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "tools" / "bench"
+
+
+def _path(name: str) -> Path:
+    return Path(name) if name.endswith(".json") else BENCH / f"BENCH_{name}.json"
+
+
+def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run of ``workload`` in the checkout ``root``."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(command, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(command)}: exit {proc.returncode}\n{proc.stderr}")
+    lines = proc.stdout.strip().splitlines()
+    start = {line.split(": ", 1)[0]: line.split(": ", 1)[1] for line in lines if ": " in line}
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root, capture_output=True, text=True)
+    return {"workload": workload, "seed": seed, "seconds": seconds, "commit": commit.stdout.strip() or None,
+            "env": json.loads(start["env"]), "inputs": start["inputs"], "result": json.loads(lines[-1])}
+
+
+def record(label: str, root: Path, workloads: list[str], seed: int, seconds: float) -> Path:
+    path = _path(label)
+    runs = json.loads(path.read_text(encoding="utf-8"))["runs"] if path.exists() else []
+    for workload in workloads:
+        runs.append(bench_run(root, workload, seed, seconds))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({"label": label, "runs": runs}, indent=1) + "\n", encoding="utf-8")
+    return path
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def compare(first: str, second: str) -> int:
+    """Print each end-to-end metric of two trajectory files side by side."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    files = [json.loads(_path(name).read_text(encoding="utf-8")) for name in (first, second)]
+    print(f"A = {files[0]['label']}, B = {files[1]['label']}: median [q1, q3] (runs)")
+    by_workload = [{} for _ in files]
+    for runs, data in zip(by_workload, files):
+        for run in data["runs"]:
+            runs.setdefault(run["workload"], []).append(run)
+    for workload in sorted(by_workload[0].keys() & by_workload[1].keys()):
+        a_runs, b_runs = by_workload[0][workload], by_workload[1][workload]
+        print(f"{workload}:")
+        for name in a_runs[0]["result"]["metrics"]:
+            a = [run["result"]["metrics"][name]["value"] for run in a_runs]
+            b = [run["result"]["metrics"][name]["value"] for run in b_runs]
+            (a1, a2, a3), (b1, b2, b3) = _quartiles(a), _quartiles(b)
+            change = f"{(b2 - a2) / a2:+.1%}" if a2 else "n/a"
+            b_by_seed = {run["seed"]: run["result"]["metrics"][name]["value"] for run in b_runs}
+            pairs = [(x, b_by_seed[run["seed"]]) for run, x in zip(a_runs, a) if run["seed"] in b_by_seed]
+            better = sum((y > x) if higher.get(name) else (y < x) for x, y in pairs)
+            print(f"  {name}: A {a2:.6g} [{a1:.6g}, {a3:.6g}] ({len(a)})  B {b2:.6g} [{b1:.6g}, {b3:.6g}] ({len(b)})"
+                  f"  {change}, B better in {better} of {len(pairs)} pairs")
+    for workload in sorted(by_workload[0].keys() ^ by_workload[1].keys()):
+        print(f"{workload}: in one file only")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--label", help="append runs to tools/bench/BENCH_<label>.json")
+    group.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two trajectory files")
+    parser.add_argument("--workload", action="append", help="a workload of BENCHMARK.json (default: all)")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=36.0)
+    parser.add_argument("--root", type=Path, default=ROOT, help="the checkout whose perfbench runs")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    path = record(args.label, args.root.resolve(), workloads, args.seed, args.seconds)
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
