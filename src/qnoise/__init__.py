@@ -27,13 +27,13 @@ _EXPORTS = {
     ),
     "mode_algebra": (
         "A", "A_DAG", "C", "C_DAG", "ModeOperator", "commutator", "expectation",
-        "invert_pair", "thermal_pair",
+        "invert_pair", "thermal_pair", "thermal_tables",
     ),
     "pipeline": ("Pipeline",),
     "qsi": (
         "CanonicalPair", "IntegratorTable", "MeasureSymbol", "OutputPair",
         "build_output_pair", "canonical_from_vacuum", "integrator_table", "interval_mask",
-        "isometry_check", "recover_canonical", "reflection_symmetry_check",
+        "isometry_check", "moment_tables", "recover_canonical", "reflection_symmetry_check",
     ),
     "spectra": (
         "MIXED", "STANDARD_THERMAL", "STANDARD_VACUUM", "THERMAL", "VACUUM", "WHITE",

@@ -22,18 +22,18 @@ files; floats are printed with 17 significant digits in CSV.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import spectra
-from .pipeline import Pipeline
-from .spectra import SpectralDensityPair, make_grid
+if TYPE_CHECKING:
+    from .pipeline import Pipeline
+    from .spectra import SpectralDensityPair
 
 
 class ConfigError(ValueError):
@@ -170,8 +170,9 @@ def load_config(path: str) -> RunConfig:
 
 def build_pair(config: RunConfig) -> SpectralDensityPair:
     """Construct the configured spectrum; any rejection is a config error."""
+    from . import spectra
     try:
-        grid = make_grid(config.n_points, config.step)
+        grid = spectra.make_grid(config.n_points, config.step)
         if config.model == "planck":
             return spectra.planck_density(config.params["beta"], config.params["h"], grid)
         if config.model == "flat":
@@ -190,6 +191,7 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    import csv
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -359,22 +361,8 @@ def cmd_qsi(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    table = qsi.integrator_table(pair)
-    integrator = {
-        f"{first}_dag_{second}": table.second_moment(first, delta, second, delta_prime)
-        for first in ("noise", "reverse")
-        for second in ("noise", "reverse")
-    }
-
     canonical, _ = pipe.canonical
-    canonical_moments = {
-        f"{first}_{second}": qsi.ordered_moment(
-            getattr(canonical, first), qsi.flipped(delta), getattr(canonical, second), delta_prime, grid.step
-        ).real
-        for first in ("annihilation", "creation")
-        for second in ("creation", "annihilation")
-    }
-
+    integrator, ordered = qsi.moment_tables(pair, canonical, delta, delta_prime)
     output_pair = qsi.build_output_pair(canonical, pair.sigma, pair.sigma_rev)
     output_moments = {
         f"{first}_{second}_dag": output_pair.moment(first, delta, second, delta_prime).real
@@ -388,7 +376,7 @@ def cmd_qsi(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
             "delta": list(delta_bounds),
             "delta_prime": list(delta_prime_bounds),
             "integrator_second_moments": integrator,
-            "canonical_vacuum_moments": canonical_moments,
+            "canonical_vacuum_moments": {name: value.real for name, value in ordered.items()},
             "output_second_moments": output_moments,
             "vacuum_reference": "configured pair" if pipe.vacuum_pair is pair else "half-line indicator",
         },
@@ -403,30 +391,11 @@ def cmd_mode(n: float) -> int:
         noise, reverse = mode_algebra.thermal_pair(n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    ops = {"noise": noise, "reverse": reverse}
-    correlations_dag_first = {
-        f"{a}_dag_{b}": mode_algebra.expectation(ops[a].dagger(), ops[b]).real
-        for a in ops
-        for b in ops
-    }
-    correlations_dag_second = {
-        f"{a}_{b}_dag": mode_algebra.expectation(ops[a], ops[b].dagger()).real
-        for a in ops
-        for b in ops
-    }
-    commutators = {
-        "noise_noise_dag": mode_algebra.commutator(noise, noise.dagger()).real,
-        "reverse_dag_reverse": mode_algebra.commutator(reverse.dagger(), reverse).real,
-        "reverse_noise": mode_algebra.commutator(reverse, noise).real,
-        "reverse_noise_dag": mode_algebra.commutator(reverse, noise.dagger()).real,
-    }
     payload = {
-        "n": n,
-        "correlations_dag_first": correlations_dag_first,
-        "correlations_dag_second": correlations_dag_second,
-        "commutators": commutators,
+        name: {entry: value.real for entry, value in table.items()}
+        for name, table in mode_algebra.thermal_tables(noise, reverse).items()
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps({"n": n, **payload}, indent=2, sort_keys=True))
     return 0
 
 
@@ -491,6 +460,7 @@ def main(argv=None) -> int:
             if not (np.isfinite(args.tol) and args.tol > 0):
                 raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
             config = replace(config, tol=float(args.tol))
+        from .pipeline import Pipeline
         pipe = Pipeline(build_pair(config), config.eps)
         out_dir = Path(args.out or config.out or "qnoise_out")
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -126,6 +126,22 @@ def thermal_pair(n) -> tuple[ModeOperator, ModeOperator]:
     return ModeOperator(coefficients[..., 0, :]), ModeOperator(coefficients[..., 1, :])
 
 
+def thermal_tables(noise: ModeOperator, reverse: ModeOperator) -> dict[str, dict[str, complex | np.ndarray]]:
+    """The moments ``qnoise mode`` prints of a thermal pair, or of a stack of
+    pairs: <x_dag y> and <x y_dag> for x, y in (noise, reverse), and the
+    commutators [b, b_dag], [b_out_dag, b_out], [b_out, b] and [b_out, b_dag]."""
+    ops = {"noise": noise, "reverse": reverse}
+    daggers = {name: op.dagger() for name, op in ops.items()}
+    return {
+        "correlations_dag_first": {f"{a}_dag_{b}": expectation(daggers[a], ops[b]) for a in ops for b in ops},
+        "correlations_dag_second": {f"{a}_{b}_dag": expectation(ops[a], daggers[b]) for a in ops for b in ops},
+        "commutators": {"noise_noise_dag": commutator(noise, daggers["noise"]),
+                        "reverse_dag_reverse": commutator(daggers["reverse"], reverse),
+                        "reverse_noise": commutator(reverse, noise),
+                        "reverse_noise_dag": commutator(reverse, daggers["noise"])},
+    }
+
+
 def invert_pair(b: ModeOperator, b_out: ModeOperator, n) -> tuple[ModeOperator, ModeOperator]:
     """Recover the vacuum modes from a thermal pair of occupation n, or a
     stack of them from a stack of pairs and an array of occupations."""

@@ -46,7 +46,7 @@ from . import stationary
 from .errors import DegenerateRecoveryError
 from .fourier import _fftshift, _ifftshift, convolve, kernel_of, spectrum_of
 from .pipeline import Pipeline
-from .spectra import SpectralDensityPair, SpectralGrid, _frozen, _pair_from_kappa, make_grid
+from .spectra import SpectralDensityPair, SpectralGrid, _frozen, make_grid
 
 
 @dataclass(frozen=True)
@@ -249,12 +249,12 @@ class _GridTables:
     @functools.cached_property
     def intervals(self) -> tuple[np.ndarray, ...]:
         """qsi's cells of D = [0, nu_max], D' = [-nu_max/2, nu_max/2] and
-        [-nu_max, -step/2], and those of -D and of D & D'."""
-        from .qsi import flipped, interval_mask
+        [-nu_max, -step/2], and those of D & D'."""
+        from .qsi import interval_mask
         grid, top = self.grid, self.grid.nu_max
         bounds = ((0.0, top), (-top / 2, top / 2), (-top, -grid.step / 2))
         delta, prime, negative = (interval_mask(grid, lo, hi) for lo, hi in bounds)
-        return delta, prime, negative, flipped(delta), _frozen(delta & prime)
+        return delta, prime, negative, _frozen(delta & prime)
 
     @functools.cached_property
     def isometry(self) -> tuple[np.ndarray, ...]:
@@ -283,8 +283,7 @@ def spectra_checks(pipe: Pipeline) -> list[CheckResult]:
     grid = pair.grid
     out.append(_result("spectra", "grid_flip_symmetry", _maxabs(grid.points + grid.points[::-1]), 0.0))
     out.append(_result("spectra", "flip_relation", _maxabs(pair.kappa_rev - pair.kappa[::-1]), 0.0))
-    double_flip = _pair_from_kappa(grid, pair.kappa_rev, snap=0.0)
-    out.append(_result("spectra", "flip_involution", _maxabs(double_flip.kappa_rev - pair.kappa), 0.0))
+    out.append(_result("spectra", "flip_involution", _maxabs(pair.kappa_rev[::-1] - pair.kappa), 0.0))
     overlap = (np.count_nonzero(pair.n_plus & pair.n_minus) + np.count_nonzero(pair.n_plus & pair.theta)
                + np.count_nonzero(pair.n_minus & pair.theta))
     covered = pair.n_plus | pair.n_minus | pair.theta
@@ -520,15 +519,14 @@ def qsi_checks(pipe: Pipeline):
     step = grid.step
     table = qsi.integrator_table(pair)
     tables = _grid_tables(grid, eps)
-    delta, delta_prime, negative, flip, overlap = tables.intervals
+    delta, delta_prime, negative, overlap = tables.intervals
+    vacuum_pair = pipe.vacuum_pair
+    canonical, (noise, reverse) = pipe.canonical
+    integrator, ordered = qsi.moment_tables(pair, canonical, delta, delta_prime)
 
     moment_scale = max(step * float(pair.kappa.sum()), 1e-300)
-    defects = []
-    for first in ("noise", "reverse"):
-        for second in ("noise", "reverse"):
-            expected = step * math.fsum(table.density(first, second)[overlap])
-            got = table.second_moment(first, delta, second, delta_prime)
-            defects.append(abs(got - expected))
+    defects = [abs(integrator[f"{first}_dag_{second}"] - step * math.fsum(table.density(first, second)[overlap]))
+               for first in ("noise", "reverse") for second in ("noise", "reverse")]
     out.append(_result("qsi", "integrator_moments", _worst(*defects) / moment_scale, 1e-12))
 
     if pair.theta.any():
@@ -541,13 +539,10 @@ def qsi_checks(pipe: Pipeline):
     out.append(_result("qsi", "disjoint_intervals_vanish", abs(disjoint), 0.0))
 
     # Canonical table on the pipeline's standard vacuum spectrum.
-    vacuum_pair = pipe.vacuum_pair
-    canonical, (noise, reverse) = pipe.canonical
-    creation, annihilation = canonical.creation, canonical.annihilation
-    zeros = sum(abs(qsi.ordered_moment(first, flip, second, delta_prime, step))
-                for first, second in ((creation, annihilation), (creation, creation), (annihilation, annihilation)))
+    zeros = sum(abs(ordered[name]) for name in ("creation_annihilation", "creation_creation",
+                                               "annihilation_annihilation"))
     out.append(_result("qsi", "canonical_zeros", zeros, 0.0))
-    pairing = qsi.ordered_moment(annihilation, flip, creation, delta_prime, step)
+    pairing = ordered["annihilation_creation"]
     expected = step * np.count_nonzero(overlap & canonical.support)
     out.append(_result("qsi", "canonical_pairing", abs(pairing - expected), 0.0))
     assembled = _maxabs(noise.plus - vacuum_pair.kappa) + _maxabs(reverse.plus - vacuum_pair.kappa_rev)
@@ -636,21 +631,15 @@ def mode_checks() -> list[CheckResult]:
     from . import mode_algebra
     occupations = (0.0, 0.5, 1.0, 2.0, 10.0)
     n = np.array(occupations)
-    # each table entry and roundtrip term for every occupation at once
+    # each entry of the tables qnoise mode prints, and each roundtrip term,
+    # for every occupation at once, against its closed form in table order
     noise, reverse = mode_algebra.thermal_pair(n)
-    noise_dag = noise.dagger()
-    reverse_dag = reverse.dagger()
-    table = np.abs((
-        mode_algebra.expectation(noise_dag, noise) - n,
-        mode_algebra.expectation(noise, noise_dag) - (n + 1.0),
-        mode_algebra.expectation(reverse_dag, reverse) - (n + 1.0),
-        mode_algebra.expectation(reverse, reverse_dag) - n,
-        mode_algebra.expectation(reverse, noise_dag) - np.sqrt(n * (n + 1.0)),
-        mode_algebra.commutator(reverse, noise),
-        mode_algebra.commutator(reverse, noise_dag),
-        mode_algebra.commutator(noise, noise_dag) - 1.0,
-        mode_algebra.commutator(reverse_dag, reverse) - 1.0,
-    ))
+    cross = np.sqrt(n * (n + 1.0))
+    closed = {"correlations_dag_first": (n, cross, cross, n + 1.0),
+              "correlations_dag_second": (n + 1.0, cross, cross, n),
+              "commutators": (1.0, 1.0, 0.0, 0.0)}
+    table = np.abs([entry - value for name, entries in mode_algebra.thermal_tables(noise, reverse).items()
+                    for entry, value in zip(entries.values(), closed[name], strict=True)])
     mode_a, mode_c = mode_algebra.invert_pair(noise, reverse, n)
     roundtrip = np.abs((mode_a.coefficients - mode_algebra.A.coefficients,
                         mode_c.coefficients - mode_algebra.C.coefficients))

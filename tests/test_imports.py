@@ -25,25 +25,27 @@ SpectralGrid StationaryModel SynthesisResult THERMAL TimeDomainFilter
 TransmissionFilter VACUUM WHITE best_estimate build_model
 build_output_pair build_standard_pair canonical_from_vacuum classify coefficient_norm
 commutator correlation_sequence expectation flat_density integrator_table interval_mask
-invert_pair isometry_check make_grid modular_kernels_theta modular_matrix planck_density
-recover_canonical reflection_symmetry_check split synthesize
-tabulated_density thermal_pair time_domain_filter transmission_function
+invert_pair isometry_check make_grid modular_kernels_theta modular_matrix moment_tables
+planck_density recover_canonical reflection_symmetry_check split synthesize
+tabulated_density thermal_pair thermal_tables time_domain_filter transmission_function
 """.split()
 SUBMODULES = sorted(
     "decomposition errors fourier mode_algebra pipeline qsi spectra stationary synthesis".split()
 )
 
-CLI = {"cli", "errors", "pipeline", "spectra"}
-EVERYTHING = CLI | {
+CLI = {"cli"}
+#: What every config-driven command reads: the config's pair and its pipeline.
+CHAIN = CLI | {"errors", "pipeline", "spectra"}
+EVERYTHING = CHAIN | {
     "decomposition", "fourier", "mode_algebra", "qsi", "stationary", "synthesis", "verification",
 }
 LOADED = {
-    "spectrum": CLI,
-    "mode": CLI | {"mode_algebra"},
-    "synth": CLI | {"fourier", "synthesis"},
-    "qsi": CLI | {"fourier", "qsi"},
-    "decompose": CLI | {"fourier", "stationary", "decomposition"},
-    "corr": CLI | {"fourier", "stationary", "verification"},
+    "spectrum": CHAIN,
+    "mode": CLI | {"errors", "mode_algebra"},
+    "synth": CHAIN | {"fourier", "synthesis"},
+    "qsi": CHAIN | {"fourier", "qsi"},
+    "decompose": CHAIN | {"fourier", "stationary", "decomposition"},
+    "corr": CHAIN | {"fourier", "stationary", "verification"},
     "verify": EVERYTHING,
 }
 
@@ -80,6 +82,18 @@ def test_each_command_loads_only_the_modules_it_reads(command, tmp_path):
         argv = [command, "--config", str(CONFIG), "--out", str(tmp_path)]
     code = f"from qnoise.cli import main\nassert main({argv!r}) == 0"
     assert loaded_after(code) == LOADED[command]
+
+
+def test_mode_loads_neither_the_chain_nor_csv():
+    # qnoise mode reads the single-mode algebra alone: no spectrum, no
+    # pipeline, and no csv writer
+    code = (
+        "import json, sys\n"
+        "from qnoise.cli import main\n"
+        "assert main(['mode', '--n', '2']) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m == 'qnoise' or m.startswith('qnoise.') or m == 'csv']))"
+    )
+    assert set(run_fresh(code)) == {"qnoise", "qnoise.cli", "qnoise.mode_algebra", "qnoise.errors"}
 
 
 def test_all_keeps_every_public_name():

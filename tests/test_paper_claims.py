@@ -21,8 +21,10 @@ tests (module::Class::test, or module::test) that stand for it.  The table
 is checked against the names ``run_all`` reports on Planck and on the mixed
 tabulated spectrum, and against the test modules, so it cannot name a check
 or a test that does not exist.  No ``verify`` check stands for claim (b): it
-is a limit in beta, and a check sees one spectrum.  The property below and
-the flat-density tests stand for it.
+is a limit in beta, and a check sees one spectrum.  The property for it and
+the flat-density tests stand for it.  The properties for (c) run over the
+API's range: Planck with beta h nu_max from 1e-6 to 700 and tabulated
+spectra with exact zeros, at n up to 2**10 + 1.
 """
 import importlib
 import math
@@ -34,6 +36,7 @@ from hypothesis import strategies as st
 
 import qnoise as qn
 from qnoise import verification
+from qnoise.pipeline import Pipeline
 
 from oracles import mixed_kappa
 
@@ -65,7 +68,9 @@ CLAIMS = {
                    "stationary/star_involution", "stationary/conjugation", "stationary/cross_real_even",
                    "stationary/cross_cov_symmetric", "decomposition/flip_exchange", "synthesis/kernel_time_reversal",
                    "synthesis/transmission_symmetric", "qsi/reflection_symmetry"),
-        "tests": ("test_synthesis::TestTimeDomainFilter::test_time_reversal_of_output_kernels",
+        "tests": ("test_paper_claims::test_planck_output_measure_flips_to_its_reverse_measure",
+                  "test_paper_claims::test_tabulated_output_measure_flips_to_its_reverse_measure",
+                  "test_synthesis::TestTimeDomainFilter::test_time_reversal_of_output_kernels",
                   "test_decomposition::TestSplit::test_star_involution_swaps_splits",
                   "test_qsi::TestTimeDomainRepresentation::test_reversal_swaps_coefficient_roles"),
     },
@@ -160,3 +165,34 @@ def test_planck_tends_to_its_time_reverse_at_infinite_temperature(half, nu_max, 
     assert float(np.abs(lam - 1.0).max()) <= bound + 4 * np.finfo(float).eps * (1.0 + bound)
     gap = np.abs(pair.kappa_rev - pair.kappa) / pair.kappa
     assert float(gap.max()) <= bound + 4 * np.finfo(float).eps * (1.0 + bound)
+
+
+def _output_flips_to_its_reverse(pair):
+    """The frequency flip of the output measure of build_output_pair is its
+    reverse measure, bit for bit, over the canonical pair that qnoise qsi reads."""
+    canonical, _ = Pipeline(pair, 1.0 / (pair.grid.n_points * pair.grid.step)).canonical
+    output_pair = qn.build_output_pair(canonical, pair.sigma, pair.sigma_rev)
+    output, reverse = output_pair.output, output_pair.reverse
+    assert output.minus[::-1].tobytes() == reverse.minus.tobytes()
+    assert output.plus[::-1].tobytes() == reverse.plus.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 512), st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(-6.0, math.log10(700.0)))
+def test_planck_output_measure_flips_to_its_reverse_measure(half, nu_max, h, log_cold):
+    """Claim (c) at finite temperature: reversing time, the flip nu -> -nu,
+    takes the output measure to the reverse one."""
+    grid = qn.make_grid(2 * half + 1, nu_max / half)
+    cold = 10.0 ** log_cold  # beta h nu_max, from 1e-6 to 700
+    _output_flips_to_its_reverse(qn.planck_density(cold / (h * grid.nu_max), h, grid))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 512), st.floats(0.01, 10.0), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_tabulated_output_measure_flips_to_its_reverse_measure(half, step, seed, zeros):
+    """Claim (c) on tabulated spectra with exact zeros, vacuum and mixed ones among them."""
+    n = 2 * half + 1
+    rng = np.random.default_rng(seed)
+    values = np.exp(rng.uniform(-40.0, 5.0, n))
+    values[rng.random(n) < zeros] = 0.0
+    _output_flips_to_its_reverse(qn.tabulated_density(values, qn.make_grid(n, step)))

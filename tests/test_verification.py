@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -661,3 +663,81 @@ def test_nan_in_one_occupations_table_entry_fails_that_occupation_only(monkeypat
     monkeypatch.setattr(mode_algebra, "expectation", expectation)
     failed = [r.check for r in verification.mode_checks() if not r.passed]
     assert failed == ["thermal_table_n=2"]
+
+
+def test_a_fault_in_a_cross_entry_of_the_mode_tables_fails_every_thermal_table(monkeypatch, capsys):
+    # <b_dag b_out> off its closed form sqrt(n (n+1)) by 1e-9: qnoise mode
+    # prints the faulted entry, and the suite, which reads the same tables,
+    # fails the table of every occupation and no inversion.
+    from qnoise import cli, mode_algebra
+    built = mode_algebra.thermal_tables
+
+    def faulted(noise, reverse):
+        tables = built(noise, reverse)
+        tables["correlations_dag_first"]["noise_dag_reverse"] += 1e-9
+        return tables
+
+    assert cli.main(["mode", "--n", "2"]) == 0
+    clean = capsys.readouterr().out
+    monkeypatch.setattr(mode_algebra, "thermal_tables", faulted)
+    assert cli.main(["mode", "--n", "2"]) == 0
+    printed = json.loads(capsys.readouterr().out)["correlations_dag_first"]["noise_dag_reverse"]
+    assert printed == json.loads(clean)["correlations_dag_first"]["noise_dag_reverse"] + 1e-9
+    failed = [r.check for r in verification.mode_checks() if not r.passed]
+    assert failed == [f"thermal_table_n={n}" for n in ("0", "0.5", "1", "2", "10")]
+
+
+@pytest.mark.parametrize("table, entry, check", [
+    ("canonical", "creation_creation", "canonical_zeros"),
+    ("canonical", "annihilation_creation", "canonical_pairing"),
+    ("integrator", "noise_dag_reverse", "integrator_moments"),
+])
+def test_a_fault_in_the_qsi_moment_tables_changes_qsi_table_and_fails_its_check(table, entry, check, planck_setup,
+                                                                               tmp_path, monkeypatch):
+    # One moment off by 1e-6 (its real part, which qsi_table.json prints):
+    # qnoise qsi writes it, and the qsi suite, which reads the same tables,
+    # fails the check of that table alone.
+    from qnoise import cli
+    built = qsi.moment_tables
+
+    def faulted(*args):
+        integrator, canonical = built(*args)
+        {"integrator": integrator, "canonical": canonical}[table][entry] += 1e-6
+        return integrator, canonical
+
+    config = Path(__file__).resolve().parent.parent / "configs" / "planck.json"
+    assert cli.main(["qsi", "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
+    monkeypatch.setattr(qsi, "moment_tables", faulted)
+    assert cli.main(["qsi", "--config", str(config), "--out", str(tmp_path / "faulted")]) == 0
+    clean, written = ((tmp_path / side / "qsi_table.json").read_bytes() for side in ("clean", "faulted"))
+    assert written != clean
+    _, pair, eps = planck_setup
+    failed = [r.check for r in verification.qsi_checks(Pipeline(pair, eps)) if not r.passed]
+    assert failed == [check]
+
+
+def test_a_flip_fault_fails_flip_relation_and_its_structural_twin_flip_involution(planck_setup):
+    # flip_involution compares the same n pairs of numbers as flip_relation,
+    # in reverse order: no fault fails one without the other.
+    _, pair, eps = planck_setup
+    kappa_rev = pair.kappa_rev.copy()
+    kappa_rev[3] *= 1.0 + 1e-15
+    faulted = dataclasses.replace(pair, kappa_rev=kappa_rev)
+    for spectrum, passed in ((pair, True), (faulted, False)):
+        checks = {r.check: r for r in verification.spectra_checks(Pipeline(spectrum, eps))}
+        relation, involution = checks["flip_relation"], checks["flip_involution"]
+        assert relation.passed == involution.passed == passed
+        assert relation.residual == involution.residual
+
+
+def test_a_fault_in_the_inverted_modes_fails_every_inversion(monkeypatch):
+    from qnoise import mode_algebra
+    built = mode_algebra.invert_pair
+
+    def faulted(b, b_out, n):
+        mode_a, mode_c = built(b, b_out, n)
+        return mode_a, mode_c + 1e-13 * mode_algebra.A
+
+    monkeypatch.setattr(mode_algebra, "invert_pair", faulted)
+    failed = [r.check for r in verification.mode_checks() if not r.passed]
+    assert failed == [f"inversion_n={n}" for n in ("0", "0.5", "1", "2", "10")]
