@@ -46,7 +46,7 @@ _EXPORTS = {
     ),
     "synthesis": (
         "SynthesisResult", "TimeDomainFilter", "TransmissionFilter",
-        "build_standard_pair", "synthesize", "time_domain_filter", "transmission_function",
+        "build_standard_pair", "relative_error", "synthesize", "time_domain_filter", "transmission_function",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -316,23 +316,10 @@ def cmd_decompose(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
 
 def cmd_synth(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     from . import synthesis
-    pair, filt = pipe.pair, pipe.transmission
-    retained = pair.retained
-    target = pair.kappa[retained]
-    reproduced = pipe.synthesized.kappa_out[retained]
-    positive = target > 0
-    rel = np.where(
-        positive,
-        np.abs(reproduced - target) / np.where(positive, target, 1.0),
-        np.abs(reproduced),
-    )
-    columns = (
-        pair.grid.points,
-        filt.f,
-        filt.standard.kappa,
-        filt.standard.kappa_rev,
-    )
-    rows = zip(*(column[retained] for column in columns), reproduced, target, rel)
+    pair, filt, reproduced = pipe.pair, pipe.transmission, pipe.synthesized.kappa_out
+    rel = synthesis.relative_error(reproduced, pair.kappa, pair.kappa > 0)[pair.retained]
+    columns = (pair.grid.points, filt.f, filt.standard.kappa, filt.standard.kappa_rev, reproduced, pair.kappa)
+    rows = zip(*(column[pair.retained] for column in columns), rel)
     _write_csv(
         out_dir / "synth_spectrum.csv",
         ["nu", "f", "kappa_std", "kappa_rev_std", "kappa_reproduced", "kappa_target", "rel_error"],
@@ -361,15 +348,8 @@ def cmd_qsi(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    canonical, _ = pipe.canonical
-    integrator, ordered = qsi.moment_tables(pair, canonical, delta, delta_prime)
-    output_pair = qsi.build_output_pair(canonical, pair.sigma, pair.sigma_rev)
-    output_moments = {
-        f"{first}_{second}_dag": output_pair.moment(first, delta, second, delta_prime).real
-        for first in ("output", "reverse")
-        for second in ("output", "reverse")
-    }
-
+    output_pair = qsi.build_output_pair(pipe.canonical[0], pair.sigma, pair.sigma_rev)
+    integrator, ordered, outputs = qsi.moment_tables(pair, output_pair, delta, delta_prime)
     _write_json(
         out_dir / "qsi_table.json",
         {
@@ -377,7 +357,7 @@ def cmd_qsi(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
             "delta_prime": list(delta_prime_bounds),
             "integrator_second_moments": integrator,
             "canonical_vacuum_moments": {name: value.real for name, value in ordered.items()},
-            "output_second_moments": output_moments,
+            "output_second_moments": {name: value.real for name, value in outputs.items()},
             "vacuum_reference": "configured pair" if pipe.vacuum_pair is pair else "half-line indicator",
         },
     )

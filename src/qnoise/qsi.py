@@ -194,20 +194,22 @@ def canonical_from_vacuum(pair: SpectralDensityPair) -> tuple[CanonicalPair, tup
     return canonical, (noise, reverse)
 
 
-def moment_tables(pair: SpectralDensityPair, canonical: CanonicalPair, delta: np.ndarray,
-                  delta_prime: np.ndarray) -> tuple[dict[str, float], dict[str, complex]]:
-    """The second moments ``qnoise qsi`` writes on the cell sets D and D':
-    < first(D)^dag second(D') > of the integrators of ``pair``, keyed
-    "first_dag_second" for first, second in (noise, reverse), and the ordered
-    moments < first(-D) second(D') > of ``canonical``, keyed "first_second" for
-    first in (annihilation, creation) and second in (creation, annihilation)."""
-    table, flip, step = integrator_table(pair), flipped(delta), canonical.grid.step
+def moment_tables(pair: SpectralDensityPair, output: OutputPair, delta: np.ndarray,
+                  delta_prime: np.ndarray) -> tuple[dict[str, float], dict[str, complex], dict[str, complex]]:
+    """The three tables of second moments ``qnoise qsi`` writes on the cell sets D and D':
+    < first(D)^dag second(D') > of the integrators of ``pair``, keyed "first_dag_second";
+    the ordered moments < first(-D) second(D') > of ``output.canonical``, keyed
+    "first_second" for first in (annihilation, creation) and second in (creation,
+    annihilation); and < first(D) second(D')^dag > of ``output``, keyed "first_second_dag"."""
+    canonical, table, flip = output.canonical, integrator_table(pair), flipped(delta)
     integrator = {f"{first}_dag_{second}": table.second_moment(first, delta, second, delta_prime)
                   for first in ("noise", "reverse") for second in ("noise", "reverse")}
     ordered = {f"{first}_{second}": ordered_moment(getattr(canonical, first), flip, getattr(canonical, second),
-                                                   delta_prime, step)
+                                                   delta_prime, canonical.grid.step)
                for first in ("annihilation", "creation") for second in ("creation", "annihilation")}
-    return integrator, ordered
+    outputs = {f"{first}_{second}_dag": output.moment(first, delta, second, delta_prime)
+               for first in ("output", "reverse") for second in ("output", "reverse")}
+    return integrator, ordered, outputs
 
 
 @dataclass(frozen=True, eq=False)

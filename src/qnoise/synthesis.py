@@ -108,6 +108,13 @@ def synthesize(filt: TransmissionFilter, standard: SpectralDensityPair) -> Synth
     )
 
 
+def relative_error(reproduced: np.ndarray, target: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """Per point |reproduced - target| / target on ``on`` and |reproduced| off it;
+    inf where a target on ``on`` underflowed to 0 and the reproduced value is not 0."""
+    defect = np.abs(np.where(on, reproduced - target, reproduced))
+    return np.divide(defect, target, out=np.where(on & (defect > 0), np.inf, defect), where=on & (target != 0))
+
+
 @dataclass(frozen=True, eq=False)
 class TimeDomainFilter:
     """Time realization of a transmission filter.

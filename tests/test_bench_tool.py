@@ -42,3 +42,18 @@ def test_compare_names_a_workload_in_one_file_only(tmp_path, capsys):
     assert bench.compare(a, str(b)) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1:] == ["large-grid: in one file only", "verify: in one file only"]
+
+
+def test_sweep_times_the_chain_and_run_all_at_both_lengths_of_one_k():
+    record = bench.sweep(TOOL.parent.parent, (6,))
+    assert [(row["k"], row["kind"], row["n"]) for row in record["rows"]] == [(6, "2^k+1", 65), (6, "3^a*5^b", 75)]
+    for row in record["rows"]:
+        assert row["checks"] == row["passed"] == 73
+        for key in ("chain_s", "chain_peak_rss_mb", "run_all_s", "run_all_peak_rss_mb"):
+            assert row[key] > 0, key
+    assert record["numpy"] and record["python"]
+
+
+def test_the_nearest_odd_smooth_length_is_a_product_of_threes_and_fives():
+    assert [bench._nearest_odd_smooth(2**k + 1) for k in (6, 10, 16, 20)] == [75, 1125, 59049, 1171875]
+    assert bench._nearest_odd_smooth(2) == 1 and bench._nearest_odd_smooth(4) == 3  # 3 is nearer than 5

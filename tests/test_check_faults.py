@@ -9,18 +9,27 @@ listed.  The table is checked against the names ``run_all`` reports and
 against the test modules: each named test exists and names the check it
 fails, so the table cannot drift from either.
 
+Every check of the ``synthesis`` and ``qsi`` suites has a fault of its own
+in this module, placed on a fresh ``Pipeline`` by seeding a stage with a
+faulted copy (``dataclasses.replace``) or by monkeypatching a builder.  Each
+fails its check on Planck and on the mixed spectrum, wherever the check
+runs, at n = 33 and n = 1025, and the clean pipeline passes it first.
+
 ``TWINS`` names the checks that compare the same numbers as another check,
 so no fault fails one without the other: ``flip_involution`` reads
 |kappa_rev[::-1] - kappa|, the n differences of ``flip_relation`` in
 reverse order.
 """
+import dataclasses
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import qnoise as qn
-from qnoise import verification
+from qnoise import qsi, verification
+from qnoise.pipeline import Pipeline
 
 from oracles import mixed_kappa
 
@@ -34,6 +43,20 @@ _QSI_TABLES = ("test_verification::test_a_fault_in_the_qsi_moment_tables_changes
 _ISOMETRY = ("test_verification::test_nan_isometry_value_fails_the_isometry_checks",)
 _MODE_TABLES = ("test_verification::test_a_fault_in_a_cross_entry_of_the_mode_tables_fails_every_thermal_table",)
 _OCCUPATIONS = ("0", "0.5", "1", "2", "10")
+_RELATIVE_ERROR = (
+    "test_verification::test_a_fault_in_the_relative_error_changes_synth_spectrum_and_fails_the_reproduce_checks",)
+
+
+def _here(name: str) -> tuple[str]:
+    """A test of this module, as the table names it."""
+    return (f"test_check_faults::{name}",)
+
+
+_REVERSE_AMPLITUDE = _here("test_a_gain_in_the_reverse_output_amplitude_fails_reproduce_kappa_rev"
+                           "_and_kernel_time_reversal")
+_AMPLITUDE = _here("test_a_gain_in_the_output_amplitude_fails_reproduce_gamma_and_amplitude_reproduction")
+_REPRODUCED = _here("test_a_gain_in_the_reproduced_density_fails_reproduce_kappa_correlation_reproduction"
+                    "_and_synthesis_consistency")
 
 FAULTS = {
     "spectra/grid_flip_symmetry": None,
@@ -76,33 +99,48 @@ FAULTS = {
     "decomposition/flip_exchange": None,
     "decomposition/theta_kernel_modular": None,
     "decomposition/theta_kernel_convolution": None,
-    "synthesis/standard_law_thermal": None,
-    "synthesis/standard_law_vacuum": None,
-    "synthesis/standard_cross_unit": None,
-    "synthesis/standard_cross_off_support": None,
-    "synthesis/transmission_symmetric": None,
-    "synthesis/time_kernel_real": None,
-    "synthesis/reproduce_kappa": ("test_verification::test_nan_at_a_zero_target_cell_fails_reproduce_kappa",),
-    "synthesis/reproduce_kappa_rev": None,
-    "synthesis/reproduce_gamma": None,
-    "synthesis/amplitude_reproduction": None,
-    "synthesis/time_convolution": None,
-    "synthesis/kernel_time_reversal": None,
-    "synthesis/correlation_reproduction": None,
-    "qsi/integrator_moments": _QSI_TABLES,
-    "qsi/reverse_density_modular": None,
-    "qsi/disjoint_intervals_vanish": None,
+    "synthesis/standard_law_thermal": _here(
+        "test_a_gain_in_the_standard_density_on_theta_fails_standard_law_thermal"),
+    "synthesis/standard_law_vacuum": _here(
+        "test_a_gain_in_the_standard_density_off_theta_fails_standard_law_vacuum"),
+    "synthesis/standard_cross_unit": _here(
+        "test_a_gain_in_the_standard_cross_density_fails_standard_cross_unit"),
+    "synthesis/standard_cross_off_support": _here(
+        "test_a_theta_cell_lost_after_the_standard_pair_fails_standard_cross_off_support"),
+    "synthesis/transmission_symmetric": _here(
+        "test_one_cell_of_the_transmission_function_off_fails_transmission_symmetric"),
+    "synthesis/time_kernel_real": _here(
+        "test_an_imaginary_part_in_the_time_kernel_fails_time_kernel_real"),
+    "synthesis/reproduce_kappa": _RELATIVE_ERROR + _REPRODUCED + (
+        "test_verification::test_nan_at_a_zero_target_cell_fails_reproduce_kappa",),
+    "synthesis/reproduce_kappa_rev": _RELATIVE_ERROR + _REVERSE_AMPLITUDE,
+    "synthesis/reproduce_gamma": _RELATIVE_ERROR + _AMPLITUDE,
+    "synthesis/amplitude_reproduction": _AMPLITUDE,
+    "synthesis/time_convolution": _here(
+        "test_a_gain_in_the_time_kernel_fails_time_convolution"),
+    "synthesis/kernel_time_reversal": _REVERSE_AMPLITUDE,
+    "synthesis/correlation_reproduction": _REPRODUCED,
+    "qsi/integrator_moments": _QSI_TABLES + (
+        "test_verification::test_a_fault_in_the_output_pair_moment_changes_qsi_table_and_fails_integrator_moments",),
+    "qsi/reverse_density_modular": _here(
+        "test_a_gain_in_the_modular_function_fails_reverse_density_modular"),
+    "qsi/disjoint_intervals_vanish": _here(
+        "test_moments_over_minus_d_prime_fail_disjoint_intervals_vanish"),
     "qsi/canonical_zeros": _QSI_TABLES,
     "qsi/canonical_pairing": _QSI_TABLES,
-    "qsi/vacuum_assembly": None,
-    "qsi/output_table": None,
-    "qsi/canonical_roundtrip": None,
+    "qsi/vacuum_assembly": _here(
+        "test_swapped_splice_measures_fail_vacuum_assembly"),
+    "qsi/output_table": _here(
+        "test_an_output_density_of_the_creator_amplitude_fails_output_table"),
+    "qsi/canonical_roundtrip": _here(
+        "test_swapped_recovered_rows_fail_canonical_roundtrip"),
     "qsi/isometry_nonnegative": _ISOMETRY,
     "qsi/isometry_gram_oracle": _ISOMETRY,
     "qsi/reflection_symmetry": (
         "test_verification::test_asymmetric_cross_kernel_fails_reflection_symmetry_at_any_scale",),
-    "qsi/parseval_bridge": None,
-    "qsi/synthesis_consistency": None,
+    "qsi/parseval_bridge": _here(
+        "test_a_flipped_spectrum_fails_parseval_bridge"),
+    "qsi/synthesis_consistency": _REPRODUCED,
     **{f"mode/thermal_table_n={n}": _MODE_TABLES for n in _OCCUPATIONS},
     "mode/thermal_table_n=2": _MODE_TABLES + (
         "test_verification::test_nan_in_one_occupations_table_entry_fails_that_occupation_only",),
@@ -140,3 +178,216 @@ def test_each_named_test_exists_and_names_its_check(check):
         target = getattr(importlib.import_module(module), name)
         assert callable(target), node
         assert stem in inspect.getsource(target), (check, node)
+
+
+_SPECTRA = [(spectrum, n) for spectrum in ("planck", "mixed") for n in (33, 1025)]
+_EVERYWHERE = pytest.mark.parametrize("spectrum, n", _SPECTRA)
+#: Planck's thermal support is the whole grid: a check of the points off it runs on the mixed spectrum only.
+_MIXED = pytest.mark.parametrize("spectrum, n", [case for case in _SPECTRA if case[0] == "mixed"])
+_SUITES = {"synthesis": verification.synthesis_checks, "qsi": verification.qsi_checks}
+
+
+def _pipeline(spectrum: str, n: int) -> Pipeline:
+    """Planck (beta = h = 1) or the mixed spectrum on n points with nu_max = 8."""
+    grid = qn.make_grid(n, 16.0 / (n - 1))
+    pair = qn.planck_density(1.0, 1.0, grid) if spectrum == "planck" else qn.tabulated_density(mixed_kappa(grid), grid)
+    return Pipeline(pair, 1.0 / (n * grid.step))
+
+
+def _with(pipe: Pipeline, pair=None, **stages) -> Pipeline:
+    """A new pipeline of ``pair`` (``pipe``'s by default) with these stages seeded."""
+    faulted = Pipeline(pipe.pair if pair is None else pair, pipe.eps)
+    faulted.__dict__.update(stages)
+    return faulted
+
+
+def _passes(pipe: Pipeline, *checks: str) -> bool:
+    """Whether every one of these suite/check names passes; each must run."""
+    verdicts = {f"{r.suite}/{r.check}": r.passed
+                for suite in {check.split("/")[0] for check in checks} for r in _SUITES[suite](pipe)}
+    return all(verdicts[check] for check in checks)
+
+
+def _fails_each(pipe: Pipeline, *checks: str) -> bool:
+    """Whether every one of these suite/check names fails; each must run."""
+    return not any(_passes(pipe, check) for check in checks)
+
+
+def _gain(values: np.ndarray, cells=Ellipsis) -> np.ndarray:
+    """A copy of ``values`` with a gain error of 1e-6 on ``cells`` (every cell by default)."""
+    out = np.array(values)
+    out[cells] *= 1.0 + 1e-6
+    return out
+
+
+def _first(mask: np.ndarray) -> int:
+    return int(np.flatnonzero(mask)[0])
+
+
+def _standard_fault(pipe: Pipeline, field: str, cells) -> Pipeline:
+    """``pipe`` with a gain error on ``cells`` of one array of its standard pair."""
+    filt = pipe.transmission
+    standard = dataclasses.replace(filt.standard, **{field: _gain(getattr(filt.standard, field), cells)})
+    return _with(pipe, transmission=dataclasses.replace(filt, standard=standard))
+
+
+@_EVERYWHERE
+def test_a_gain_in_the_standard_density_on_theta_fails_standard_law_thermal(spectrum, n):
+    pipe = _pipeline(spectrum, n)
+    assert _passes(pipe, "synthesis/standard_law_thermal")
+    assert _fails_each(_standard_fault(pipe, "kappa", _first(pipe.pair.theta)), "synthesis/standard_law_thermal")
+
+
+@_MIXED
+def test_a_gain_in_the_standard_density_off_theta_fails_standard_law_vacuum(spectrum, n):
+    pipe = _pipeline(spectrum, n)
+    assert _passes(pipe, "synthesis/standard_law_vacuum")
+    assert _fails_each(_standard_fault(pipe, "kappa", _first(pipe.pair.n_minus)), "synthesis/standard_law_vacuum")
+
+
+@_EVERYWHERE
+def test_a_gain_in_the_standard_cross_density_fails_standard_cross_unit(spectrum, n):
+    pipe = _pipeline(spectrum, n)
+    assert _passes(pipe, "synthesis/standard_cross_unit")
+    assert _fails_each(_standard_fault(pipe, "gamma", _first(pipe.pair.theta)), "synthesis/standard_cross_unit")
+
+
+@_EVERYWHERE
+def test_a_theta_cell_lost_after_the_standard_pair_fails_standard_cross_off_support(spectrum, n):
+    # The target's thermal support loses a cell after the standard pair, whose
+    # cross density is 1 there, was built: on Planck, whose support is the
+    # whole grid, no fault in the standard pair alone can reach this check.
+    pipe = _pipeline(spectrum, n)
+    theta = pipe.pair.theta.copy()
+    theta[_first(theta)] = False
+    assert _passes(pipe, "synthesis/standard_cross_off_support")
+    faulted = _with(pipe, dataclasses.replace(pipe.pair, theta=theta), transmission=pipe.transmission)
+    assert _fails_each(faulted, "synthesis/standard_cross_off_support")
+
+
+@_EVERYWHERE
+def test_one_cell_of_the_transmission_function_off_fails_transmission_symmetric(spectrum, n):
+    pipe = _pipeline(spectrum, n)
+    filt = pipe.transmission
+    assert _passes(pipe, "synthesis/transmission_symmetric")
+    faulted = _with(pipe, transmission=dataclasses.replace(filt, f=_gain(filt.f, _first(pipe.pair.theta))))
+    assert _fails_each(faulted, "synthesis/transmission_symmetric")
+
+
+@_EVERYWHERE
+def test_an_imaginary_part_in_the_time_kernel_fails_time_kernel_real(spectrum, n):
+    pipe = _pipeline(spectrum, n)
+    filt = pipe.transmission
+    kernel = np.array(filt.time_kernel)
+    kernel[n // 2] += 1e-6j * np.abs(kernel).max()
+    assert _passes(pipe, "synthesis/time_kernel_real")
+    faulted = _with(pipe, transmission=dataclasses.replace(filt, time_kernel=kernel))
+    assert _fails_each(faulted, "synthesis/time_kernel_real")
+
+
+@_EVERYWHERE
+def test_a_gain_in_the_time_kernel_fails_time_convolution(spectrum, n):
+    pipe = _pipeline(spectrum, n)
+    filt = pipe.transmission
+    assert _passes(pipe, "synthesis/time_convolution")
+    faulted = _with(pipe, transmission=dataclasses.replace(filt, time_kernel=_gain(filt.time_kernel)))
+    assert _fails_each(faulted, "synthesis/time_convolution")
+
+
+@_EVERYWHERE
+def test_a_gain_in_the_reverse_output_amplitude_fails_reproduce_kappa_rev_and_kernel_time_reversal(spectrum, n):
+    pipe = _pipeline(spectrum, n)
+    result = pipe.synthesized
+    checks = ("synthesis/reproduce_kappa_rev", "synthesis/kernel_time_reversal")
+    assert _passes(pipe, *checks)
+    faulted = _with(pipe, synthesized=dataclasses.replace(result, out_amp_rev=_gain(result.out_amp_rev)))
+    assert _fails_each(faulted, *checks)
+
+
+@_EVERYWHERE
+def test_a_gain_in_the_output_amplitude_fails_reproduce_gamma_and_amplitude_reproduction(spectrum, n):
+    pipe = _pipeline(spectrum, n)
+    result = pipe.synthesized
+    checks = ("synthesis/reproduce_gamma", "synthesis/amplitude_reproduction")
+    assert _passes(pipe, *checks)
+    faulted = _with(pipe, synthesized=dataclasses.replace(result, out_amp=_gain(result.out_amp)))
+    assert _fails_each(faulted, *checks)
+
+
+@_EVERYWHERE
+def test_a_gain_in_the_reproduced_density_fails_reproduce_kappa_correlation_reproduction_and_synthesis_consistency(
+        spectrum, n):
+    pipe = _pipeline(spectrum, n)
+    result = pipe.synthesized
+    checks = ("synthesis/reproduce_kappa", "synthesis/correlation_reproduction", "qsi/synthesis_consistency")
+    assert _passes(pipe, *checks)
+    faulted = _with(pipe, synthesized=dataclasses.replace(result, kappa_out=_gain(result.kappa_out)))
+    assert _fails_each(faulted, *checks)
+
+
+@_EVERYWHERE
+def test_a_gain_in_the_modular_function_fails_reverse_density_modular(spectrum, n):
+    pipe = _pipeline(spectrum, n)
+    pair = pipe.pair
+    assert _passes(pipe, "qsi/reverse_density_modular")
+    faulted = dataclasses.replace(pair, lambda_theta=_gain(pair.lambda_theta, pair.theta))
+    assert _fails_each(_with(pipe, faulted), "qsi/reverse_density_modular")
+
+
+@_EVERYWHERE
+def test_moments_over_minus_d_prime_fail_disjoint_intervals_vanish(spectrum, n, monkeypatch):
+    # The integrator table intersects D with -D' in place of D': the moments
+    # qnoise qsi writes do not move, as its D' is symmetric, but the noise
+    # on D = [0, nu_max] no longer vanishes against [-nu_max, -step/2].
+    built = qsi.IntegratorTable.second_moment
+
+    def faulted(self, first, mask1, second, mask2):
+        return built(self, first, mask1, second, np.asarray(mask2)[::-1])
+
+    assert _passes(_pipeline(spectrum, n), "qsi/disjoint_intervals_vanish", "qsi/integrator_moments")
+    monkeypatch.setattr(qsi.IntegratorTable, "second_moment", faulted)
+    pipe = _pipeline(spectrum, n)
+    assert _fails_each(pipe, "qsi/disjoint_intervals_vanish")
+    assert _passes(pipe, "qsi/integrator_moments")
+
+
+@_EVERYWHERE
+def test_swapped_splice_measures_fail_vacuum_assembly(spectrum, n):
+    pipe = _pipeline(spectrum, n)
+    canonical, (noise, reverse) = pipe.canonical
+    assert _passes(pipe, "qsi/vacuum_assembly")
+    assert _fails_each(_with(pipe, canonical=(canonical, (reverse, noise))), "qsi/vacuum_assembly")
+
+
+@_EVERYWHERE
+def test_an_output_density_of_the_creator_amplitude_fails_output_table(spectrum, n, monkeypatch):
+    # The density reads the second symbol's creator amplitude in place of
+    # its annihilator amplitude: sigma * sigma_rev in place of sigma^2.
+    def faulted(self, first, second):
+        return (self._symbol(first).minus * np.conj(self._symbol(second).plus)).real
+
+    assert _passes(_pipeline(spectrum, n), "qsi/output_table")
+    monkeypatch.setattr(qsi.OutputPair, "density", faulted)
+    assert _fails_each(_pipeline(spectrum, n), "qsi/output_table")
+
+
+@_EVERYWHERE
+def test_swapped_recovered_rows_fail_canonical_roundtrip(spectrum, n, monkeypatch):
+    built = qsi.recover_canonical
+
+    def faulted(output_pair, where=None):
+        recovered = built(output_pair, where)
+        return dataclasses.replace(recovered, creation=recovered.annihilation, annihilation=recovered.creation)
+
+    assert _passes(_pipeline(spectrum, n), "qsi/canonical_roundtrip")
+    monkeypatch.setattr(qsi, "recover_canonical", faulted)
+    assert _fails_each(_pipeline(spectrum, n), "qsi/canonical_roundtrip")
+
+
+@_EVERYWHERE
+def test_a_flipped_spectrum_fails_parseval_bridge(spectrum, n, monkeypatch):
+    # The spectrum of a lag kernel comes out in flipped frequency order.
+    built = verification.spectrum_of
+    assert _passes(_pipeline(spectrum, n), "qsi/parseval_bridge")
+    monkeypatch.setattr(verification, "spectrum_of", lambda kernel, eps: built(kernel, eps)[..., ::-1])
+    assert _fails_each(_pipeline(spectrum, n), "qsi/parseval_bridge")

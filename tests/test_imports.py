@@ -26,7 +26,7 @@ TransmissionFilter VACUUM WHITE best_estimate build_model
 build_output_pair build_standard_pair canonical_from_vacuum classify coefficient_norm
 commutator correlation_sequence expectation flat_density integrator_table interval_mask
 invert_pair isometry_check make_grid modular_kernels_theta modular_matrix moment_tables
-planck_density recover_canonical reflection_symmetry_check split synthesize
+planck_density recover_canonical reflection_symmetry_check relative_error split synthesize
 tabulated_density thermal_pair thermal_tables time_domain_filter transmission_function
 """.split()
 SUBMODULES = sorted(

@@ -22,9 +22,9 @@ is checked against the names ``run_all`` reports on Planck and on the mixed
 tabulated spectrum, and against the test modules, so it cannot name a check
 or a test that does not exist.  No ``verify`` check stands for claim (b): it
 is a limit in beta, and a check sees one spectrum.  The property for it and
-the flat-density tests stand for it.  The properties for (c) run over the
-API's range: Planck with beta h nu_max from 1e-6 to 700 and tabulated
-spectra with exact zeros, at n up to 2**10 + 1.
+the flat-density tests stand for it.  The properties for (a), (c) and (e)
+run over the API's range: Planck with beta h nu_max from 1e-6 to 700 and,
+for (c) and (e), tabulated spectra with exact zeros, at n up to 2**10 + 1.
 """
 import importlib
 import math
@@ -50,7 +50,8 @@ CLAIMS = {
                    "stationary/eigenvalue_match", "stationary/dft_consistency", "stationary/gram_noise",
                    "stationary/gram_reverse", "stationary/covariances_commute", "stationary/test_norm_nonnegative",
                    *_THERMAL_TABLES[:5]),
-        "tests": ("test_spectra::TestPlanckDensity::test_modular_function_is_boltzmann_weight",
+        "tests": ("test_paper_claims::test_planck_is_thermal_on_the_whole_grid_with_the_boltzmann_modular_function",
+                  "test_spectra::TestPlanckDensity::test_modular_function_is_boltzmann_weight",
                   "test_spectra::test_planck_is_thermal_or_rejected",
                   "test_spectra::TestPlanckDensity::test_too_cold_rejected_not_mixed",
                   "test_acceptance::test_criterion_1_single_mode_table",
@@ -93,7 +94,9 @@ CLAIMS = {
     "e": {
         "checks": ("qsi/integrator_moments", "qsi/disjoint_intervals_vanish", "qsi/isometry_nonnegative",
                    "qsi/isometry_gram_oracle", "qsi/parseval_bridge", "synthesis/correlation_reproduction"),
-        "tests": ("test_acceptance::test_criterion_6_qsi_tables",
+        "tests": ("test_paper_claims::test_planck_moments_are_integrals_of_their_correlation_densities",
+                  "test_paper_claims::test_tabulated_moments_are_integrals_of_their_correlation_densities",
+                  "test_acceptance::test_criterion_6_qsi_tables",
                   "test_qsi::TestIntegratorTable::test_planck_moment_matches_riemann_oracle",
                   "test_qsi::TestIsometryCheck::test_complex_coefficients_match_gram_oracle"),
     },
@@ -196,3 +199,66 @@ def test_tabulated_output_measure_flips_to_its_reverse_measure(half, step, seed,
     values = np.exp(rng.uniform(-40.0, 5.0, n))
     values[rng.random(n) < zeros] = 0.0
     _output_flips_to_its_reverse(qn.tabulated_density(values, qn.make_grid(n, step)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 512), st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(-6.0, math.log10(700.0)))
+def test_planck_is_thermal_on_the_whole_grid_with_the_boltzmann_modular_function(half, nu_max, h, log_cold):
+    """Claim (a): Planck's law is a thermal (KMS) noise on the whole grid, never
+    mixed, with lambda = exp(beta h nu) to 4 ulp, its argument rounded as
+    planck_density rounds it."""
+    grid = qn.make_grid(2 * half + 1, nu_max / half)
+    cold = 10.0 ** log_cold  # beta h nu_max, from 1e-6 to 700
+    beta = cold / (h * grid.nu_max)
+    pair = qn.planck_density(beta, h, grid)
+    labels = qn.classify(pair)
+    assert qn.THERMAL in labels and qn.MIXED not in labels
+    assert pair.theta.all()
+    boltzmann = np.exp(beta * h * grid.points)
+    assert float((np.abs(pair.lambda_theta - boltzmann) / boltzmann).max()) <= 4 * np.finfo(float).eps
+
+
+def _moments_are_integrals_of_their_densities(pair, seed):
+    """Claim (e): on random unions of cells D and D', every integrator and output
+    moment of moment_tables is step times the sum of its density over D & D'
+    (to the rounding of a sum of that many terms), and the ordered canonical
+    table is the measure of D & D' on the support for annihilation then
+    creation and exactly 0 otherwise."""
+    grid = pair.grid
+    rng = np.random.default_rng(seed)
+    delta, delta_prime = rng.random((2, grid.n_points)) < rng.random((2, 1))
+    pipe = Pipeline(pair, 1.0 / (grid.n_points * grid.step))
+    output = qn.build_output_pair(pipe.canonical[0], pair.sigma, pair.sigma_rev)
+    integrator, ordered, outputs = qn.moment_tables(pair, output, delta, delta_prime)
+    overlap, step = delta & delta_prime, grid.step
+    table = qn.integrator_table(pair)
+    noise, out = ("noise", "reverse"), ("output", "reverse")
+    cases = [(integrator[f"{a}_dag_{b}"], table.density(a, b)) for a in noise for b in noise]
+    cases += [(outputs[f"{a}_{b}_dag"], output.density(a, b)) for a in out for b in out]
+    rounding = (np.count_nonzero(overlap) + 1) * np.finfo(float).eps
+    for moment, density in cases:
+        exact = step * math.fsum(density[overlap])
+        assert abs(moment - exact) <= rounding * step * math.fsum(np.abs(density[overlap]))
+    assert ordered["annihilation_creation"] == step * np.count_nonzero(overlap & output.canonical.support)
+    assert [ordered[name] for name in ("annihilation_annihilation", "creation_creation", "creation_annihilation")] \
+        == [0, 0, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 512), st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(-6.0, math.log10(700.0)),
+       st.integers(0, 2**32 - 1))
+def test_planck_moments_are_integrals_of_their_correlation_densities(half, nu_max, h, log_cold, seed):
+    grid = qn.make_grid(2 * half + 1, nu_max / half)
+    cold = 10.0 ** log_cold  # beta h nu_max, from 1e-6 to 700
+    _moments_are_integrals_of_their_densities(qn.planck_density(cold / (h * grid.nu_max), h, grid), seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 512), st.floats(0.01, 10.0), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_tabulated_moments_are_integrals_of_their_correlation_densities(half, step, seed, zeros):
+    """Claim (e) on tabulated spectra with exact zeros, vacuum and mixed ones among them."""
+    n = 2 * half + 1
+    rng = np.random.default_rng(seed)
+    values = np.exp(rng.uniform(-40.0, 5.0, n))
+    values[rng.random(n) < zeros] = 0.0
+    _moments_are_integrals_of_their_densities(qn.tabulated_density(values, qn.make_grid(n, step)), seed)

@@ -691,29 +691,49 @@ def test_a_fault_in_a_cross_entry_of_the_mode_tables_fails_every_thermal_table(m
     ("canonical", "creation_creation", "canonical_zeros"),
     ("canonical", "annihilation_creation", "canonical_pairing"),
     ("integrator", "noise_dag_reverse", "integrator_moments"),
+    ("output", "output_reverse_dag", "integrator_moments"),
 ])
 def test_a_fault_in_the_qsi_moment_tables_changes_qsi_table_and_fails_its_check(table, entry, check, planck_setup,
                                                                                tmp_path, monkeypatch):
     # One moment off by 1e-6 (its real part, which qsi_table.json prints):
     # qnoise qsi writes it, and the qsi suite, which reads the same tables,
     # fails the check of that table alone.
-    from qnoise import cli
     built = qsi.moment_tables
 
     def faulted(*args):
-        integrator, canonical = built(*args)
-        {"integrator": integrator, "canonical": canonical}[table][entry] += 1e-6
-        return integrator, canonical
+        tables = built(*args)
+        dict(zip(("integrator", "canonical", "output"), tables))[table][entry] += 1e-6
+        return tables
 
+    _assert_written_and_failed("qsi", "qsi_table.json", verification.qsi_checks, [check], planck_setup, tmp_path,
+                               monkeypatch, qsi, "moment_tables", faulted)
+
+
+def test_a_fault_in_the_output_pair_moment_changes_qsi_table_and_fails_integrator_moments(planck_setup, tmp_path,
+                                                                                         monkeypatch):
+    # D' evaluated in place of D: the output moments are taken over D' alone.
+    built = qsi.OutputPair.moment
+
+    def faulted(self, first, mask1, second, mask2):
+        return built(self, first, mask2, second, mask2)
+
+    _assert_written_and_failed("qsi", "qsi_table.json", verification.qsi_checks, ["integrator_moments"],
+                               planck_setup, tmp_path, monkeypatch, qsi.OutputPair, "moment", faulted)
+
+
+def _assert_written_and_failed(command, artifact, suite, checks, planck_setup, tmp_path, monkeypatch, *patch):
+    """With ``monkeypatch.setattr(*patch)`` placed, ``qnoise command`` on the
+    Planck config writes another ``artifact`` than without it, and ``suite`` on
+    the Planck setup fails exactly ``checks``."""
+    from qnoise import cli
     config = Path(__file__).resolve().parent.parent / "configs" / "planck.json"
-    assert cli.main(["qsi", "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
-    monkeypatch.setattr(qsi, "moment_tables", faulted)
-    assert cli.main(["qsi", "--config", str(config), "--out", str(tmp_path / "faulted")]) == 0
-    clean, written = ((tmp_path / side / "qsi_table.json").read_bytes() for side in ("clean", "faulted"))
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
+    monkeypatch.setattr(*patch)
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "faulted")]) == 0
+    clean, written = ((tmp_path / side / artifact).read_bytes() for side in ("clean", "faulted"))
     assert written != clean
     _, pair, eps = planck_setup
-    failed = [r.check for r in verification.qsi_checks(Pipeline(pair, eps)) if not r.passed]
-    assert failed == [check]
+    assert [r.check for r in suite(Pipeline(pair, eps)) if not r.passed] == checks
 
 
 def test_a_flip_fault_fails_flip_relation_and_its_structural_twin_flip_involution(planck_setup):
@@ -741,3 +761,32 @@ def test_a_fault_in_the_inverted_modes_fails_every_inversion(monkeypatch):
     monkeypatch.setattr(mode_algebra, "invert_pair", faulted)
     failed = [r.check for r in verification.mode_checks() if not r.passed]
     assert failed == [f"inversion_n={n}" for n in ("0", "0.5", "1", "2", "10")]
+
+
+def test_a_fault_in_the_relative_error_changes_synth_spectrum_and_fails_the_reproduce_checks(planck_setup, tmp_path,
+                                                                                            monkeypatch):
+    # One point of the relative error off by 1e-6: qnoise synth writes it in
+    # its rel_error column, and the synthesis suite, which reads the same
+    # function, fails each reproduce check and nothing else.
+    from qnoise import synthesis
+    built = synthesis.relative_error
+
+    def faulted(reproduced, target, on):
+        rel = built(reproduced, target, on)
+        rel[np.flatnonzero(on)[0]] += 1e-6
+        return rel
+
+    _assert_written_and_failed("synth", "synth_spectrum.csv", verification.synthesis_checks,
+                               ["reproduce_kappa", "reproduce_kappa_rev", "reproduce_gamma"], planck_setup, tmp_path,
+                               monkeypatch, synthesis, "relative_error", faulted)
+
+
+def test_run_all_rejects_an_eps_beside_a_pipeline(planck_setup):
+    # A pipeline carries its own eps; a second one would be dropped silently.
+    _, pair, eps = planck_setup
+    pipe = Pipeline(pair, eps)
+    with pytest.raises(ValueError, match="eps"):
+        verification.run_all(pipe, eps=123.0)
+    with pytest.raises(ValueError, match="eps"):
+        verification.run_all(pipe, eps)
+    assert verification.run_all(pipe) == verification.run_all(pair, eps)

@@ -5,6 +5,9 @@
         per workload, untraced, and appends each run to tools/bench/BENCH_L.json
     python tools/bench.py --compare A B
         prints each end-to-end metric of two files side by side, each a label or a path
+    python tools/bench.py --sweep L [--root DIR]
+        times the public chain and ``verification.run_all`` of the checkout DIR
+        over n and writes tools/bench/SWEEP_L.json
 
 A file is a JSON object ``{"label": L, "runs": [...]}``.  A run holds the
 workload, the seed, the seconds, the checkout's commit (``git describe
@@ -17,11 +20,23 @@ calls with two labels.  Nothing of ``perfbench/`` is changed or imported.
 with its quartiles and run count, the change of the medians, and, over the
 seeds both files ran, the number of pairs in which B is better (by the
 direction ``BENCHMARK.json`` gives).
+
+``--sweep`` runs Planck (beta = h = 1, nu_max = 8, step = 16/(n - 1)) at
+n = 2**k + 1 and at the odd 5-smooth n = 3**a * 5**b nearest to it, for
+k = 6 ... 20, so the two lengths part the algorithm's cost from that of
+pocketfft's large-prime path.  At each n, one fresh process reads every
+``Pipeline`` stage of the pair and another calls ``run_all(pair)``, which
+builds its own.  Each process imports every module first, then reports
+the wall time of that call alone and its peak RSS (``ru_maxrss``, the
+interpreter and numpy included).  The file holds the checkout's commit, the
+Python and numpy versions and one row per n.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -35,6 +50,12 @@ def _path(name: str) -> Path:
     return Path(name) if name.endswith(".json") else BENCH / f"BENCH_{name}.json"
 
 
+def _commit(root: Path) -> str | None:
+    """The checkout's ``git describe --always --dirty``, or None outside a git checkout."""
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root, capture_output=True, text=True)
+    return commit.stdout.strip() or None
+
+
 def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run of ``workload`` in the checkout ``root``."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -44,8 +65,7 @@ def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{' '.join(command)}: exit {proc.returncode}\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     start = {line.split(": ", 1)[0]: line.split(": ", 1)[1] for line in lines if ": " in line}
-    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root, capture_output=True, text=True)
-    return {"workload": workload, "seed": seed, "seconds": seconds, "commit": commit.stdout.strip() or None,
+    return {"workload": workload, "seed": seed, "seconds": seconds, "commit": _commit(root),
             "env": json.loads(start["env"]), "inputs": start["inputs"], "result": json.loads(lines[-1])}
 
 
@@ -94,11 +114,74 @@ def compare(first: str, second: str) -> int:
     return 0
 
 
+#: The k of n = 2**k + 1 a sweep runs.
+SWEEP_KS = range(6, 21)
+
+#: What a sweep's fresh process runs: argv[1] is "chain" or "run_all", argv[2] is n.
+_SWEEP_CHILD = """
+import json, resource, sys, time
+import numpy
+from qnoise import decomposition, mode_algebra, qsi, spectra, stationary, synthesis, verification
+from qnoise.pipeline import Pipeline
+what, n = sys.argv[1], int(sys.argv[2])
+pair = spectra.planck_density(1.0, 1.0, spectra.make_grid(n, 16.0 / (n - 1)))
+start = time.perf_counter()
+if what == "chain":
+    pipe = Pipeline(pair, 1.0 / (n * pair.grid.step))
+    for stage in ("seq", "model", "filt", "parts", "transmission", "synthesized", "vacuum_pair", "canonical"):
+        getattr(pipe, stage)
+    out = {}
+else:
+    checks = verification.run_all(pair)
+    out = {"checks": len(checks), "passed": sum(c.passed for c in checks)}
+seconds = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"seconds": seconds, "peak_rss_mb": peak, "numpy": numpy.__version__, **out}))
+"""
+
+
+def _nearest_odd_smooth(n: int) -> int:
+    """The n' = 3**a * 5**b nearest to n, the smaller of two at equal distance."""
+    candidates, five = [], 1
+    while five <= 2 * n:
+        odd = five
+        while odd <= 2 * n:
+            candidates.append(odd)
+            odd *= 3
+        five *= 5
+    return min(candidates, key=lambda m: (abs(m - n), m))
+
+
+def _sweep_process(root: Path, what: str, n: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_CHILD, what, str(n)], cwd=root, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"sweep {what} at n = {n}: exit {proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def sweep(root: Path, ks=SWEEP_KS) -> dict:
+    """The chain and run_all of the checkout ``root`` at n = 2**k + 1 and its nearest 3**a * 5**b."""
+    rows, numpy_version = [], None
+    for k in ks:
+        for kind, n in (("2^k+1", 2**k + 1), ("3^a*5^b", _nearest_odd_smooth(2**k + 1))):
+            chain, checked = _sweep_process(root, "chain", n), _sweep_process(root, "run_all", n)
+            numpy_version = chain.pop("numpy")
+            rows.append({"k": k, "kind": kind, "n": n, "chain_s": chain["seconds"],
+                         "chain_peak_rss_mb": chain["peak_rss_mb"], "run_all_s": checked["seconds"],
+                         "run_all_peak_rss_mb": checked["peak_rss_mb"], "checks": checked["checks"],
+                         "passed": checked["passed"]})
+    return {"commit": _commit(root), "python": platform.python_version(), "numpy": numpy_version,
+            "cpus": os.cpu_count(), "rows": rows}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--label", help="append runs to tools/bench/BENCH_<label>.json")
     group.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two trajectory files")
+    group.add_argument("--sweep", metavar="L", help="write the chain and run_all sweep to tools/bench/SWEEP_<L>.json")
     parser.add_argument("--workload", action="append", help="a workload of BENCHMARK.json (default: all)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=36.0)
@@ -106,6 +189,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
+    if args.sweep:
+        path = BENCH / f"SWEEP_{args.sweep}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({"label": args.sweep, **sweep(args.root.resolve())}, indent=1) + "\n",
+                        encoding="utf-8")
+        print(f"wrote {path}")
+        return 0
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     path = record(args.label, args.root.resolve(), workloads, args.seed, args.seconds)
