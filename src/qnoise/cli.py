@@ -93,11 +93,10 @@ _KEY_TYPES = {
 }
 
 
-def _finite_number(text: str) -> float:
-    value = float(text)
-    if not np.isfinite(value):
+def _finite_number(text: str, parse=float):
+    if not np.isfinite(float(text)):
         raise ConfigError(f"config numbers must be finite, got {text}")
-    return value
+    return parse(text)
 
 
 def _floats(value):
@@ -111,7 +110,8 @@ def load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
-        raw = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number)
+        raw = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number,
+                         parse_int=lambda digits: _finite_number(digits, int))  # an integer is read as a float too
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -269,8 +269,7 @@ def cmd_corr(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
 def cmd_decompose(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     from . import decomposition
     pair, parts = pipe.pair, pipe.parts
-    estimate = decomposition.best_estimate(parts, decomposition.INPUT_TO_OUTPUT)
-    residual = parts.amp_rev - estimate
+    estimate, residual, norm2, expected = decomposition.input_to_output(parts)
     columns = (
         pair.grid.points,
         _region_labels(pair),
@@ -295,12 +294,11 @@ def cmd_decompose(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
             *(column[pair.retained] for column in columns)
         )
     ]
-    residual_norm2, expected = decomposition.residual_norm2(parts, residual)
     _write_json(
         out_dir / "decompose_report.json",
         {
             "points": points,
-            "residual_norm2": residual_norm2,
+            "residual_norm2": norm2,
             "residual_norm2_expected": expected,
         },
     )
@@ -348,8 +346,7 @@ def cmd_qsi(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    output_pair = qsi.build_output_pair(pipe.canonical[0], pair.sigma, pair.sigma_rev)
-    integrator, ordered, outputs = qsi.moment_tables(pair, output_pair, delta, delta_prime)
+    integrator, ordered, outputs = qsi.moment_tables(pair, pipe.output, delta, delta_prime)
     _write_json(
         out_dir / "qsi_table.json",
         {

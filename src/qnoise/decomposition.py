@@ -82,14 +82,14 @@ def best_estimate(split_result: ComponentSplit, direction: str) -> np.ndarray:
     )
 
 
-def residual_norm2(split_result: ComponentSplit, residual: np.ndarray) -> tuple[float, float]:
-    """step * ||residual||^2 of an input-to-output estimate, and the value
-    step * sum(kappa_rev over n_plus) it must take."""
+def input_to_output(split_result: ComponentSplit) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The input-to-output estimate, its residual amp_rev - estimate, step *
+    ||residual||^2, and the value step * sum(kappa_rev over n_plus) it must take."""
     pair = split_result.pair
-    return (
-        pair.grid.step * float((np.abs(residual) ** 2).sum()),
-        pair.grid.step * float(pair.kappa_rev[pair.n_plus].sum()),
-    )
+    estimate = best_estimate(split_result, INPUT_TO_OUTPUT)
+    residual = split_result.amp_rev - estimate
+    norm2 = pair.grid.step * float((np.abs(residual) ** 2).sum())
+    return estimate, residual, norm2, pair.grid.step * float(pair.kappa_rev[pair.n_plus].sum())
 
 
 def modular_kernels_theta(pair: SpectralDensityPair, eps: float) -> ModularFilter:

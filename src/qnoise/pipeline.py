@@ -5,7 +5,7 @@ The whole toolkit derives from one density pair and one time step:
     pair -> seq -> model -> filt (invertible models only)
                          -> parts (vacuum/thermal split)
          -> transmission -> synthesized
-         -> vacuum_pair -> canonical
+         -> vacuum_pair -> canonical -> output
 
 Each stage is a cached attribute, so the verification suites and the CLI
 commands that read the same stage share one object instead of rebuilding
@@ -78,3 +78,9 @@ class Pipeline:
         """Canonical pair of ``vacuum_pair`` with its (noise, reverse) measures."""
         from . import qsi
         return qsi.canonical_from_vacuum(self.vacuum_pair)
+
+    @cached_property
+    def output(self) -> qsi.OutputPair:
+        """Output pair over ``canonical`` with the pair's amplitudes."""
+        from . import qsi
+        return qsi.build_output_pair(self.canonical[0], self.pair.sigma, self.pair.sigma_rev)

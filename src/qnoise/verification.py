@@ -432,17 +432,15 @@ def decomposition_checks(pipe: Pipeline):
     projector_defect = np.count_nonzero(pair.theta != (~pair.n_plus & ~pair.n_minus & pair.retained))
     out.append(_result("decomposition", "projector_algebra", projector_defect, 0.0))
 
-    estimate = decomposition.best_estimate(parts, decomposition.INPUT_TO_OUTPUT)
+    estimate, residual, norm2, expected = decomposition.input_to_output(parts)
     theta = pair.theta
     if theta.any():
         filtered = np.sqrt(pair.lambda_theta[theta]) * parts.amp[theta]
         scale = max(_maxabs(parts.amp_rev), 1e-300)
         defect = _maxabs(estimate[theta] - filtered) / scale
         out.append(_result("decomposition", "estimate_is_modular_filter", defect, 1e-10))
-    residual = parts.amp_rev - estimate
     out.append(_result("decomposition", "residual_support", np.count_nonzero((residual != 0) & ~pair.n_plus), 0.0))
-    residual_norm2, expected = decomposition.residual_norm2(parts, residual)
-    out.append(_result("decomposition", "residual_norm", abs(residual_norm2 - expected) / max(1.0, expected), 1e-12))
+    out.append(_result("decomposition", "residual_norm", abs(norm2 - expected) / max(1.0, expected), 1e-12))
     flips = _maxabs(parts.amp_vac[::-1] - parts.amp_rev_vac)
     flips += _maxabs(parts.amp_thermal[::-1] - parts.amp_rev_thermal)
     out.append(_result("decomposition", "flip_exchange", flips, 0.0))
@@ -517,9 +515,7 @@ def qsi_checks(pipe: Pipeline):
     delta, delta_prime, negative, overlap = tables.intervals
     vacuum_pair = pipe.vacuum_pair
     canonical, (noise, reverse) = pipe.canonical
-    # Output pair over the canonical support, with the configured amplitudes.
-    sigma, sigma_rev = pair.sigma, pair.sigma_rev
-    output_pair = qsi.build_output_pair(canonical, sigma, sigma_rev)
+    sigma, sigma_rev, output_pair = pair.sigma, pair.sigma_rev, pipe.output
     integrator, ordered, outputs = qsi.moment_tables(pair, output_pair, delta, delta_prime)
     densities = {(first, second): output_pair.density(first, second)
                  for first in ("output", "reverse") for second in ("output", "reverse")}

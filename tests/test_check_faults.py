@@ -9,11 +9,13 @@ listed.  The table is checked against the names ``run_all`` reports and
 against the test modules: each named test exists and names the check it
 fails, so the table cannot drift from either.
 
-Every check of the ``synthesis`` and ``qsi`` suites has a fault of its own
-in this module, placed on a fresh ``Pipeline`` by seeding a stage with a
+Every check of the ``decomposition``, ``synthesis`` and ``qsi`` suites has
+a fault of its own, placed on a fresh ``Pipeline`` by seeding a stage with a
 faulted copy (``dataclasses.replace``) or by monkeypatching a builder.  Each
 fails its check on Planck and on the mixed spectrum, wherever the check
-runs, at n = 33 and n = 1025, and the clean pipeline passes it first.
+runs, at n = 33 and n = 1025.  In this module the clean pipeline passes the
+check first; the faults in the builders that ``qnoise decompose`` and
+``qnoise qsi`` write (``test_verification``) also change the artifact.
 
 ``TWINS`` names the checks that compare the same numbers as another check,
 so no fault fails one without the other: ``flip_involution`` reads
@@ -28,7 +30,7 @@ import numpy as np
 import pytest
 
 import qnoise as qn
-from qnoise import qsi, verification
+from qnoise import decomposition, qsi, verification
 from qnoise.pipeline import Pipeline
 
 from oracles import mixed_kappa
@@ -45,6 +47,12 @@ _MODE_TABLES = ("test_verification::test_a_fault_in_a_cross_entry_of_the_mode_ta
 _OCCUPATIONS = ("0", "0.5", "1", "2", "10")
 _RELATIVE_ERROR = (
     "test_verification::test_a_fault_in_the_relative_error_changes_synth_spectrum_and_fails_the_reproduce_checks",)
+_ESTIMATE = (
+    "test_verification::test_an_estimate_off_in_the_decompose_builder_changes_decompose_report_and_fails_its_checks",)
+_NORM = ("test_verification::test_a_norm_off_in_the_decompose_builder_changes_decompose_report_and_fails"
+         "_residual_norm",)
+_OUTPUT = ("test_verification::test_output_amplitudes_off_in_the_pipeline_change_qsi_table_and_fail_output_table"
+           "_and_synthesis_consistency",)
 
 
 def _here(name: str) -> tuple[str]:
@@ -55,6 +63,8 @@ def _here(name: str) -> tuple[str]:
 _REVERSE_AMPLITUDE = _here("test_a_gain_in_the_reverse_output_amplitude_fails_reproduce_kappa_rev"
                            "_and_kernel_time_reversal")
 _AMPLITUDE = _here("test_a_gain_in_the_output_amplitude_fails_reproduce_gamma_and_amplitude_reproduction")
+_THERMAL_PART = _here("test_a_gain_in_the_thermal_part_fails_support_partition_and_flip_exchange")
+_THETA_KERNELS = _here("test_a_gain_in_the_theta_kernels_fails_theta_kernel_modular_and_theta_kernel_convolution")
 _REPRODUCED = _here("test_a_gain_in_the_reproduced_density_fails_reproduce_kappa_correlation_reproduction"
                     "_and_synthesis_consistency")
 
@@ -90,15 +100,16 @@ FAULTS = {
     "modular/kernel_modular_property": None,
     "modular/kernel_convolution_unit": None,
     "modular/root_squares": None,
-    "decomposition/support_partition": None,
-    "decomposition/component_orthogonality": None,
-    "decomposition/projector_algebra": None,
-    "decomposition/estimate_is_modular_filter": None,
-    "decomposition/residual_support": None,
-    "decomposition/residual_norm": None,
-    "decomposition/flip_exchange": None,
-    "decomposition/theta_kernel_modular": None,
-    "decomposition/theta_kernel_convolution": None,
+    "decomposition/support_partition": _THERMAL_PART,
+    "decomposition/component_orthogonality": _here(
+        "test_a_vacuum_part_over_the_whole_amplitude_fails_component_orthogonality"),
+    "decomposition/projector_algebra": _here("test_n_plus_overlapping_theta_fails_projector_algebra"),
+    "decomposition/estimate_is_modular_filter": _ESTIMATE,
+    "decomposition/residual_support": _ESTIMATE,
+    "decomposition/residual_norm": _NORM,
+    "decomposition/flip_exchange": _THERMAL_PART,
+    "decomposition/theta_kernel_modular": _THETA_KERNELS,
+    "decomposition/theta_kernel_convolution": _THETA_KERNELS,
     "synthesis/standard_law_thermal": _here(
         "test_a_gain_in_the_standard_density_on_theta_fails_standard_law_thermal"),
     "synthesis/standard_law_vacuum": _here(
@@ -130,7 +141,7 @@ FAULTS = {
     "qsi/canonical_pairing": _QSI_TABLES,
     "qsi/vacuum_assembly": _here(
         "test_swapped_splice_measures_fail_vacuum_assembly"),
-    "qsi/output_table": _here(
+    "qsi/output_table": _OUTPUT + _here(
         "test_an_output_density_of_the_creator_amplitude_fails_output_table"),
     "qsi/canonical_roundtrip": _here(
         "test_swapped_recovered_rows_fail_canonical_roundtrip"),
@@ -140,7 +151,7 @@ FAULTS = {
         "test_verification::test_asymmetric_cross_kernel_fails_reflection_symmetry_at_any_scale",),
     "qsi/parseval_bridge": _here(
         "test_a_flipped_spectrum_fails_parseval_bridge"),
-    "qsi/synthesis_consistency": _REPRODUCED,
+    "qsi/synthesis_consistency": _REPRODUCED + _OUTPUT,
     **{f"mode/thermal_table_n={n}": _MODE_TABLES for n in _OCCUPATIONS},
     "mode/thermal_table_n=2": _MODE_TABLES + (
         "test_verification::test_nan_in_one_occupations_table_entry_fails_that_occupation_only",),
@@ -184,7 +195,8 @@ _SPECTRA = [(spectrum, n) for spectrum in ("planck", "mixed") for n in (33, 1025
 _EVERYWHERE = pytest.mark.parametrize("spectrum, n", _SPECTRA)
 #: Planck's thermal support is the whole grid: a check of the points off it runs on the mixed spectrum only.
 _MIXED = pytest.mark.parametrize("spectrum, n", [case for case in _SPECTRA if case[0] == "mixed"])
-_SUITES = {"synthesis": verification.synthesis_checks, "qsi": verification.qsi_checks}
+_SUITES = {"decomposition": verification.decomposition_checks, "synthesis": verification.synthesis_checks,
+           "qsi": verification.qsi_checks}
 
 
 def _pipeline(spectrum: str, n: int) -> Pipeline:
@@ -222,6 +234,57 @@ def _gain(values: np.ndarray, cells=Ellipsis) -> np.ndarray:
 
 def _first(mask: np.ndarray) -> int:
     return int(np.flatnonzero(mask)[0])
+
+
+@_EVERYWHERE
+def test_a_gain_in_the_thermal_part_fails_support_partition_and_flip_exchange(spectrum, n):
+    # One thermal cell of the noise amplitude off: the parts no longer sum to
+    # the amplitude, and no longer flip to the reverse thermal part.
+    pipe = _pipeline(spectrum, n)
+    parts = pipe.parts
+    checks = ("decomposition/support_partition", "decomposition/flip_exchange")
+    assert _passes(pipe, *checks)
+    faulted = dataclasses.replace(parts, amp_thermal=_gain(parts.amp_thermal, _first(pipe.pair.theta)))
+    assert _fails_each(_with(pipe, parts=faulted), *checks)
+
+
+@_EVERYWHERE
+def test_a_vacuum_part_over_the_whole_amplitude_fails_component_orthogonality(spectrum, n):
+    # The vacuum projector keeps the thermal support too.
+    pipe = _pipeline(spectrum, n)
+    parts = pipe.parts
+    assert _passes(pipe, "decomposition/component_orthogonality")
+    faulted = _with(pipe, parts=dataclasses.replace(parts, amp_vac=parts.amp))
+    assert _fails_each(faulted, "decomposition/component_orthogonality")
+
+
+@_EVERYWHERE
+def test_n_plus_overlapping_theta_fails_projector_algebra(spectrum, n):
+    # n_plus taken as kappa_rev > 0, which keeps the thermal support too:
+    # theta is no longer the retained points off n_plus and n_minus.
+    pipe = _pipeline(spectrum, n)
+    pair = pipe.pair
+    assert _passes(pipe, "decomposition/projector_algebra")
+    faulted = _with(pipe, dataclasses.replace(pair, n_plus=pair.kappa_rev > 0))
+    assert _fails_each(faulted, "decomposition/projector_algebra")
+
+
+@_EVERYWHERE
+def test_a_gain_in_the_theta_kernels_fails_theta_kernel_modular_and_theta_kernel_convolution(spectrum, n,
+                                                                                            monkeypatch):
+    # The lambda^(1/2) kernel of the thermal support off by a gain: it is no
+    # longer the conjugate of the lambda^(-1/2) kernel, and the two no longer
+    # convolve to the kernel of the theta indicator.
+    built = decomposition.modular_kernels_theta
+
+    def faulted(pair, eps):
+        kernels = built(pair, eps)
+        return dataclasses.replace(kernels, kernel_half=_gain(kernels.kernel_half))
+
+    checks = ("decomposition/theta_kernel_modular", "decomposition/theta_kernel_convolution")
+    assert _passes(_pipeline(spectrum, n), *checks)
+    monkeypatch.setattr(decomposition, "modular_kernels_theta", faulted)
+    assert _fails_each(_pipeline(spectrum, n), *checks)
 
 
 def _standard_fault(pipe: Pipeline, field: str, cells) -> Pipeline:

@@ -15,6 +15,7 @@ CONFIGS = {
     "mixed": REPO_ROOT / "configs" / "mixed.json",
 }
 FLAT = {"model": "flat", "sigma2": 1.0, "n_points": 5, "step": 1.0}
+HUGE = 10**400  # a JSON integer beyond the float range
 
 
 def run(*argv):
@@ -177,6 +178,14 @@ class TestExitCodes:
             {"model": "flat", "sigma2": 1.0, "n_points": 3, "step": 1e308},
             {"model": "flat", "sigma2": 1.0, "n_points": 3, "step": 5e-324},
             {"model": "flat", "sigma2": 1.0, "n_points": 3, "step": 1e308, "eps": 0},
+            {**FLAT, "step": HUGE},
+            {**FLAT, "eps": HUGE},
+            {**FLAT, "tol": HUGE},
+            {**FLAT, "n_points": HUGE},
+            {"model": "planck", "beta": HUGE, "h": 1.0, "n_points": 5, "step": 1.0},
+            {**FLAT, "sigma2": HUGE},
+            {"model": "tabulated", "values": [1, HUGE, 1], "n_points": 3, "step": 1.0},
+            {**FLAT, "delta": [0, HUGE]},
         ],
         ids=[
             "bool_n_points",
@@ -196,6 +205,14 @@ class TestExitCodes:
             "overflowing_span",
             "infinite_eps",
             "zero_eps",
+            "huge_integer_step",
+            "huge_integer_eps",
+            "huge_integer_tol",
+            "huge_integer_n_points",
+            "huge_integer_beta",
+            "huge_integer_sigma2",
+            "huge_integer_value",
+            "huge_integer_delta",
         ],
     )
     @pytest.mark.filterwarnings("error")

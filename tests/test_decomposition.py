@@ -87,11 +87,12 @@ class TestBestEstimate:
         expected = pair.grid.step * np.sum(pair.kappa_rev[pair.n_plus])
         assert norm2 == pytest.approx(expected, abs=1e-12)
 
-    def test_residual_norm2_is_the_one_home_of_the_norm_and_its_expected_value(self, mixed_setup):
+    def test_input_to_output_is_the_one_home_of_the_estimate_residual_and_norm(self, mixed_setup):
         _, pair, eps = mixed_setup
         parts = make_split(pair, eps)
-        residual = parts.amp_rev - qn.best_estimate(parts, INPUT_TO_OUTPUT)
-        norm2, expected = decomposition.residual_norm2(parts, residual)
+        estimate, residual, norm2, expected = decomposition.input_to_output(parts)
+        assert np.array_equal(estimate, qn.best_estimate(parts, INPUT_TO_OUTPUT))
+        assert np.array_equal(residual, parts.amp_rev - estimate)
         assert norm2 == pair.grid.step * float(np.sum(np.abs(residual) ** 2))
         assert expected == pair.grid.step * float(np.sum(pair.kappa_rev[pair.n_plus]))
         check = {r.check: r for r in verification.decomposition_checks(Pipeline(pair, eps))}

@@ -69,6 +69,7 @@ def test_stages_are_built_once_and_shared(planck_setup):
     assert isinstance(pipe.filt, qn.ModularFilter)
     assert pipe.synthesized is pipe.synthesized
     assert pipe.canonical is pipe.canonical
+    assert pipe.output is pipe.output
 
 
 def test_singular_model_has_no_filter(mixed_setup):

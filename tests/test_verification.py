@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qnoise as qn
-from qnoise import qsi, stationary, verification
+from qnoise import decomposition, qsi, stationary, verification
 from qnoise.pipeline import Pipeline
 
 from oracles import (
@@ -693,8 +693,8 @@ def test_a_fault_in_a_cross_entry_of_the_mode_tables_fails_every_thermal_table(m
     ("integrator", "noise_dag_reverse", "integrator_moments"),
     ("output", "output_reverse_dag", "integrator_moments"),
 ])
-def test_a_fault_in_the_qsi_moment_tables_changes_qsi_table_and_fails_its_check(table, entry, check, planck_setup,
-                                                                               tmp_path, monkeypatch):
+def test_a_fault_in_the_qsi_moment_tables_changes_qsi_table_and_fails_its_check(table, entry, check, tmp_path,
+                                                                               monkeypatch):
     # One moment off by 1e-6 (its real part, which qsi_table.json prints):
     # qnoise qsi writes it, and the qsi suite, which reads the same tables,
     # fails the check of that table alone.
@@ -705,12 +705,11 @@ def test_a_fault_in_the_qsi_moment_tables_changes_qsi_table_and_fails_its_check(
         dict(zip(("integrator", "canonical", "output"), tables))[table][entry] += 1e-6
         return tables
 
-    _assert_written_and_failed("qsi", "qsi_table.json", verification.qsi_checks, [check], planck_setup, tmp_path,
+    _assert_written_and_failed("qsi", "qsi_table.json", verification.qsi_checks, [check], _PLANCK, tmp_path,
                                monkeypatch, qsi, "moment_tables", faulted)
 
 
-def test_a_fault_in_the_output_pair_moment_changes_qsi_table_and_fails_integrator_moments(planck_setup, tmp_path,
-                                                                                         monkeypatch):
+def test_a_fault_in_the_output_pair_moment_changes_qsi_table_and_fails_integrator_moments(tmp_path, monkeypatch):
     # D' evaluated in place of D: the output moments are taken over D' alone.
     built = qsi.OutputPair.moment
 
@@ -718,22 +717,85 @@ def test_a_fault_in_the_output_pair_moment_changes_qsi_table_and_fails_integrato
         return built(self, first, mask2, second, mask2)
 
     _assert_written_and_failed("qsi", "qsi_table.json", verification.qsi_checks, ["integrator_moments"],
-                               planck_setup, tmp_path, monkeypatch, qsi.OutputPair, "moment", faulted)
+                               _PLANCK, tmp_path, monkeypatch, qsi.OutputPair, "moment", faulted)
 
 
-def _assert_written_and_failed(command, artifact, suite, checks, planck_setup, tmp_path, monkeypatch, *patch):
+_PLANCK = Path(__file__).resolve().parent.parent / "configs" / "planck.json"
+_SPECTRA = pytest.mark.parametrize("spectrum, n", [(spectrum, n) for spectrum in ("planck", "mixed")
+                                                   for n in (33, 1025)])
+
+
+def _config(tmp_path, spectrum, n):
+    """A config file of Planck (beta = h = 1) or the mixed spectrum on n points with nu_max = 8."""
+    step = 16.0 / (n - 1)
+    if spectrum == "planck":
+        model = {"model": "planck", "beta": 1.0, "h": 1.0}
+    else:
+        model = {"model": "tabulated", "values": mixed_kappa(qn.make_grid(n, step)).tolist()}
+    path = tmp_path / f"{spectrum}.json"
+    path.write_text(json.dumps({**model, "n_points": n, "step": step}))
+    return path
+
+
+def _assert_written_and_failed(command, artifact, suite, checks, config, tmp_path, monkeypatch, *patch):
     """With ``monkeypatch.setattr(*patch)`` placed, ``qnoise command`` on the
-    Planck config writes another ``artifact`` than without it, and ``suite`` on
-    the Planck setup fails exactly ``checks``."""
+    ``config`` file writes another ``artifact`` than without it, and ``suite``
+    on the pipeline of that config fails exactly ``checks``."""
     from qnoise import cli
-    config = Path(__file__).resolve().parent.parent / "configs" / "planck.json"
     assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
     monkeypatch.setattr(*patch)
     assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "faulted")]) == 0
     clean, written = ((tmp_path / side / artifact).read_bytes() for side in ("clean", "faulted"))
     assert written != clean
-    _, pair, eps = planck_setup
-    assert [r.check for r in suite(Pipeline(pair, eps)) if not r.passed] == checks
+    run = cli.load_config(str(config))
+    assert [r.check for r in suite(Pipeline(cli.build_pair(run), run.eps)) if not r.passed] == checks
+
+
+@_SPECTRA
+def test_an_estimate_off_in_the_decompose_builder_changes_decompose_report_and_fails_its_checks(spectrum, n, tmp_path,
+                                                                                               monkeypatch):
+    # The builder reads a thermal reverse part off by a gain of 1e-9, so its
+    # estimate is off on theta: qnoise decompose writes the moved estimate and
+    # residual, and the decomposition suite, which reads the same builder,
+    # fails estimate_is_modular_filter and residual_support alone.
+    built = decomposition.input_to_output
+
+    def faulted(parts):
+        return built(dataclasses.replace(parts, amp_rev_thermal=parts.amp_rev_thermal * (1.0 + 1e-9)))
+
+    _assert_written_and_failed("decompose", "decompose_report.json", verification.decomposition_checks,
+                               ["estimate_is_modular_filter", "residual_support"], _config(tmp_path, spectrum, n),
+                               tmp_path, monkeypatch, decomposition, "input_to_output", faulted)
+
+
+@_SPECTRA
+def test_a_norm_off_in_the_decompose_builder_changes_decompose_report_and_fails_residual_norm(spectrum, n, tmp_path,
+                                                                                            monkeypatch):
+    built = decomposition.input_to_output
+
+    def faulted(parts):
+        estimate, residual, norm2, expected = built(parts)
+        return estimate, residual, norm2 + 1e-9, expected
+
+    _assert_written_and_failed("decompose", "decompose_report.json", verification.decomposition_checks,
+                               ["residual_norm"], _config(tmp_path, spectrum, n), tmp_path, monkeypatch,
+                               decomposition, "input_to_output", faulted)
+
+
+@_SPECTRA
+def test_output_amplitudes_off_in_the_pipeline_change_qsi_table_and_fail_output_table_and_synthesis_consistency(
+        spectrum, n, tmp_path, monkeypatch):
+    # Both amplitudes of the output pair off by a gain of 1e-9: qnoise qsi
+    # writes the moved output moments, and the qsi suite, which reads the same
+    # stage, fails output_table and synthesis_consistency alone (the recovery
+    # is blind to a common gain, and integrator_moments reads the same pair).
+    def faulted(pipe):
+        gain = 1.0 + 1e-9
+        return qsi.build_output_pair(pipe.canonical[0], pipe.pair.sigma * gain, pipe.pair.sigma_rev * gain)
+
+    _assert_written_and_failed("qsi", "qsi_table.json", verification.qsi_checks,
+                               ["output_table", "synthesis_consistency"], _config(tmp_path, spectrum, n), tmp_path,
+                               monkeypatch, Pipeline, "output", property(faulted))
 
 
 def test_a_flip_fault_fails_flip_relation_and_its_structural_twin_flip_involution(planck_setup):
@@ -763,8 +825,7 @@ def test_a_fault_in_the_inverted_modes_fails_every_inversion(monkeypatch):
     assert failed == [f"inversion_n={n}" for n in ("0", "0.5", "1", "2", "10")]
 
 
-def test_a_fault_in_the_relative_error_changes_synth_spectrum_and_fails_the_reproduce_checks(planck_setup, tmp_path,
-                                                                                            monkeypatch):
+def test_a_fault_in_the_relative_error_changes_synth_spectrum_and_fails_the_reproduce_checks(tmp_path, monkeypatch):
     # One point of the relative error off by 1e-6: qnoise synth writes it in
     # its rel_error column, and the synthesis suite, which reads the same
     # function, fails each reproduce check and nothing else.
@@ -777,7 +838,7 @@ def test_a_fault_in_the_relative_error_changes_synth_spectrum_and_fails_the_repr
         return rel
 
     _assert_written_and_failed("synth", "synth_spectrum.csv", verification.synthesis_checks,
-                               ["reproduce_kappa", "reproduce_kappa_rev", "reproduce_gamma"], planck_setup, tmp_path,
+                               ["reproduce_kappa", "reproduce_kappa_rev", "reproduce_gamma"], _PLANCK, tmp_path,
                                monkeypatch, synthesis, "relative_error", faulted)
 
 

@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 LEDGERS = ROOT / "tools" / "ledgers"
 
 SEEDS = (1, 7, 11)
-STAGES = ("seq", "model", "filt", "parts", "transmission", "synthesized", "vacuum_pair", "canonical")
+STAGES = ("seq", "model", "filt", "parts", "transmission", "synthesized", "vacuum_pair", "canonical", "output")
 
 
 def _feed(digest, value) -> None:
