@@ -338,8 +338,8 @@ def cmd_qsi(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     from . import qsi
     pair = pipe.pair
     grid = pair.grid
-    delta_bounds = config.delta or (0.0, grid.nu_max)
-    delta_prime_bounds = config.delta_prime or (-grid.nu_max / 2, grid.nu_max / 2)
+    default, default_prime = qsi._default_bounds(grid)
+    delta_bounds, delta_prime_bounds = config.delta or default, config.delta_prime or default_prime
     try:
         delta = qsi.interval_mask(grid, *delta_bounds)
         delta_prime = qsi.interval_mask(grid, *delta_prime_bounds)

@@ -10,13 +10,14 @@ vacuum moment is the flip-paired contraction
 
     < A_minus(dnu) A_plus(dnu') > = delta(nu' + nu) dnu.
 
-Second moments of arbitrary integrators follow by bilinear expansion over
-that single rule (:func:`ordered_moment`), which keeps the table identities
-exactly checkable:
+So every second moment is a correlation density integrated over a cell set,
+and every table entry is that one rule (:func:`_integral`):
 
-    ordered   < M1(D1) M2(D2) >   = step * sum over {k in D1, flip(k) in D2}
-                                      minus1[k] * plus2[flip k]
-    adjoint   M(D)^dag            = partner amplitudes (conj-flip swap) on -D
+    moment = step * sum over the cells of D1 & D2 of density
+
+    integrator   < first(D)^dag second(D') >   density kappa, gamma or kappa_rev on D & D'
+    ordered      < M1(D1) M2(D2) >             density minus1[k] * plus2[flip k] on D1 & flip(D2)
+    output       < first(D) second(D')^dag >   density minus1 * minus2 on D & D' (:meth:`OutputPair.density`)
 
 In particular the creator has positive norm (< A_plus^dag A_plus > over D
 is the measure of D), the annihilator kills the vacuum, and all remaining
@@ -28,8 +29,9 @@ splices): on a standard vacuum's support the creator is (minus, plus) =
 (0, 1) and the annihilator (1, 0), both 0 off it.
 
 Intervals are unions of grid cells, represented as boolean masks; the
-measure of a cell is the grid step.  An output pair keeps its amplitudes
-sigma, sigma_rev only in its two measures.
+measure of a cell is the grid step.  ``qnoise qsi`` and ``verify`` read the
+default cells D and D' from :func:`_default_bounds`.  An output pair keeps
+its amplitudes sigma, sigma_rev only in its two measures.
 """
 from __future__ import annotations
 
@@ -75,9 +77,14 @@ class MeasureSymbol:
     plus: np.ndarray
 
 
-def adjoint(symbol: MeasureSymbol) -> MeasureSymbol:
-    """Amplitudes of M(D)^dag, to be evaluated on the flipped cell set."""
-    return MeasureSymbol(_frozen(np.conj(symbol.plus[::-1])), _frozen(np.conj(symbol.minus[::-1])))
+def _integral(density: np.ndarray, mask1, mask2, step: float):
+    """step * the sum of a per-cell density over the cells of D1 & D2: every moment of this module."""
+    return step * density[np.asarray(mask1, dtype=bool) & np.asarray(mask2, dtype=bool)].sum()
+
+
+def _default_bounds(grid: SpectralGrid) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The bounds of qsi's default cell sets D = [0, nu_max] and D' = [-nu_max/2, nu_max/2]."""
+    return (0.0, grid.nu_max), (-grid.nu_max / 2, grid.nu_max / 2)
 
 
 def ordered_moment(
@@ -88,11 +95,7 @@ def ordered_moment(
     step: float,
 ) -> complex:
     """Vacuum moment < first(D1) second(D2) > by bilinear expansion."""
-    mask1 = np.asarray(mask1, dtype=bool)
-    mask2 = np.asarray(mask2, dtype=bool)
-    select = mask1 & mask2[::-1]
-    terms = first.minus[select] * second.plus[::-1][select]
-    return complex(step * terms.sum())
+    return complex(_integral(first.minus * second.plus[::-1], mask1, np.asarray(mask2, dtype=bool)[::-1], step))
 
 
 _DENSITIES = {
@@ -122,8 +125,7 @@ class IntegratorTable:
             raise ValueError(f"unknown integrator names: {(first, second)!r}") from None
 
     def second_moment(self, first: str, mask1, second: str, mask2) -> float:
-        mask = np.asarray(mask1, dtype=bool) & np.asarray(mask2, dtype=bool)
-        return float(self.pair.grid.step * self.density(first, second)[mask].sum())
+        return float(_integral(self.density(first, second), mask1, mask2, self.pair.grid.step))
 
 
 def integrator_table(pair: SpectralDensityPair) -> IntegratorTable:
@@ -235,17 +237,12 @@ class OutputPair:
             raise ValueError(f"unknown output integrator name: {name!r}") from None
 
     def moment(self, first: str, mask1, second: str, mask2) -> complex:
-        sym1 = self._symbol(first)
-        sym2 = adjoint(self._symbol(second))
-        return ordered_moment(sym1, mask1, sym2, flipped(mask2), self.canonical.grid.step)
+        return complex(_integral(self.density(first, second), mask1, mask2, self.canonical.grid.step))
 
     def density(self, first: str, second: str) -> np.ndarray:
-        # Single-cell specialization of ``moment``: the creator amplitude of
-        # the adjoint at the flipped cell is the conjugated annihilator
-        # amplitude of the original at the cell itself.
-        sym1 = self._symbol(first)
-        sym2 = self._symbol(second)
-        return _frozen((sym1.minus * np.conj(sym2.minus)).real)
+        # The ordered rule with the adjoint of ``second`` on the flipped cells, whose creator
+        # amplitude there is the (real) annihilator amplitude of ``second`` at the cell itself.
+        return _frozen(self._symbol(first).minus * self._symbol(second).minus)
 
 
 def build_output_pair(

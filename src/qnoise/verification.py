@@ -248,12 +248,11 @@ class _GridTables:
 
     @functools.cached_property
     def intervals(self) -> tuple[np.ndarray, ...]:
-        """qsi's cells of D = [0, nu_max], D' = [-nu_max/2, nu_max/2] and
-        [-nu_max, -step/2], and those of D & D'."""
-        from .qsi import interval_mask
-        grid, top = self.grid, self.grid.nu_max
-        bounds = ((0.0, top), (-top / 2, top / 2), (-top, -grid.step / 2))
-        delta, prime, negative = (interval_mask(grid, lo, hi) for lo, hi in bounds)
+        """The cells of qsi's default D and D', of [-nu_max, -step/2], and those of D & D'."""
+        from . import qsi
+        grid = self.grid
+        bounds = (*qsi._default_bounds(grid), (-grid.nu_max, -grid.step / 2))
+        delta, prime, negative = (qsi.interval_mask(grid, lo, hi) for lo, hi in bounds)
         return delta, prime, negative, _frozen(delta & prime)
 
     @functools.cached_property
@@ -429,7 +428,8 @@ def decomposition_checks(pipe: Pipeline):
     cross = (np.conj(parts.amp_vac) * parts.amp_thermal).sum() * pair.grid.step
     out.append(_result("decomposition", "component_orthogonality", abs(cross), 0.0))
 
-    projector_defect = np.count_nonzero(pair.theta != (~pair.n_plus & ~pair.n_minus & pair.retained))
+    retained = pair.kappa + pair.kappa_rev > 0  # read from the densities, not from the masks it is compared with
+    projector_defect = np.count_nonzero(pair.theta != (~pair.n_plus & ~pair.n_minus & retained))
     out.append(_result("decomposition", "projector_algebra", projector_defect, 0.0))
 
     estimate, residual, norm2, expected = decomposition.input_to_output(parts)

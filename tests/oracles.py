@@ -371,3 +371,12 @@ def combined_recovery(output_pair, sigma, sigma_rev, support):
             return np.where(support, minus / denom, 0.0), np.where(support, plus / denom, 0.0)
 
     return {"creation": combine(sigma_rev, -sigma), "annihilation": combine(-sigma, sigma_rev)}
+
+
+def adjoint(symbol):
+    """Amplitudes of M(D)^dag, to be evaluated on the flipped cell set: the
+    conjugate flips of M's creator and annihilator amplitudes, swapped.  With
+    ``qsi.ordered_moment`` it is the bilinear rule that ``OutputPair.moment``
+    and ``IntegratorTable.second_moment`` reduce to densities over D & D'."""
+    from qnoise import qsi
+    return qsi.MeasureSymbol(np.conj(symbol.plus[::-1]), np.conj(symbol.minus[::-1]))

@@ -1,7 +1,11 @@
 """The benchmark trajectory's compare: end-to-end metrics side by side, with quartiles and pairs."""
+import functools
 import importlib.util
 import json
+import sys
 from pathlib import Path
+
+from qnoise.pipeline import Pipeline
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
 spec = importlib.util.spec_from_file_location("bench", TOOL)
@@ -57,3 +61,18 @@ def test_sweep_times_the_chain_and_run_all_at_both_lengths_of_one_k():
 def test_the_nearest_odd_smooth_length_is_a_product_of_threes_and_fives():
     assert [bench._nearest_odd_smooth(2**k + 1) for k in (6, 10, 16, 20)] == [75, 1125, 59049, 1171875]
     assert bench._nearest_odd_smooth(2) == 1 and bench._nearest_odd_smooth(4) == 3  # 3 is nearer than 5
+
+
+def test_the_sweep_child_reads_every_pipeline_stage(monkeypatch, capsys):
+    # The "chain" a sweep times is the whole chain: every cached stage of
+    # Pipeline, the output pair included, as the equivalence ledger digests.
+    stages = [name for name, value in vars(Pipeline).items() if isinstance(value, functools.cached_property)]
+    assert stages[0] == "seq" and stages[-1] == "output"
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    monkeypatch.setattr(sys, "argv", ["-c", "chain", "9"])
+    namespace = {}
+    exec(bench._SWEEP_CHILD, namespace)
+    assert [stage for stage in stages if stage not in vars(namespace["pipe"])] == []
+    assert json.loads(capsys.readouterr().out)["seconds"] > 0
+    from equivalence import stages as derived
+    assert derived(Pipeline) == stages

@@ -2,25 +2,30 @@
 
 ``FAULTS`` maps every check ``run_all`` reports, on Planck (73 checks) and on
 the mixed tabulated spectrum (69), to the tests (module::test) whose injected
-fault fails it, or to None where no committed test injects one.  An input
-on which a check fails because float64 cannot resolve it (high-dynamic-range
-Planck, an underflowed cross density) is not an injected fault and is not
-listed.  The table is checked against the names ``run_all`` reports and
-against the test modules: each named test exists and names the check it
-fails, so the table cannot drift from either.
+fault fails it; every check has at least one.  An input on which a check
+fails because float64 cannot resolve it (high-dynamic-range Planck, an
+underflowed cross density) is not an injected fault and is not listed.
+The table is checked against the names ``run_all`` reports and against the
+test modules: each named test exists and names the check it fails, so the
+table cannot drift from either.
 
-Every check of the ``decomposition``, ``synthesis`` and ``qsi`` suites has
-a fault of its own, placed on a fresh ``Pipeline`` by seeding a stage with a
-faulted copy (``dataclasses.replace``) or by monkeypatching a builder.  Each
-fails its check on Planck and on the mixed spectrum, wherever the check
-runs, at n = 33 and n = 1025.  In this module the clean pipeline passes the
-check first; the faults in the builders that ``qnoise decompose`` and
-``qnoise qsi`` write (``test_verification``) also change the artifact.
+The faults of this module are placed on a fresh ``Pipeline`` by seeding a
+stage with a faulted copy (``dataclasses.replace``) or by monkeypatching a
+builder.  Each fails its check on Planck and on the mixed spectrum, wherever
+the check runs, at n = 33 and n = 1025 (the ``modular`` suite runs on Planck
+only), and the clean pipeline passes the check first.  The faults in the
+builders that ``qnoise decompose`` and ``qnoise qsi`` write
+(``test_verification``) also change the artifact.
 
 ``TWINS`` names the checks that compare the same numbers as another check,
 so no fault fails one without the other: ``flip_involution`` reads
 |kappa_rev[::-1] - kappa|, the n differences of ``flip_relation`` in
-reverse order.
+reverse order.  Two checks compare two float routes of one symbol that agree to
+rounding on any finite input, so only a non-finite value fails them:
+``stationary/covariances_commute`` (K K_rev - K_rev K is the difference of
+two products of the same two spectra, which differ by rounding only) and
+``modular/root_squares`` (the root it squares is taken of the symbol it
+compares with).
 """
 import dataclasses
 import importlib
@@ -55,9 +60,9 @@ _OUTPUT = ("test_verification::test_output_amplitudes_off_in_the_pipeline_change
            "_and_synthesis_consistency",)
 
 
-def _here(name: str) -> tuple[str]:
-    """A test of this module, as the table names it."""
-    return (f"test_check_faults::{name}",)
+def _here(*names: str) -> tuple[str, ...]:
+    """Tests of this module, as the table names them."""
+    return tuple(f"test_check_faults::{name}" for name in names)
 
 
 _REVERSE_AMPLITUDE = _here("test_a_gain_in_the_reverse_output_amplitude_fails_reproduce_kappa_rev"
@@ -65,19 +70,22 @@ _REVERSE_AMPLITUDE = _here("test_a_gain_in_the_reverse_output_amplitude_fails_re
 _AMPLITUDE = _here("test_a_gain_in_the_output_amplitude_fails_reproduce_gamma_and_amplitude_reproduction")
 _THERMAL_PART = _here("test_a_gain_in_the_thermal_part_fails_support_partition_and_flip_exchange")
 _THETA_KERNELS = _here("test_a_gain_in_the_theta_kernels_fails_theta_kernel_modular_and_theta_kernel_convolution")
+_DROPPED_THETA_CELL = _here("test_a_theta_cell_dropped_from_every_mask_fails_mask_partition_and_projector_algebra")
+_MODULAR_KERNELS = _here("test_a_gain_in_the_modular_kernels_fails_kernel_modular_property"
+                         "_and_kernel_convolution_unit")
 _REPRODUCED = _here("test_a_gain_in_the_reproduced_density_fails_reproduce_kappa_correlation_reproduction"
                     "_and_synthesis_consistency")
 
 FAULTS = {
-    "spectra/grid_flip_symmetry": None,
+    "spectra/grid_flip_symmetry": _here("test_grid_points_at_the_cell_edges_fail_grid_flip_symmetry"),
     "spectra/flip_relation": _FLIP,
     "spectra/flip_involution": _FLIP,
-    "spectra/mask_partition": None,
-    "spectra/modular_reciprocal": None,
-    "spectra/cross_density_even": None,
-    "stationary/sequence_hermitian": None,
-    "stationary/cross_real_even": None,
-    "stationary/eigenvalue_match": None,
+    "spectra/mask_partition": _DROPPED_THETA_CELL,
+    "spectra/modular_reciprocal": _here("test_a_modular_function_off_at_one_cell_fails_modular_reciprocal"),
+    "spectra/cross_density_even": _here("test_a_cross_density_of_kappa_alone_fails_cross_density_even"),
+    "stationary/sequence_hermitian": _here("test_a_correlation_sequence_shifted_by_one_lag_fails_sequence_hermitian"),
+    "stationary/cross_real_even": _here("test_a_cross_sequence_of_the_noise_density_fails_cross_real_even"),
+    "stationary/eigenvalue_match": _here("test_a_model_symbol_in_flipped_frequency_order_fails_eigenvalue_match"),
     "stationary/dft_consistency": _SPECTRUM + _K_NAN + (
         "test_verification::test_entry_off_the_circulant_pattern_fails_dft_consistency",),
     "stationary/gram_noise": _K_NAN,
@@ -89,21 +97,23 @@ FAULTS = {
     "stationary/cross_cov_symmetric": _DIAGONALS + _G_NAN,
     "stationary/cross_cov_psd": _G_NAN,
     "stationary/geometric_mean": _K_REV,
-    "stationary/covariances_commute": None,
+    "stationary/covariances_commute": _here("test_a_nan_in_the_column_of_k_fails_covariances_commute"),
     "stationary/star_involution": ("test_verification::test_reverse_amplitude_off_the_star_involution_fails",),
     "stationary/amplitude_gram": _K_NAN + (
         "test_verification::test_first_column_of_k_off_the_amplitudes_fails_amplitude_gram",),
     "stationary/amplitude_cross": ("test_verification::test_first_column_of_g_off_the_amplitudes_fails_amplitude_cross",),
     "stationary/test_norm_nonnegative": ("test_verification::test_nan_coefficient_norm_fails_test_norm_nonnegative",),
     "modular/spectrum_match": _SPECTRUM,
-    "modular/conjugate_inverse": None,
-    "modular/kernel_modular_property": None,
-    "modular/kernel_convolution_unit": None,
-    "modular/root_squares": None,
+    "modular/conjugate_inverse": _here("test_a_gain_in_the_modular_symbol_fails_conjugate_inverse"),
+    "modular/kernel_modular_property": _MODULAR_KERNELS,
+    "modular/kernel_convolution_unit": _MODULAR_KERNELS,
+    "modular/root_squares": _here("test_a_nan_at_nu_0_in_the_modular_symbol_fails_root_squares"),
     "decomposition/support_partition": _THERMAL_PART,
     "decomposition/component_orthogonality": _here(
         "test_a_vacuum_part_over_the_whole_amplitude_fails_component_orthogonality"),
-    "decomposition/projector_algebra": _here("test_n_plus_overlapping_theta_fails_projector_algebra"),
+    "decomposition/projector_algebra": _DROPPED_THETA_CELL + _here(
+        "test_n_plus_overlapping_theta_fails_projector_algebra",
+        "test_a_dropped_pair_added_to_theta_fails_projector_algebra_alone"),
     "decomposition/estimate_is_modular_filter": _ESTIMATE,
     "decomposition/residual_support": _ESTIMATE,
     "decomposition/residual_norm": _NORM,
@@ -176,11 +186,12 @@ def test_the_table_names_every_check_run_all_reports(reported):
     planck, mixed = reported
     assert (len(planck), len(mixed)) == (73, 69)
     assert set(FAULTS) == set(planck) | set(mixed)
+    assert [check for check, tests in FAULTS.items() if not tests] == []
     for check, twin in TWINS.items():
         assert FAULTS[check] == FAULTS[twin], "a fault fails one twin without the other"
 
 
-@pytest.mark.parametrize("check", sorted(name for name, tests in FAULTS.items() if tests))
+@pytest.mark.parametrize("check", sorted(FAULTS))
 def test_each_named_test_exists_and_names_its_check(check):
     # the check's name without its occupation, as a parametrized test spells it
     stem = check.split("/")[1].split("_n=")[0]
@@ -195,8 +206,11 @@ _SPECTRA = [(spectrum, n) for spectrum in ("planck", "mixed") for n in (33, 1025
 _EVERYWHERE = pytest.mark.parametrize("spectrum, n", _SPECTRA)
 #: Planck's thermal support is the whole grid: a check of the points off it runs on the mixed spectrum only.
 _MIXED = pytest.mark.parametrize("spectrum, n", [case for case in _SPECTRA if case[0] == "mixed"])
-_SUITES = {"decomposition": verification.decomposition_checks, "synthesis": verification.synthesis_checks,
-           "qsi": verification.qsi_checks}
+#: The modular suite runs on invertible models only: on Planck, not on the mixed spectrum.
+_PLANCK = pytest.mark.parametrize("spectrum, n", [case for case in _SPECTRA if case[0] == "planck"])
+_SUITES = {"spectra": verification.spectra_checks, "stationary": verification.stationary_checks,
+           "modular": verification.modular_checks, "decomposition": verification.decomposition_checks,
+           "synthesis": verification.synthesis_checks, "qsi": verification.qsi_checks}
 
 
 def _pipeline(spectrum: str, n: int) -> Pipeline:
@@ -454,3 +468,154 @@ def test_a_flipped_spectrum_fails_parseval_bridge(spectrum, n, monkeypatch):
     assert _passes(_pipeline(spectrum, n), "qsi/parseval_bridge")
     monkeypatch.setattr(verification, "spectrum_of", lambda kernel, eps: built(kernel, eps)[..., ::-1])
     assert _fails_each(_pipeline(spectrum, n), "qsi/parseval_bridge")
+
+
+def _failing(pipe: Pipeline, *suites: str) -> list[str]:
+    """The suite/check names of these suites that fail on ``pipe``."""
+    return [f"{r.suite}/{r.check}" for suite in suites for r in _SUITES[suite](pipe) if not r.passed]
+
+
+@_EVERYWHERE
+def test_grid_points_at_the_cell_edges_fail_grid_flip_symmetry(spectrum, n):
+    # The points are the left cell edges, half a step below the centres.
+    pipe = _pipeline(spectrum, n)
+    grid = pipe.pair.grid
+    assert _passes(pipe, "spectra/grid_flip_symmetry")
+    faulted = dataclasses.replace(pipe.pair, grid=dataclasses.replace(grid, points=grid.points - grid.step / 2))
+    assert _fails_each(_with(pipe, faulted), "spectra/grid_flip_symmetry")
+
+
+@_EVERYWHERE
+def test_a_theta_cell_dropped_from_every_mask_fails_mask_partition_and_projector_algebra(spectrum, n):
+    # A retained cell that no support mask covers.
+    pipe = _pipeline(spectrum, n)
+    theta = pipe.pair.theta.copy()
+    theta[_first(theta)] = False
+    checks = ("spectra/mask_partition", "decomposition/projector_algebra")
+    assert _passes(pipe, *checks)
+    assert _fails_each(_with(pipe, dataclasses.replace(pipe.pair, theta=theta)), *checks)
+
+
+@_EVERYWHERE
+def test_a_dropped_pair_added_to_theta_fails_projector_algebra_alone(spectrum, n):
+    # A tabulated spectrum with kappa = 0 at +-step, so neither density is
+    # positive there; theta gains that pair, with lambda_theta 1 there, so no
+    # NaN spreads.  Every mask stays disjoint and covers every point the
+    # densities retain: of the spectra and decomposition suites only
+    # projector_algebra, which reads the retained points from the densities,
+    # sees it.
+    clean = _pipeline(spectrum, n).pair
+    grid, kappa = clean.grid, np.array(clean.kappa)
+    pair_cells = [n // 2 - 1, n // 2 + 1]
+    kappa[pair_cells] = 0.0
+    pair = qn.tabulated_density(kappa, grid)
+    pipe = Pipeline(pair, 1.0 / (n * grid.step))
+    theta, lam = pair.theta.copy(), np.array(pair.lambda_theta)
+    theta[pair_cells], lam[pair_cells] = True, 1.0
+    assert _failing(pipe, "spectra", "decomposition") == []
+    faulted = _with(pipe, dataclasses.replace(pair, theta=theta, lambda_theta=lam))
+    assert _failing(faulted, "spectra", "decomposition") == ["decomposition/projector_algebra"]
+
+
+@_EVERYWHERE
+def test_a_modular_function_off_at_one_cell_fails_modular_reciprocal(spectrum, n):
+    # lambda(nu) lambda(-nu) = 1 no longer holds at one pair +-nu.
+    pipe = _pipeline(spectrum, n)
+    pair = pipe.pair
+    assert _passes(pipe, "spectra/modular_reciprocal")
+    faulted = dataclasses.replace(pair, lambda_theta=_gain(pair.lambda_theta, _first(pair.theta)))
+    assert _fails_each(_with(pipe, faulted), "spectra/modular_reciprocal")
+
+
+@_EVERYWHERE
+def test_a_cross_density_of_kappa_alone_fails_cross_density_even(spectrum, n):
+    # gamma built as sqrt(kappa * kappa) in place of sqrt(kappa * kappa_rev).
+    pipe = _pipeline(spectrum, n)
+    assert _passes(pipe, "spectra/cross_density_even")
+    faulted = dataclasses.replace(pipe.pair, gamma=pipe.pair.kappa)
+    assert _fails_each(_with(pipe, faulted), "spectra/cross_density_even")
+
+
+@_EVERYWHERE
+def test_a_correlation_sequence_shifted_by_one_lag_fails_sequence_hermitian(spectrum, n):
+    # The lags centred one sample off: k_(-j) is no longer conj(k_j).
+    pipe = _pipeline(spectrum, n)
+    seq = pipe.seq
+    assert _passes(pipe, "stationary/sequence_hermitian")
+    faulted = dataclasses.replace(seq, values=np.roll(seq.values, 1))
+    assert _fails_each(_with(pipe, seq=faulted, model=pipe.model), "stationary/sequence_hermitian")
+
+
+@_EVERYWHERE
+def test_a_cross_sequence_of_the_noise_density_fails_cross_real_even(spectrum, n):
+    # r_j taken as the kernel of kappa, which is complex and not even, in place of gamma's.
+    pipe = _pipeline(spectrum, n)
+    seq = pipe.seq
+    assert _passes(pipe, "stationary/cross_real_even")
+    faulted = dataclasses.replace(seq, cross=seq.values)
+    assert _fails_each(_with(pipe, seq=faulted, model=pipe.model), "stationary/cross_real_even")
+
+
+@_EVERYWHERE
+def test_a_model_symbol_in_flipped_frequency_order_fails_eigenvalue_match(spectrum, n):
+    # The eigenvalues read as kappa_rev: the sign convention of the DFT flipped.
+    pipe = _pipeline(spectrum, n)
+    model = pipe.model
+    assert _passes(pipe, "stationary/eigenvalue_match")
+    faulted = dataclasses.replace(model, eigenvalues=model.eigenvalues[::-1])
+    assert _fails_each(_with(pipe, model=faulted), "stationary/eigenvalue_match")
+
+
+@_EVERYWHERE
+def test_a_nan_in_the_column_of_k_fails_covariances_commute(spectrum, n, monkeypatch):
+    # K and K_rev are circulants of one symbol, so they commute to rounding
+    # on any finite column: only a non-finite entry fails the check.  A NaN
+    # eigenvalue in the model would make the density scale NaN too, so the
+    # NaN goes into the first column of K that the suite builds.
+    pipe = _pipeline(spectrum, n)
+    built, eigenvalues = verification._column, pipe.model.eigenvalues
+
+    def faulted(symbols, conjugate=False):
+        columns = built(symbols, conjugate)
+        if columns.ndim == 2 and np.array_equal(symbols[0], eigenvalues):
+            columns[0, 1] = np.nan  # K's column is the first row the stationary suite asks for
+        return columns
+
+    assert _passes(pipe, "stationary/covariances_commute")
+    monkeypatch.setattr(verification, "_column", faulted)
+    assert _fails_each(pipe, "stationary/covariances_commute")
+
+
+@_PLANCK
+def test_a_gain_in_the_modular_symbol_fails_conjugate_inverse(spectrum, n):
+    # lambda off by a gain of 1e-6: L L_rev is no longer the identity.
+    pipe = _pipeline(spectrum, n)
+    filt = pipe.filt
+    assert _passes(pipe, "modular/conjugate_inverse")
+    faulted = _with(pipe, filt=dataclasses.replace(filt, symbol=_gain(filt.symbol)))
+    assert _fails_each(faulted, "modular/conjugate_inverse")
+
+
+@_PLANCK
+def test_a_gain_in_the_modular_kernels_fails_kernel_modular_property_and_kernel_convolution_unit(spectrum, n):
+    # The lambda^(1/2) kernel off by a gain: it is no longer the conjugate of
+    # the lambda^(-1/2) kernel, and the two no longer convolve to the unit kernel.
+    pipe = _pipeline(spectrum, n)
+    filt = pipe.filt
+    checks = ("modular/kernel_modular_property", "modular/kernel_convolution_unit")
+    assert _passes(pipe, *checks)
+    faulted = _with(pipe, filt=dataclasses.replace(filt, kernel_half=_gain(filt.kernel_half)))
+    assert _fails_each(faulted, *checks)
+
+
+@_PLANCK
+def test_a_nan_at_nu_0_in_the_modular_symbol_fails_root_squares(spectrum, n):
+    # The check squares the circulant of the root it takes of the symbol
+    # itself, so any finite nonnegative symbol passes it: only a non-finite one fails.
+    pipe = _pipeline(spectrum, n)
+    filt = pipe.filt
+    assert _passes(pipe, "modular/root_squares")
+    symbol = np.array(filt.symbol)
+    symbol[n // 2] = np.nan  # lambda(0) as 0/0, left without its limit 1
+    faulted = _with(pipe, filt=dataclasses.replace(filt, symbol=symbol))
+    assert _fails_each(faulted, "modular/root_squares")

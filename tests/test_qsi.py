@@ -5,9 +5,10 @@ import qnoise as qn
 from qnoise import qsi
 from qnoise.errors import DegenerateRecoveryError, NonFiniteError, NotVacuumError
 from qnoise.fourier import convolve, kernel_of, spectrum_of
+from qnoise.pipeline import Pipeline
 
 from conftest import build_chain, grid_and_eps
-from oracles import gram_quadratic_form, riemann_moment
+from oracles import adjoint, gram_quadratic_form, mixed_kappa, riemann_moment
 
 
 def vacuum_canonical(grid):
@@ -123,7 +124,7 @@ class TestCanonicalFromVacuum:
         delta_prime = qn.interval_mask(grid, -1.0, grid.nu_max)
         # dagger-first moments via the canonical contraction
         got = qsi.ordered_moment(
-            qsi.adjoint(noise),
+            adjoint(noise),
             qsi.flipped(delta),
             noise,
             delta_prime,
@@ -132,7 +133,7 @@ class TestCanonicalFromVacuum:
         expected = riemann_moment(pair.kappa, grid, delta, delta_prime)
         assert got.real == pytest.approx(expected, abs=1e-15)
         got_cross = qsi.ordered_moment(
-            qsi.adjoint(noise),
+            adjoint(noise),
             qsi.flipped(delta),
             reverse,
             delta_prime,
@@ -461,3 +462,21 @@ def test_output_pair_leaves_the_callers_amplitudes_writable_and_unchanged():
     # the package's own read-only amplitudes stay read-only and unchanged too
     output = qsi.build_output_pair(canonical, pair.sigma, pair.sigma_rev)
     assert not pair.sigma.flags.writeable and output.output.minus is not pair.sigma
+
+
+@pytest.mark.parametrize("spectrum, n", [(spectrum, n) for spectrum in ("planck", "mixed") for n in (33, 1025)])
+def test_output_moments_are_the_bilinear_rule_bit_for_bit(spectrum, n):
+    # < first(D1) second(D2)^dag > is the ordered moment of first on D1 and
+    # the adjoint of second on -D2; the density form must keep its bits.
+    grid = qn.make_grid(n, 16.0 / (n - 1))
+    pair = qn.planck_density(1.0, 1.0, grid) if spectrum == "planck" else qn.tabulated_density(mixed_kappa(grid), grid)
+    output = Pipeline(pair, 1.0 / (n * grid.step)).output
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        mask1, mask2 = rng.random((2, n)) < rng.random((2, 1))
+        for first in ("output", "reverse"):
+            for second in ("output", "reverse"):
+                expected = qsi.ordered_moment(getattr(output, first), mask1, adjoint(getattr(output, second)),
+                                              qsi.flipped(mask2), grid.step)
+                got = output.moment(first, mask1, second, mask2)
+                assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())

@@ -721,6 +721,32 @@ def test_a_fault_in_the_output_pair_moment_changes_qsi_table_and_fails_integrato
 
 
 _PLANCK = Path(__file__).resolve().parent.parent / "configs" / "planck.json"
+
+
+def test_a_changed_default_cell_set_changes_qsi_table_and_the_cells_verify_checks(tmp_path, monkeypatch):
+    # qsi's default D' narrowed to [-nu_max/2, nu_max/4]: qnoise qsi writes
+    # moments over the new cells, and the qsi suite's cells are the same ones.
+    from qnoise import cli
+    built = qsi._default_bounds
+
+    def faulted(grid):
+        return built(grid)[0], (-grid.nu_max / 2, grid.nu_max / 4)
+
+    assert cli.main(["qsi", "--config", str(_PLANCK), "--out", str(tmp_path / "clean")]) == 0
+    monkeypatch.setattr(qsi, "_default_bounds", faulted)
+    assert cli.main(["qsi", "--config", str(_PLANCK), "--out", str(tmp_path / "faulted")]) == 0
+    clean, written = (json.loads((tmp_path / side / "qsi_table.json").read_text()) for side in ("clean", "faulted"))
+    run = cli.load_config(str(_PLANCK))
+    grid = cli.build_pair(run).grid
+    assert written["delta"] == clean["delta"] == [0.0, grid.nu_max]
+    assert written["delta_prime"] == [-grid.nu_max / 2, grid.nu_max / 4] != clean["delta_prime"]
+    assert written["output_second_moments"] != clean["output_second_moments"]
+    delta, prime, _, overlap = verification._GridTables(grid.n_points, grid.step, run.eps).intervals
+    assert np.array_equal(delta, qsi.interval_mask(grid, *written["delta"]))
+    assert np.array_equal(prime, qsi.interval_mask(grid, *written["delta_prime"]))
+    assert np.array_equal(overlap, delta & prime)
+
+
 _SPECTRA = pytest.mark.parametrize("spectrum, n", [(spectrum, n) for spectrum in ("planck", "mixed")
                                                    for n in (33, 1025)])
 

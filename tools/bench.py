@@ -25,11 +25,11 @@ direction ``BENCHMARK.json`` gives).
 n = 2**k + 1 and at the odd 5-smooth n = 3**a * 5**b nearest to it, for
 k = 6 ... 20, so the two lengths part the algorithm's cost from that of
 pocketfft's large-prime path.  At each n, one fresh process reads every
-``Pipeline`` stage of the pair and another calls ``run_all(pair)``, which
-builds its own.  Each process imports every module first, then reports
-the wall time of that call alone and its peak RSS (``ru_maxrss``, the
-interpreter and numpy included).  The file holds the checkout's commit, the
-Python and numpy versions and one row per n.
+``Pipeline`` stage of the pair (``equivalence.stages``) and another calls
+``run_all(pair)``, which builds its own.  Each process imports every module
+first, then reports the wall time of that call alone and its peak RSS
+(``ru_maxrss``, the interpreter and numpy included).  The file holds the
+checkout's commit, the Python and numpy versions and one row per n.
 """
 from __future__ import annotations
 
@@ -42,8 +42,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-BENCH = ROOT / "tools" / "bench"
+TOOLS = Path(__file__).resolve().parent
+ROOT = TOOLS.parent
+BENCH = TOOLS / "bench"
 
 
 def _path(name: str) -> Path:
@@ -123,12 +124,13 @@ import json, resource, sys, time
 import numpy
 from qnoise import decomposition, mode_algebra, qsi, spectra, stationary, synthesis, verification
 from qnoise.pipeline import Pipeline
+from equivalence import stages
 what, n = sys.argv[1], int(sys.argv[2])
 pair = spectra.planck_density(1.0, 1.0, spectra.make_grid(n, 16.0 / (n - 1)))
 start = time.perf_counter()
 if what == "chain":
     pipe = Pipeline(pair, 1.0 / (n * pair.grid.step))
-    for stage in ("seq", "model", "filt", "parts", "transmission", "synthesized", "vacuum_pair", "canonical"):
+    for stage in stages(Pipeline):
         getattr(pipe, stage)
     out = {}
 else:
@@ -153,7 +155,8 @@ def _nearest_odd_smooth(n: int) -> int:
 
 
 def _sweep_process(root: Path, what: str, n: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    # the stage list comes from this tool's directory, the qnoise it times from the checkout's
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(root / "src"), str(TOOLS))), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", _SWEEP_CHILD, what, str(n)], cwd=root, env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:

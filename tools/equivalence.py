@@ -12,10 +12,10 @@ ledger is a JSON list with one line per input.  A line holds every
 ``verification.run_all`` check in report order, by suite, as the string
 ``"check tolerance passed residual"`` with the pass flag as 1 or 0 and the
 residual as ``float.hex``, and a sha256 over the arrays and numbers of each
-``Pipeline`` stage.  A last line per ``large-grid`` schedule of the same
-seeds holds a sha256 of each ``run_chain`` record.  Digests keep their
-first 128 bits, which keeps the ledger under 1 MB.  Nothing is timed.  The
-first line records the numpy version.
+``Pipeline`` stage (:func:`stages`).  A last line per ``large-grid``
+schedule of the same seeds holds a sha256 of each ``run_chain`` record.
+Digests keep their first 128 bits, which keeps the ledger under 1 MB.
+Nothing is timed.  The first line records the numpy version.
 
 ``--compare`` lists every residual and digest that moved between two
 ledgers, with the number of inputs it moved on and its largest change.  It
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -38,7 +39,11 @@ ROOT = Path(__file__).resolve().parent.parent
 LEDGERS = ROOT / "tools" / "ledgers"
 
 SEEDS = (1, 7, 11)
-STAGES = ("seq", "model", "filt", "parts", "transmission", "synthesized", "vacuum_pair", "canonical", "output")
+
+
+def stages(pipeline: type) -> list[str]:
+    """Every stage of a ``Pipeline`` class, in definition order: its cached attributes."""
+    return [name for name, value in vars(pipeline).items() if isinstance(value, functools.cached_property)]
 
 
 def _feed(digest, value) -> None:
@@ -106,7 +111,7 @@ def ledger_lines():
         checks = {}
         for r in verification.run_all(pipe):
             checks.setdefault(r.suite, []).append(f"{r.check} {r.tolerance!r} {r.passed:d} {r.residual.hex()}")
-        yield {"input": name, "checks": checks, "stages": {s: sha256_of(getattr(pipe, s)) for s in STAGES}}
+        yield {"input": name, "checks": checks, "stages": {s: sha256_of(getattr(pipe, s)) for s in stages(Pipeline)}}
     for seed in SEEDS:
         workload = workloads.make_workload("large-grid", seed)
         records = [sha256_of(workloads.run_chain(spec)) for spec in workload.first + workload.cycle]
