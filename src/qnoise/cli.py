@@ -1,16 +1,17 @@
 """Batch front end: config-driven pipeline runs with CSV/JSON artifacts.
 
-Configs are flat JSON objects.  Every run declares a spectrum model plus
-the grid, and optionally the time step (derived from the duality
-n*step*eps = 1 when omitted):
+Configs are flat JSON objects: a spectrum model, its keys and the grid.
 
     {"model": "planck", "beta": 1.0, "h": 1.0, "n_points": 65, "step": 0.25}
     {"model": "flat", "sigma2": 1.0, "n_points": 33, "step": 0.25}
     {"model": "tabulated", "values": [...], "n_points": 17, "step": 0.5}
 
-Optional keys: "eps", "out" (output directory), "tol" (tolerance factor
-for verify), "delta" and "delta_prime" ([lo, hi] interval bounds for the
-qsi table).  Unknown keys are rejected.
+One table, ``_KEYS``, gives every key but "model": the model that takes it
+(or every model), whether it must be given and what its value must be.
+Optional: "eps" (derived from n*step*eps = 1 when omitted), "out" (output
+directory), "tol" (tolerance factor for verify), "delta" and "delta_prime"
+([lo, hi] qsi interval bounds).  Unknown keys are rejected.  One builder,
+``_report``, writes both check reports (corr_residuals.json, verify_report.json).
 
 Each command imports the modules it reads when it runs, so a run loads
 only its own branch of the chain.
@@ -38,15 +39,6 @@ if TYPE_CHECKING:
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
-
-
-_GLOBAL_KEYS = {"model", "n_points", "step", "eps", "out", "tol", "delta", "delta_prime"}
-_MODEL_KEYS = {
-    "planck": {"beta", "h"},
-    "flat": {"sigma2"},
-    "tabulated": {"values"},
-}
-_REQUIRED_KEYS = {"n_points", "step"}
 
 
 @dataclass(frozen=True)
@@ -77,20 +69,22 @@ def _is_interval(value) -> bool:
 _NUMBER = ("a number", _is_number)
 _INTERVAL = ("a [lo, hi] pair of numbers", _is_interval)
 
-#: What the value of each key other than "model" must be: (description, test).
-_KEY_TYPES = {
-    "n_points": ("an integer", lambda value: _is_number(value) and isinstance(value, int)),
-    "step": _NUMBER,
-    "eps": _NUMBER,
-    "tol": _NUMBER,
-    "out": ("a string path", lambda value: value is None or isinstance(value, str)),
-    "delta": _INTERVAL,
-    "delta_prime": _INTERVAL,
-    "beta": _NUMBER,
-    "h": _NUMBER,
-    "sigma2": _NUMBER,
-    "values": ("a list of numbers", _is_numbers),
+#: Each config key but "model": (the model that takes it, None for every
+#: model; whether it must be given; what its value must be; the test of it).
+_KEYS = {
+    "n_points": (None, True, "an integer", lambda value: _is_number(value) and isinstance(value, int)),
+    "step": (None, True, *_NUMBER),
+    "eps": (None, False, *_NUMBER),
+    "tol": (None, False, *_NUMBER),
+    "out": (None, False, "a string path", lambda value: value is None or isinstance(value, str)),
+    "delta": (None, False, *_INTERVAL),
+    "delta_prime": (None, False, *_INTERVAL),
+    "beta": ("planck", True, *_NUMBER),
+    "h": ("planck", True, *_NUMBER),
+    "sigma2": ("flat", True, *_NUMBER),
+    "values": ("tabulated", True, "a list of numbers", _is_numbers),
 }
+_MODELS = sorted({model for model, *_ in _KEYS.values() if model})
 
 
 def _finite_number(text: str, parse=float):
@@ -117,22 +111,20 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
-    model = raw.get("model")
-    if not isinstance(model, str) or model not in _MODEL_KEYS:
-        raise ConfigError(
-            f"config key 'model' must be one of {sorted(_MODEL_KEYS)}, got {model!r}"
-        )
-    unknown = sorted(set(raw) - _GLOBAL_KEYS - _MODEL_KEYS[model])
+    model = raw.pop("model", None)
+    if model not in _MODELS:
+        raise ConfigError(f"config key 'model' must be one of {_MODELS}, got {model!r}")
+    keys = {key: spec for key, spec in _KEYS.items() if spec[0] in (None, model)}
+    unknown = sorted(set(raw) - set(keys))
     if unknown:
         raise ConfigError(f"unknown config keys for model {model!r}: {unknown}")
-    missing = sorted((_REQUIRED_KEYS | _MODEL_KEYS[model]) - set(raw))
+    missing = sorted(key for key, (_, required, *_) in keys.items() if required and key not in raw)
     if missing:
         raise ConfigError(f"missing config keys for model {model!r}: {missing}")
     for key, value in raw.items():
-        if key != "model":
-            kind, valid = _KEY_TYPES[key]
-            if not valid(value):
-                raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+        _, _, kind, valid = keys[key]
+        if not valid(value):
+            raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
 
     n_points, step = raw["n_points"], float(raw["step"])
     if n_points <= 0 or step <= 0:
@@ -153,7 +145,7 @@ def load_config(path: str) -> RunConfig:
 
     params = {
         key: [float(v) for v in raw[key]] if key == "values" else float(raw[key])
-        for key in sorted(_MODEL_KEYS[model])
+        for key in sorted(keys) if keys[key][0] == model
     }
     return RunConfig(
         model=model,
@@ -205,12 +197,15 @@ def _write_json(path: Path, payload) -> None:
         handle.write(text + "\n")
 
 
-def _check_entry(check) -> dict:
-    """A check as JSON, a non-finite residual or tolerance as the string "inf", "-inf" or "nan"."""
+def _report(checks, **extra) -> dict:
+    """A check report: each check, a non-finite residual or tolerance as the
+    string "inf", "-inf" or "nan" so the JSON stays strict, whether all
+    pass, and the ``extra`` fields."""
     def number(x: float):
         return x if math.isfinite(x) else repr(float(x))
-    return {"suite": check.suite, "check": check.check, "residual": number(check.residual),
-            "tolerance": number(check.tolerance), "pass": check.passed}
+    entries = [{"suite": c.suite, "check": c.check, "residual": number(c.residual),
+                "tolerance": number(c.tolerance), "pass": c.passed} for c in checks]
+    return {"checks": entries, "all_pass": all(c.passed for c in checks), **extra}
 
 
 def _region_labels(pair: SpectralDensityPair) -> np.ndarray:
@@ -254,14 +249,7 @@ def cmd_corr(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     _write_csv(out_dir / "corr_kernels.csv", ["kernel", "j", "t", "real", "imag"], rows)
 
     checks = verification.stationary_checks(pipe) + verification.modular_checks(pipe)
-    _write_json(
-        out_dir / "corr_residuals.json",
-        {
-            "checks": [_check_entry(c) for c in checks],
-            "all_pass": all(c.passed for c in checks),
-            "invertible": pipe.model.invertible,
-        },
-    )
+    _write_json(out_dir / "corr_residuals.json", _report(checks, invertible=pipe.model.invertible))
     print(f"wrote {out_dir / 'corr_kernels.csv'} and corr_residuals.json")
     return 0
 
@@ -379,11 +367,9 @@ def cmd_mode(n: float) -> int:
 def cmd_verify(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     from . import verification
     checks = verification.run_all(pipe, tol_factor=config.tol)
-    all_pass = all(c.passed for c in checks)
-    _write_json(
-        out_dir / "verify_report.json",
-        {"checks": [_check_entry(c) for c in checks], "all_pass": all_pass},
-    )
+    report = _report(checks)
+    _write_json(out_dir / "verify_report.json", report)
+    all_pass = report["all_pass"]
     failures = [c for c in checks if not c.passed]
     for failure in failures:
         print(

@@ -365,9 +365,11 @@ def _stationary_products(spectra: np.ndarray, norm: float) -> np.ndarray:
     the columns of K, K_rev, G, X and X_rev: those of X†X, X_rev†X_rev,
     X†X_rev and X X, and of G G - K K_rev and K K_rev - K_rev K with the
     spectra of K, K_rev and G scaled by 1 / norm first, so nothing of order
-    norm**2 overflows."""
+    norm**2 overflows.  A NaN eigenvalue makes norm NaN, and every product
+    NaN with it, so each product check fails instead of the divide warning."""
     spec_k, spec_k_rev, spec_g, spec_x, spec_x_rev = spectra
-    spectra[:3] /= norm
+    with np.errstate(invalid="ignore"):
+        spectra[:3] /= norm
     conj_x = np.conj(spec_x)
     products = _products((conj_x, spec_x), (np.conj(spec_x_rev), spec_x_rev), (conj_x, spec_x_rev),
                          (spec_x, spec_x), (spec_g, spec_g), (spec_k, spec_k_rev))

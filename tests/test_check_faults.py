@@ -619,3 +619,28 @@ def test_a_nan_at_nu_0_in_the_modular_symbol_fails_root_squares(spectrum, n):
     symbol[n // 2] = np.nan  # lambda(0) as 0/0, left without its limit 1
     faulted = _with(pipe, filt=dataclasses.replace(filt, symbol=symbol))
     assert _fails_each(faulted, "modular/root_squares")
+
+
+def _nan_eigenvalue(pipe: Pipeline) -> Pipeline:
+    eigenvalues = np.array(pipe.model.eigenvalues)
+    eigenvalues[pipe.model.n_points // 2] = np.nan
+    return _with(pipe, model=dataclasses.replace(pipe.model, eigenvalues=eigenvalues))
+
+
+def _nan_lag(pipe: Pipeline) -> Pipeline:
+    values = np.array(pipe.seq.values)
+    values[len(values) // 3] = np.nan  # build_model carries it into every eigenvalue
+    return _with(pipe, seq=dataclasses.replace(pipe.seq, values=values))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fault", [_nan_eigenvalue, _nan_lag], ids=["eigenvalue", "lag"])
+@pytest.mark.parametrize("spectrum, n", [(spectrum, n) for spectrum in ("planck", "mixed") for n in (33, 257)])
+def test_a_nan_eigenvalue_fails_eigenvalue_match_and_dft_consistency_without_a_warning(spectrum, n, fault):
+    # The stationary suite scales the spectra it multiplies by the largest
+    # eigenvalue; a NaN one makes that scale NaN, and every product with it.
+    results = verification.run_all(fault(_pipeline(spectrum, n)))
+    verdicts = {f"{r.suite}/{r.check}": r.passed for r in results}
+    assert not verdicts["stationary/eigenvalue_match"]
+    assert not verdicts["stationary/dft_consistency"]
+    assert [r.check for r in results if np.isnan(r.residual) and r.passed] == []

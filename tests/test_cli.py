@@ -55,6 +55,80 @@ class TestConfigLoading:
             load_config(str(path))
 
 
+#: Every config key but "model", written out independently of cli.py: the
+#: model that takes it (None for every model), whether it must be given, the
+#: description its type message gives, and a value of the wrong type.
+CONFIG_KEYS = {
+    "n_points": (None, True, "an integer", 1.5),
+    "step": (None, True, "a number", "1"),
+    "eps": (None, False, "a number", [0.2]),
+    "tol": (None, False, "a number", True),
+    "out": (None, False, "a string path", 3),
+    "delta": (None, False, "a [lo, hi] pair of numbers", [1]),
+    "delta_prime": (None, False, "a [lo, hi] pair of numbers", [0, "1"]),
+    "beta": ("planck", True, "a number", None),
+    "h": ("planck", True, "a number", "1"),
+    "sigma2": ("flat", True, "a number", [1.0]),
+    "values": ("tabulated", True, "a list of numbers", [1, True, 1]),
+}
+#: A valid config of each model, with every key it requires and no other.
+MINIMAL = {
+    "planck": {"model": "planck", "beta": 1.0, "h": 1.0, "n_points": 5, "step": 1.0},
+    "flat": FLAT,
+    "tabulated": {"model": "tabulated", "values": [1.0, 2.0, 1.0], "n_points": 3, "step": 1.0},
+}
+#: A valid value of each optional key.
+OPTIONAL = {"eps": 0.2, "tol": 2.0, "out": "run", "delta": [0, 1], "delta_prime": [-1, 0]}
+
+
+def _taken_by(model: str) -> list[str]:
+    return [key for key, (owner, *_) in CONFIG_KEYS.items() if owner in (None, model)]
+
+
+def _config_error(tmp_path, raw) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path))
+    return str(info.value)
+
+
+class TestConfigKeyTable:
+    """Each rejection the key table implies, with its message as written."""
+
+    def test_the_minimal_configs_and_every_optional_key_load(self, tmp_path):
+        for model, raw in MINIMAL.items():
+            path = tmp_path / f"{model}.json"
+            path.write_text(json.dumps({**raw, **OPTIONAL, "eps": 1.0 / (raw["n_points"] * raw["step"])}))
+            config = load_config(str(path))
+            assert config.model == model
+            assert sorted(config.params) == sorted(key for key, (owner, *_) in CONFIG_KEYS.items() if owner == model)
+
+    @pytest.mark.parametrize("model, key", [(model, key) for model in MINIMAL for key, (owner, *_) in
+                                            CONFIG_KEYS.items() if owner not in (None, model)])
+    def test_a_key_of_another_model_is_unknown(self, model, key, tmp_path):
+        raw = {**MINIMAL[model], key: MINIMAL[CONFIG_KEYS[key][0]][key]}
+        assert _config_error(tmp_path, raw) == f"unknown config keys for model {model!r}: [{key!r}]"
+
+    @pytest.mark.parametrize("model, key", [(model, key) for model in MINIMAL for key in _taken_by(model)
+                                            if CONFIG_KEYS[key][1]])
+    def test_a_missing_required_key_is_named(self, model, key, tmp_path):
+        raw = {name: value for name, value in MINIMAL[model].items() if name != key}
+        assert _config_error(tmp_path, raw) == f"missing config keys for model {model!r}: [{key!r}]"
+
+    @pytest.mark.parametrize("model, key", [(model, key) for model in MINIMAL for key in _taken_by(model)])
+    def test_a_value_of_the_wrong_type_is_named_with_its_description(self, model, key, tmp_path):
+        _, _, kind, wrong = CONFIG_KEYS[key]
+        raw = {**MINIMAL[model], key: wrong}
+        assert _config_error(tmp_path, raw) == f"config key {key!r} must be {kind}, got {wrong!r}"
+
+    @pytest.mark.parametrize("model", ["pink", ["flat"], None, 1])
+    def test_a_model_off_the_list_is_named_with_the_list(self, model, tmp_path):
+        raw = {**FLAT, "model": model}
+        expected = f"config key 'model' must be one of ['flat', 'planck', 'tabulated'], got {model!r}"
+        assert _config_error(tmp_path, raw) == expected
+
+
 class TestExitCodes:
     def test_verify_reference_configs_exit_zero(self, tmp_path, capsys):
         for name, config in CONFIGS.items():

@@ -22,9 +22,10 @@ is checked against the names ``run_all`` reports on Planck and on the mixed
 tabulated spectrum, and against the test modules, so it cannot name a check
 or a test that does not exist.  No ``verify`` check stands for claim (b): it
 is a limit in beta, and a check sees one spectrum.  The property for it and
-the flat-density tests stand for it.  The properties for (a), (c) and (e)
-run over the API's range: Planck with beta h nu_max from 1e-6 to 700 and,
-for (c) and (e), tabulated spectra with exact zeros, at n up to 2**10 + 1.
+the flat-density tests stand for it.  The properties for (a), (c), (e) and
+(f) run over the API's range: Planck with beta h nu_max from 1e-6 to 700
+and, for (c), (e) and (f), tabulated spectra with exact zeros, at n up to
+2**10 + 1.
 """
 import importlib
 import math
@@ -106,7 +107,9 @@ CLAIMS = {
                    "synthesis/reproduce_kappa_rev", "synthesis/reproduce_gamma", "synthesis/amplitude_reproduction",
                    "synthesis/time_convolution", "qsi/vacuum_assembly", "qsi/canonical_roundtrip",
                    "qsi/synthesis_consistency"),
-        "tests": ("test_acceptance::test_criterion_5_synthesis_theorem",
+        "tests": ("test_paper_claims::test_planck_is_a_filtering_of_the_canonical_vacuum",
+                  "test_paper_claims::test_tabulated_is_a_filtering_of_the_canonical_vacuum",
+                  "test_acceptance::test_criterion_5_synthesis_theorem",
                   "test_synthesis::TestBuildStandardPair::test_standard_laws",
                   "test_qsi::TestRecoverCanonical::test_planck_roundtrip_exact_off_zero",
                   "test_qsi::TestRecoverCanonical::test_equal_amplitude_point_raises_loudly"),
@@ -262,3 +265,55 @@ def test_tabulated_moments_are_integrals_of_their_correlation_densities(half, st
     values = np.exp(rng.uniform(-40.0, 5.0, n))
     values[rng.random(n) < zeros] = 0.0
     _moments_are_integrals_of_their_densities(qn.tabulated_density(values, qn.make_grid(n, step)), seed)
+
+
+def _pair_is_a_filtering_of_the_canonical_vacuum(pair):
+    """Claim (f): the transmission function over the standard pair reproduces
+    kappa, kappa_rev and gamma to 1e-10; the pipeline's canonical pair is the
+    closed form its support fixes, creation (0, 1) and annihilation (1, 0) on
+    it and 0 off it, bit for bit; and recover_canonical returns that pair from
+    the output pair wherever sigma != sigma_rev.  The recovered zeros carry
+    the sign of sigma_rev**2 - sigma**2, so that pair is equal as numbers."""
+    filt = qn.transmission_function(pair)
+    result = qn.synthesize(filt, filt.standard)
+    for reproduced, target, on in ((result.kappa_out, pair.kappa, pair.kappa > 0),
+                                   (result.out_amp_rev * result.out_amp_rev, pair.kappa_rev, pair.kappa_rev > 0),
+                                   (result.out_amp * result.out_amp_rev, pair.gamma, pair.theta)):
+        assert float(qn.relative_error(reproduced, target, on).max(initial=0.0)) <= 1e-10
+
+    pipe = Pipeline(pair, 1.0 / (pair.grid.n_points * pair.grid.step))
+    canonical, _ = pipe.canonical
+    vacuum = pipe.vacuum_pair
+    support = vacuum.n_plus | vacuum.n_minus
+    assert np.array_equal(canonical.support, support)
+    ones, zeros = support.astype(float), np.zeros(support.size)
+    closed_form = {("creation", "minus"): zeros, ("creation", "plus"): ones,
+                   ("annihilation", "minus"): ones, ("annihilation", "plus"): zeros}
+    for (operator, part), expected in closed_form.items():
+        assert getattr(getattr(canonical, operator), part).tobytes() == expected.tobytes(), (operator, part)
+
+    recoverable = support & (pair.sigma != pair.sigma_rev)
+    recovered = qn.recover_canonical(pipe.output, where=pair.sigma != pair.sigma_rev)
+    assert np.array_equal(recovered.support, recoverable)
+    for (operator, part), expected in closed_form.items():
+        got = getattr(getattr(recovered, operator), part)
+        assert np.array_equal(got[recoverable], expected[recoverable]), (operator, part)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 512), st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(-6.0, math.log10(700.0)))
+def test_planck_is_a_filtering_of_the_canonical_vacuum(half, nu_max, h, log_cold):
+    grid = qn.make_grid(2 * half + 1, nu_max / half)
+    cold = 10.0 ** log_cold  # beta h nu_max, from 1e-6 to 700
+    _pair_is_a_filtering_of_the_canonical_vacuum(qn.planck_density(cold / (h * grid.nu_max), h, grid))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 512), st.floats(0.01, 10.0), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_tabulated_is_a_filtering_of_the_canonical_vacuum(half, step, seed, zeros):
+    """Claim (f) on tabulated spectra with exact zeros, vacuum and mixed ones among them."""
+    n = 2 * half + 1
+    rng = np.random.default_rng(seed)
+    values = np.exp(rng.uniform(-40.0, 5.0, n))
+    values[rng.random(n) < zeros] = 0.0
+    _pair_is_a_filtering_of_the_canonical_vacuum(qn.tabulated_density(values, qn.make_grid(n, step)))

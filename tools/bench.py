@@ -19,7 +19,13 @@ calls with two labels.  Nothing of ``perfbench/`` is changed or imported.
 ``--compare`` gives, per workload and metric, the median of each file's runs
 with its quartiles and run count, the change of the medians, and, over the
 seeds both files ran, the number of pairs in which B is better (by the
-direction ``BENCHMARK.json`` gives).
+direction ``BENCHMARK.json`` gives); a seed's i-th run in A pairs with its
+i-th run in B.  It then says whether B resolves a gain
+over A: at least 10 pairs, B better in at least nine tenths of them (a tie
+counts for neither), and B's median better than A's by more than A's
+interquartile range.  Last, for a metric with a ``bound`` in
+``BENCHMARK.json``, it says whether B's median is worse than A's by more
+than that fraction of A's.
 
 ``--sweep`` runs Planck (beta = h = 1, nu_max = 8, step = 16/(n - 1)) at
 n = 2**k + 1 and at the odd 5-smooth n = 3**a * 5**b nearest to it, for
@@ -87,10 +93,38 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def _by_seed(runs: list[dict], values: list[float]) -> dict[int, list[float]]:
+    """The values of runs, in run order, by seed."""
+    out = {}
+    for run, value in zip(runs, values):
+        out.setdefault(run["seed"], []).append(value)
+    return out
+
+
+#: The fewest pairs of runs that can resolve a gain.
+MIN_PAIRS = 10
+
+
+def _verdict(a: tuple[float, float, float], b_median: float, wins: int, pairs: int, higher: bool,
+             bound: float | None) -> str:
+    """Whether B resolves a gain over A, of quartiles ``a``, winning ``wins`` of
+    ``pairs``, and whether B's median is worse than A's by more than ``bound`` of it."""
+    a1, a2, a3 = a
+    gain = b_median - a2 if higher else a2 - b_median  # positive where B's median is the better one
+    missed = [reason for reason, short in ((f"only {pairs} pairs", pairs < MIN_PAIRS),
+                                           ("B better in under 9/10 of them", 10 * wins < 9 * pairs),
+                                           ("median gain not above A's IQR", gain <= a3 - a1)) if short]
+    text = f"gain: {'not resolved (' + ', '.join(missed) + ')' if missed else 'resolved'}"
+    if bound is not None:
+        text += f"; worse beyond bound {bound:g}: {'yes' if -gain > bound * abs(a2) else 'no'}"
+    return text
+
+
 def compare(first: str, second: str) -> int:
-    """Print each end-to-end metric of two trajectory files side by side."""
+    """Print each end-to-end metric of two trajectory files side by side, with its verdict."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
     files = [json.loads(_path(name).read_text(encoding="utf-8")) for name in (first, second)]
     print(f"A = {files[0]['label']}, B = {files[1]['label']}: median [q1, q3] (runs)")
     by_workload = [{} for _ in files]
@@ -105,11 +139,13 @@ def compare(first: str, second: str) -> int:
             b = [run["result"]["metrics"][name]["value"] for run in b_runs]
             (a1, a2, a3), (b1, b2, b3) = _quartiles(a), _quartiles(b)
             change = f"{(b2 - a2) / a2:+.1%}" if a2 else "n/a"
-            b_by_seed = {run["seed"]: run["result"]["metrics"][name]["value"] for run in b_runs}
-            pairs = [(x, b_by_seed[run["seed"]]) for run, x in zip(a_runs, a) if run["seed"] in b_by_seed]
+            # the i-th run of a seed in A pairs with the i-th run of that seed in B
+            a_by_seed, b_by_seed = _by_seed(a_runs, a), _by_seed(b_runs, b)
+            pairs = [pair for seed, xs in a_by_seed.items() for pair in zip(xs, b_by_seed.get(seed, ()))]
             better = sum((y > x) if higher.get(name) else (y < x) for x, y in pairs)
             print(f"  {name}: A {a2:.6g} [{a1:.6g}, {a3:.6g}] ({len(a)})  B {b2:.6g} [{b1:.6g}, {b3:.6g}] ({len(b)})"
-                  f"  {change}, B better in {better} of {len(pairs)} pairs")
+                  f"  {change}, B better in {better} of {len(pairs)} pairs;"
+                  f" {_verdict((a1, a2, a3), b2, better, len(pairs), higher.get(name), bounds.get(name))}")
     for workload in sorted(by_workload[0].keys() ^ by_workload[1].keys()):
         print(f"{workload}: in one file only")
     return 0
