@@ -317,9 +317,10 @@ def recover_canonical(
     coeffs = np.array((sigma_rev, -sigma))[:, None]
     rows = coeffs * (output.minus, output.plus)
     rows += coeffs[::-1] * (reverse.minus, reverse.plus)
-    # denom != 0 on the support, and the result is exactly 0 off it
+    # denom != 0 on the support, and the result is exactly 0 off it; adding 0.0
+    # turns the -0.0 of a zero row over a negative denom into 0.0
     out = np.zeros(rows.shape, rows.dtype)
-    creation, annihilation = _frozen(np.divide(rows, denom, out=out, where=support))
+    creation, annihilation = _frozen(np.add(np.divide(rows, denom, out=out, where=support), 0.0, out=out))
     return CanonicalPair(
         grid=output_pair.canonical.grid,
         support=_frozen(support),

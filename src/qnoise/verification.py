@@ -14,25 +14,28 @@ shares none of the package's index shifts or scales.  So every check takes
 O(n log n) time and O(n) memory.
 
 The suites that transform are generators: a suite's r-th yield asks for its
-transforms of round r (a dict from a kind to the operands of its call) and
-gets their results back.  :func:`_lockstep` takes the requests of one kind in
-a round as one call on their stacked rows; numpy transforms each row alone,
-so each comes out bit for bit.  Round 1 is one :func:`_column` call for every
-symbol-to-lag transform (a lag kernel is a centred column), round 2 one
-:func:`_dft` of the rows of ``stationary`` and ``modular`` and one
-:func:`convolve` at eps 1 of every kernel pair, each row then scaled by its
-eps, round 3 one :func:`_circular` of the products of those DFTs.  qsi's
-Gram oracle reads K, K_rev and G by their symbols.  A suite called alone runs
-its generator by itself.  :func:`run_all` runs the suites in lockstep up to
-n = 1025, one after another above, so no row outlives its suite.  The calls
-the checks test stay their own (``modular_kernels_theta``,
+transforms of round r, a dict from a kind to the operands of its call, and
+gets their results back.  Every operand is a 2-D stack of rows (a column's
+conjugate flags a bool row), so :func:`_lockstep` takes the requests of one
+kind in a round as one call on their rows, stacked by one ``np.concatenate``;
+numpy transforms each row alone, so each comes out bit for bit.  Round 1 is
+one :func:`_column` call for every symbol-to-lag transform (a lag kernel is a
+centred column), round 2 one :func:`_dft` of the rows of ``stationary`` and
+``modular`` and one :func:`convolve` at eps 1 of every kernel pair, each row
+then scaled by its eps, round 3 one inverse :func:`_dft` of the products of
+those DFTs.  qsi's Gram oracle reads K, K_rev and G by their symbols.  A suite
+called alone runs its generator by itself.  :func:`run_all` runs the suites in
+lockstep up to n = 1025, one after another above, so no row outlives its
+suite.  The calls the checks test stay their own (``modular_kernels_theta``,
 ``coefficient_norm``, ``reflection_symmetry_check``, ``time_domain_filter``,
 qsi's ``spectrum_of``).
 
-The tables that read only the grid and eps (the chirp, the plane waves,
-qsi's masks and isometry tables) are kept for the last (n, step, eps) up to
-n = 16,385; above it every suite run drops the chirp when it ends.  The mode
-tables read the algebra, which may change.
+Every table that reads only the grid and eps (Bluestein's chirp, the plane
+waves, qsi's masks and isometry tables) is one :class:`_GridTables`, which
+each lockstep takes once and hands to its suites.  :func:`_grid_tables` alone
+decides what outlives a run: the tables of the last (n, step, eps) are kept up
+to n = 16,385; above it each lockstep builds its own, which end with it.  The
+mode tables read the algebra, which may change.
 """
 from __future__ import annotations
 
@@ -73,7 +76,7 @@ def _worst(*terms: float) -> float:
     return math.nan if any(map(math.isnan, terms)) else float(max(terms)) + 0.0
 
 
-def _column(symbols: np.ndarray, conjugate: bool | tuple[bool, ...] = False) -> np.ndarray:
+def _column(symbols: np.ndarray, conjugate: bool | np.ndarray = False) -> np.ndarray:
     """The one route from symbols in grid order to the first columns of their
     circulants: row i of a stack gives the column of the conjugate circulant
     (K_rev, X_rev from K, X) where ``conjugate[i]``, one flag or one per row."""
@@ -109,26 +112,15 @@ def _fast_length(m: int) -> int:
     return best
 
 
-@functools.lru_cache(maxsize=1)
-def _chirp(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bluestein's conjugate chirp exp(-i pi j^2 / n) for j < n, and the FFT of
-    the chirp at j = -(n-1) .. n-1 wrapped onto the length :func:`_fast_length`
-    (2n - 2): the chirp is even, so its two ends meet on one slot with one value."""
-    j = np.arange(n, dtype=np.int64)
-    chirp = np.exp(1j * np.pi / n * (j * j % (2 * n)))  # j^2 reduced mod 2n: phases below 2 pi
-    wrapped = np.zeros(_fast_length(2 * n - 2), dtype=complex)
-    wrapped[:n] = chirp
-    wrapped[wrapped.size - n + 1:] = chirp[:0:-1]
-    return np.conj(chirp), np.fft.fft(wrapped)
-
-
-def _dft(weights: np.ndarray, sign: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+def _dft(weights: np.ndarray, chirp: tuple[np.ndarray, np.ndarray], sign: int = -1,
+         out: np.ndarray | None = None) -> np.ndarray:
     """sum_k w_k exp(sign * 2 pi i k d / n) for d = 0 .. n-1 along the last axis,
-    by Bluestein's chirp-z transform (kd = (k^2 + d^2 - (d - k)^2) / 2) on
-    blocks of rows, conjugated in and out for sign > 0.  Written to ``out``, a
-    new array if None, which may be ``weights`` itself."""
+    by Bluestein's chirp-z transform (kd = (k^2 + d^2 - (d - k)^2) / 2) with the
+    ``chirp`` of :attr:`_GridTables.chirp` on blocks of rows, conjugated in and
+    out for sign > 0.  Written to ``out``, a new array if None, which may be
+    ``weights`` itself."""
     n = weights.shape[-1]
-    conj_chirp, kernel = _chirp(n)
+    conj_chirp, kernel = chirp
     rows = weights.reshape(-1, n)
     out = np.empty(weights.shape, dtype=complex) if out is None else out
     result_rows = out.reshape(-1, n)
@@ -145,14 +137,6 @@ def _dft(weights: np.ndarray, sign: int = -1, out: np.ndarray | None = None) -> 
     return out
 
 
-def _circular(products: np.ndarray) -> np.ndarray:
-    """The columns with these DFTs, written over them: C1 c2 from the product
-    of the DFTs of two columns, C1† c2 with the first one conjugated."""
-    _dft(products, 1, out=products)
-    products /= products.shape[-1]
-    return products
-
-
 def _kernels(columns: np.ndarray, step: float) -> np.ndarray:
     """The :func:`kernel_of` of these columns' symbols."""
     kernels = _fftshift(columns)
@@ -160,14 +144,18 @@ def _kernels(columns: np.ndarray, step: float) -> np.ndarray:
     return kernels
 
 
-#: Each kind of request's call, in round order; a dft is in place.
-_CALLS = {"column": lambda *args: _column(*args), "dft": lambda rows: _dft(rows, out=rows),
-          "circular": _circular, "convolve": lambda a, b: convolve(a, b, 1.0)}
-
-
-def _lockstep(suites) -> list[list[CheckResult]]:
-    """Suite generators run in lockstep to their checks: each round's requests
-    of one kind take one call on their stacked rows, a lone one its own."""
+def _lockstep(pipe: Pipeline, rounds) -> list[list[CheckResult]]:
+    """Suite generators run in lockstep to their checks on the run's one grid
+    tables: each round's requests of one kind take one call on their stacked
+    rows, a lone one on its own.  A column and a convolve call the module's
+    ``_column`` and ``convolve``; a circular call writes over its rows the
+    columns with those DFTs (C1 c2 from the product of the DFTs of two
+    columns, C1† c2 with the first one conjugated)."""
+    tables = _grid_tables(pipe.pair.grid, pipe.eps)
+    calls = {"column": lambda *args: _column(*args), "dft": lambda rows: _dft(rows, tables.chirp, out=rows),
+             "circular": lambda rows: np.divide(_dft(rows, tables.chirp, 1, out=rows), rows.shape[-1], out=rows),
+             "convolve": lambda a, b: convolve(a, b, 1.0)}
+    suites = [suite(pipe, tables) for suite in rounds]
     checks, replies = [None] * len(suites), [None] * len(suites)
     while None in checks:
         asked = {}
@@ -179,44 +167,23 @@ def _lockstep(suites) -> list[list[CheckResult]]:
                 except StopIteration as done:
                     checks[i] = done.value
         replies = [{} for _ in suites]
-        for kind, call in _CALLS.items():
-            asking = asked.get(kind, ())
-            if len(asking) == 1:
-                replies[asking[0][0]][kind] = call(*asking[0][1])
-            elif asking:
-                requests = [r if r[0].ndim == 2 else _rows(*r) for _, r in asking]
-                stacked, start = call(*(sum(xs, ()) if isinstance(xs[0], tuple) else np.concatenate(xs)
-                                        for xs in zip(*requests))), 0
-                for (i, _), request in zip(asking, requests):
+        for kind, call in calls.items():
+            if asking := asked.get(kind):
+                operands = zip(*(request for _, request in asking))
+                stacked, start = call(*(xs[0] if len(xs) == 1 else np.concatenate(xs) for xs in operands)), 0
+                for i, request in asking:
                     replies[i][kind], start = stacked[start:start + len(request[0])], start + len(request[0])
-        request = asking = None  # no request outlives its round
+        request = asking = operands = stacked = None  # no request outlives its round
     return checks
 
 
-def _run(suites, n: int) -> list[list[CheckResult]]:
-    """The checks of suite generators on an n-point grid: in lockstep while a
-    _dft block takes 16 rows (n <= 1025), where calls cost more than rows, one
-    after another above, so no row outlives its suite.  Past one _DFT_BLOCK
-    no chirp outlives its suite, even when the suite raises."""
-    if 16 * (2 * n - 2) <= _DFT_BLOCK:
-        return _lockstep(suites)
-    checks = []
-    for suite in suites:
-        try:
-            checks += _lockstep([suite])
-        finally:
-            if 2 * n - 2 > _DFT_BLOCK:
-                _chirp.cache_clear()
-    return checks
-
-
-def _rows(*operands):
-    """Operands (qsi's pair) broadcast, as 2-D stacks."""
-    shape = np.broadcast(*operands).shape
-    stacks = [np.empty(shape, x.dtype) for x in operands]
-    for stack, x in zip(stacks, operands):
-        stack[...] = x
-    return [stack.reshape(-1, shape[-1]) for stack in stacks]
+def _run(pipe: Pipeline, rounds) -> list[list[CheckResult]]:
+    """The checks of suite generators on a pipeline: in lockstep while a _dft
+    block takes 16 rows (n <= 1025), where calls cost more than rows, one after
+    another above, so no row outlives its suite."""
+    if 16 * (2 * pipe.pair.grid.n_points - 2) <= _DFT_BLOCK:
+        return _lockstep(pipe, rounds)
+    return [checks for suite in rounds for checks in _lockstep(pipe, [suite])]
 
 
 #: The suites that transform, as generators, in report order.
@@ -229,7 +196,7 @@ def _alone(rounds):
 
     @functools.wraps(rounds)
     def checks(pipe: Pipeline) -> list[CheckResult]:
-        return _run([rounds(pipe)], pipe.pair.grid.n_points)[0]
+        return _run(pipe, [rounds])[0]
     return checks
 
 
@@ -237,7 +204,24 @@ class _GridTables:
     """The tables of the checks that read only the grid and eps, each built on first read."""
 
     def __init__(self, n: int, step: float, eps: float):
-        self.grid, self.eps = make_grid(n, step), eps
+        self.n, self.step, self.eps = n, step, eps
+
+    @functools.cached_property
+    def grid(self) -> SpectralGrid:
+        return make_grid(self.n, self.step)
+
+    @functools.cached_property
+    def chirp(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bluestein's conjugate chirp exp(-i pi j^2 / n) for j < n, and the FFT of
+        the chirp at j = -(n-1) .. n-1 wrapped onto the length :func:`_fast_length`
+        (2n - 2): the chirp is even, so its two ends meet on one slot with one value."""
+        n = self.n
+        j = np.arange(n, dtype=np.int64)
+        chirp = np.exp(1j * np.pi / n * (j * j % (2 * n)))  # j^2 reduced mod 2n: phases below 2 pi
+        wrapped = np.zeros(_fast_length(2 * n - 2), dtype=complex)
+        wrapped[:n] = chirp
+        wrapped[wrapped.size - n + 1:] = chirp[:0:-1]
+        return np.conj(chirp), np.fft.fft(wrapped)
 
     @functools.cached_property
     def plane_waves(self) -> tuple[np.ndarray, np.ndarray]:
@@ -257,14 +241,18 @@ class _GridTables:
 
     @functools.cached_property
     def isometry(self) -> tuple[np.ndarray, ...]:
-        """qsi's a = 1/(1+nu^2) and c = i nu/(1+nu^2), their kernels, and the DFTs
-        of the columns (z, x) = sqrt(eps) * kernels and of their conjugates."""
+        """qsi's a = 1/(1+nu^2) and c = i nu/(1+nu^2), and their kernels, each
+        twice, as the stack that qsi's bridge convolves: rows a, a, c, c."""
         nu = self.grid.points
         a, c = 1.0 / (1.0 + nu**2), 1j * nu / (1.0 + nu**2)
-        kernels = kernel_of(np.array((a, c)), self.grid.step)
-        columns = math.sqrt(self.eps) * kernels
+        return tuple(map(_frozen, (a, c, np.repeat(kernel_of(np.array((a, c)), self.grid.step), 2, axis=0))))
+
+    @functools.cached_property
+    def coefficients(self) -> np.ndarray:
+        """The DFTs of the columns (z, x) = sqrt(eps) * kernels of :attr:`isometry` and of their conjugates."""
+        columns = math.sqrt(self.eps) * self.isometry[2][::2]
         columns = np.concatenate((columns, np.conj(columns)))
-        return tuple(map(_frozen, (a, c, kernels, _dft(columns, out=columns))))
+        return _frozen(_dft(columns, self.chirp, out=columns))
 
 
 #: The tables of the last (n, step, eps) a check read.
@@ -272,7 +260,7 @@ _kept_tables = functools.lru_cache(maxsize=1)(_GridTables)
 
 
 def _grid_tables(grid: SpectralGrid, eps: float) -> _GridTables:
-    """The grid tables, kept for the last (n, step, eps) while the chirp kernel fits one _DFT_BLOCK."""
+    """The grid tables, kept for the last (n, step, eps) while the chirp kernel fits one _DFT_BLOCK, else new."""
     return (_kept_tables if 2 * grid.n_points - 2 <= _DFT_BLOCK else _GridTables)(grid.n_points, grid.step, float(eps))
 
 
@@ -297,7 +285,7 @@ def spectra_checks(pipe: Pipeline) -> list[CheckResult]:
 
 
 @_alone
-def stationary_checks(pipe: Pipeline):
+def stationary_checks(pipe: Pipeline, tables: _GridTables):
     out = []
     pair, seq, model = pipe.pair, pipe.seq, pipe.model
     # floor keeps the empty spectrum finite, including when squared
@@ -313,7 +301,7 @@ def stationary_checks(pipe: Pipeline):
     out.append(_result("stationary", "eigenvalue_match", _maxabs(model.eigenvalues - pair.kappa) / norm, 1e-10))
     root = np.sqrt(model.eigenvalues)
     symbols = (model.eigenvalues, model.eigenvalues, model.gamma, root, root)
-    columns = (yield {"column": (np.array(symbols, dtype=complex), (False, True, False, False, True))})["column"]
+    columns = (yield {"column": (np.array(symbols, dtype=complex), np.array((0, 1, 0, 0, 1), bool))})["column"]
     k, k_rev, g, x, x_rev = columns
     # The DFTs of the five columns and the sums of the amplitude checks below,
     # in one call: sum_k w_k exp(+2 pi i k d / n) is the conjugate of the DFT
@@ -351,7 +339,7 @@ def stationary_checks(pipe: Pipeline):
     # with root b = conj(a[::-1]).  Entry d of the first column of step * N†N
     # (step * N†R) is step * eps * sum_k w_k exp(2 pi i (k - m) d / n), with
     # m = (n - 1) / 2 and w = |a|^2 (conj(a) * b); a is real here.
-    weight, zeta = _grid_tables(pair.grid, model.eps).plane_waves
+    weight, zeta = tables.plane_waves
     for check, total, column in (("amplitude_gram", sums[0], k), ("amplitude_cross", sums[1], g)):
         out.append(_result("stationary", check, _maxabs(weight * total - column) / norm, 1e-10))
 
@@ -379,14 +367,15 @@ def _stationary_products(spectra: np.ndarray, norm: float) -> np.ndarray:
 
 
 @_alone
-def modular_checks(pipe: Pipeline):
+def modular_checks(pipe: Pipeline, tables: _GridTables):
     filt = pipe.filt
     if filt is None:
         return []
     out = []
     model = pipe.model
     lam = filt.symbol
-    columns = (yield {"column": (np.array((lam, lam, np.sqrt(lam)), dtype=complex), (False, True, False))})["column"]
+    conjugate = np.array((0, 1, 0), bool)
+    columns = (yield {"column": (np.array((lam, lam, np.sqrt(lam)), dtype=complex), conjugate)})["column"]
     l_col = columns[0]
     got = yield {"dft": (columns.copy(),), "convolve": (filt.kernel_half[None], filt.kernel_inv_half[None])}
     spec_l, spec_l_conj, spec_l_half = got["dft"]
@@ -416,7 +405,7 @@ def _kernel_checks(suite: str, names: tuple[str, str], filt: stationary.ModularF
 
 
 @_alone
-def decomposition_checks(pipe: Pipeline):
+def decomposition_checks(pipe: Pipeline, tables: _GridTables):
     from . import decomposition
     out = []
     pair, eps, parts = pipe.pair, pipe.eps, pipe.parts
@@ -449,7 +438,7 @@ def decomposition_checks(pipe: Pipeline):
 
     if pair.theta.any():
         kernels = decomposition.modular_kernels_theta(pair, eps)
-        indicator = (yield {"column": (pair.theta.astype(float)[None], (False,))})["column"]
+        indicator = (yield {"column": (pair.theta.astype(float)[None], np.zeros(1, bool))})["column"]
         indicator = eps * _kernels(indicator, pair.grid.step)[0]
         conv = (yield {"convolve": (kernels.kernel_half[None], kernels.kernel_inv_half[None])})["convolve"][0]
         names = ("theta_kernel_modular", "theta_kernel_convolution")
@@ -458,7 +447,7 @@ def decomposition_checks(pipe: Pipeline):
 
 
 @_alone
-def synthesis_checks(pipe: Pipeline):
+def synthesis_checks(pipe: Pipeline, tables: _GridTables):
     from . import synthesis
     out = []
     pair, eps, filt = pipe.pair, pipe.eps, pipe.transmission
@@ -491,7 +480,7 @@ def synthesis_checks(pipe: Pipeline):
 
     time_filter = synthesis.time_domain_filter(filt, eps)
     symbols = (std.sigma, pair.sigma, result.out_amp_rev, result.out_amp, result.kappa_out)
-    kernels = _kernels((yield {"column": (np.array(symbols), (False,) * 5)})["column"], pair.grid.step)
+    kernels = _kernels((yield {"column": (np.array(symbols), np.zeros(5, bool))})["column"], pair.grid.step)
     chi_std, psi_target, psi_out, psi_out_rev, correlations = kernels
     applied = (yield {"convolve": (time_filter.phi[None], chi_std[None])})["convolve"][0] * time_filter.eps
     psi_scale = max(_maxabs(psi_target), 1e-300)
@@ -506,14 +495,14 @@ def synthesis_checks(pipe: Pipeline):
 
 
 @_alone
-def qsi_checks(pipe: Pipeline):
+def qsi_checks(pipe: Pipeline, tables: _GridTables):
     from . import qsi
     out = []
     pair, eps = pipe.pair, pipe.eps
-    grid = pair.grid
-    step = grid.step
+    step = pair.grid.step
+    # first, before the suite builds its arrays and the chain's qsi stages: its stacks are the suite's widest
+    parseval = yield from _parseval_bridge(pair, eps, tables)
     table = qsi.integrator_table(pair)
-    tables = _grid_tables(grid, eps)
     delta, delta_prime, negative, overlap = tables.intervals
     vacuum_pair = pipe.vacuum_pair
     canonical, (noise, reverse) = pipe.canonical
@@ -559,7 +548,7 @@ def qsi_checks(pipe: Pipeline):
                for (first, second), density in densities.items()]
     out.append(_result("qsi", "output_table", _worst(*defects) / density_scale, 1e-12))
     # Cross-module consistency with the synthesis spectra, reported last; the
-    # densities are n-point arrays: free them before the rounds below.
+    # densities are n-point arrays: free them before the Gram oracle's tables.
     consistency = _maxabs(densities["output", "output"][support] - pipe.synthesized.kappa_out[support])
     del densities
 
@@ -581,34 +570,37 @@ def qsi_checks(pipe: Pipeline):
 
     # Isometry of the mean-square integral against the Gram-matrix oracle.
     model = pipe.model
-    a, c, kernels, coefficients = tables.isometry
-    forward, backward = qsi.isometry_check(a, c, pair)
+    forward, backward = qsi.isometry_check(*tables.isometry[:2], pair)
     out.append(_result("qsi", "isometry_nonnegative", _worst(0.0, -forward, -backward), 0.0))
-    amp_kernel = _kernels((yield {"column": (sigma[None], (False,))})["column"], step)[0]
-    gram_forward, gram_backward = _isometry_grams(model, coefficients)
-    del tables, coefficients  # past one block no memo holds them: free them before the bridge
+    gram_forward, gram_backward = _isometry_grams(model, tables.coefficients)
     scale = max(abs(forward), abs(backward), 1e-300)
     defect = _worst(abs(forward - gram_forward), abs(backward - gram_backward))
     out.append(_result("qsi", "isometry_gram_oracle", defect / scale, 1e-9))
 
     r_scale = max(step * float(model.gamma.sum()), 1e-300)  # lag 0 bounds every lag, as gamma >= 0
     out.append(_result("qsi", "reflection_symmetry", qsi.reflection_symmetry_check(model) / r_scale, 1e-10))
+    out.append(_result("qsi", "parseval_bridge", parseval, 1e-10))
+    out.append(_result("qsi", "synthesis_consistency", consistency / density_scale, 1e-12))
+    return out
 
-    # Fourier-Parseval bridge of the coefficient kernels; sigma_rev's kernel is the lag flip of sigma's.
-    # phi[i, j] convolves the kernel of a (i = 0) or c (i = 1) with that of
-    # sigma_rev (j = 0) or sigma (j = 1)
-    phi = (yield {"convolve": (kernels[:, None], np.array((amp_kernel[::-1], amp_kernel)))})["convolve"]
-    phi = phi.reshape(2, 2, -1)
+
+def _parseval_bridge(pair: SpectralDensityPair, eps: float, tables: _GridTables):
+    """qsi's Fourier-Parseval bridge of the coefficient kernels; phi[i, j] convolves the kernel of a (i = 0)
+    or c (i = 1) with that of sigma_rev (j = 0), the lag flip of sigma's, or sigma (j = 1): the stacks are
+    the table's kernels, rows a, a, c, c, and those of sigma_rev and sigma in turn."""
+    a, c, kernels = tables.isometry
+    sigma, sigma_rev = pair.sigma, pair.sigma_rev
+    amp_kernel = _kernels((yield {"column": (sigma[None], np.zeros(1, bool))})["column"], pair.grid.step)[0]
+    stacks = kernels, np.array((amp_kernel[::-1], amp_kernel) * 2)
+    del amp_kernel
+    # popped: the reply dict lives on while the rest of the suite runs
+    phi = (yield {"convolve": stacks}).pop("convolve").reshape(2, 2, -1)
     phi *= eps
     bridge_minus, bridge_plus = spectrum_of(phi[0] + phi[1, ::-1], eps)
     f_minus = a * sigma_rev + c * sigma
     f_plus = a * sigma + c * sigma_rev
-    parseval_scale = max(_maxabs(f_plus), _maxabs(f_minus), 1e-300)
-    defect = _worst(_maxabs(bridge_minus - f_minus), _maxabs(bridge_plus - f_plus))
-    out.append(_result("qsi", "parseval_bridge", defect / parseval_scale, 1e-10))
-
-    out.append(_result("qsi", "synthesis_consistency", consistency / density_scale, 1e-12))
-    return out
+    scale = max(_maxabs(f_plus), _maxabs(f_minus), 1e-300)
+    return _worst(_maxabs(bridge_minus - f_minus), _maxabs(bridge_plus - f_plus)) / scale
 
 
 def _isometry_grams(model: stationary.StationaryModel, coefficients: np.ndarray) -> tuple[float, float]:
@@ -668,10 +660,7 @@ def run_all(pair: SpectralDensityPair | Pipeline, eps: float | None = None,
     if not isinstance(pair, Pipeline) and eps is None:
         eps = 1.0 / (pair.grid.n_points * pair.grid.step)  # by the duality n * step * eps = 1
     pipe = pair if isinstance(pair, Pipeline) else Pipeline(pair, eps)
-    results = spectra_checks(pipe)
-    for checks in _run([rounds(pipe) for rounds in _ROUNDS], pipe.pair.grid.n_points):
-        results += checks
-    results += mode_checks()
+    results = spectra_checks(pipe) + [r for checks in _run(pipe, _ROUNDS) for r in checks] + mode_checks()
     if tol_factor != 1.0:
         results = [replace(r, tolerance=(t := r.tolerance * tol_factor), passed=bool(r.residual <= t)) for r in results]
     return results

@@ -360,7 +360,7 @@ def spliced_canonical(pair):
 def combined_recovery(output_pair, sigma, sigma_rev, support):
     """(minus, plus) of the recovered creation and annihilation measures, each
     combined from the output and reverse measures with the amplitudes
-    ``sigma``, ``sigma_rev`` and divided on ``support``."""
+    ``sigma``, ``sigma_rev`` and divided on ``support``, with no -0.0."""
     denom = sigma_rev * sigma_rev - sigma * sigma
     output, reverse = output_pair.output, output_pair.reverse
 
@@ -368,7 +368,7 @@ def combined_recovery(output_pair, sigma, sigma_rev, support):
         minus = coeff_out * output.minus + coeff_rev * reverse.minus
         plus = coeff_out * output.plus + coeff_rev * reverse.plus
         with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(support, minus / denom, 0.0), np.where(support, plus / denom, 0.0)
+            return np.where(support, minus / denom + 0.0, 0.0), np.where(support, plus / denom + 0.0, 0.0)
 
     return {"creation": combine(sigma_rev, -sigma), "annihilation": combine(-sigma, sigma_rev)}
 

@@ -104,6 +104,16 @@ def test_sweep_times_the_chain_and_run_all_at_both_lengths_of_one_k():
     assert record["numpy"] and record["python"]
 
 
+def test_sweep_rows_hold_each_suites_traced_peak_above_the_chain():
+    # Each suite that reads a pipeline, called alone on the built chain: at
+    # n = 65 every one allocates something, and none a megabyte.
+    record = bench.sweep(TOOL.parent.parent, (6,))
+    suites = ["spectra", "stationary", "modular", "decomposition", "synthesis", "qsi"]
+    for row in record["rows"]:
+        assert list(row["suite_peak_mb"]) == suites
+        assert all(0 < peak < 1 for peak in row["suite_peak_mb"].values()), row["suite_peak_mb"]
+
+
 def test_the_nearest_odd_smooth_length_is_a_product_of_threes_and_fives():
     assert [bench._nearest_odd_smooth(2**k + 1) for k in (6, 10, 16, 20)] == [75, 1125, 59049, 1171875]
     assert bench._nearest_odd_smooth(2) == 1 and bench._nearest_odd_smooth(4) == 3  # 3 is nearer than 5

@@ -17,15 +17,22 @@ only), and the clean pipeline passes the check first.  The faults in the
 builders that ``qnoise decompose`` and ``qnoise qsi`` write
 (``test_verification``) also change the artifact.
 
-``TWINS`` names the checks that compare the same numbers as another check,
-so no fault fails one without the other: ``flip_involution`` reads
-|kappa_rev[::-1] - kappa|, the n differences of ``flip_relation`` in
-reverse order.  Two checks compare two float routes of one symbol that agree to
-rounding on any finite input, so only a non-finite value fails them:
-``stationary/covariances_commute`` (K K_rev - K_rev K is the difference of
-two products of the same two spectra, which differ by rounding only) and
-``modular/root_squares`` (the root it squares is taken of the symbol it
-compares with).
+Three tables name the blind spots of the checks, each pinned by a test that
+fails once a change mends it, so that the mend is made on purpose:
+
+- ``TWINS``: checks that compare the same numbers as another check, so no
+  fault fails one without the other.  ``flip_involution`` reads
+  |kappa_rev[::-1] - kappa|, the n differences of ``flip_relation`` in
+  reverse order, and the two give equal residuals under any kappa_rev fault.
+- ``NAN_ONLY``: checks that compare two float routes of one symbol that agree
+  to rounding on any finite input, so a finite gain of 1e-6 passes them and
+  only a NaN fails them.  ``stationary/covariances_commute`` takes
+  K K_rev - K_rev K, the difference of two products of the same two spectra;
+  ``modular/root_squares`` squares the root it takes of the symbol it
+  compares with.
+- ``OFF_THETA``: checks that read only the cells off the thermal support, so
+  they read none where theta is the whole grid (Planck, flat): a fault of
+  the standard cross density passes on Planck and fails on the mixed spectrum.
 """
 import dataclasses
 import importlib
@@ -171,6 +178,11 @@ FAULTS = {
 
 #: Checks that compare the same numbers as another check, in another order.
 TWINS = {"spectra/flip_involution": "spectra/flip_relation"}
+#: Checks that only a non-finite value fails, with the array of the chain their fault goes into.
+NAN_ONLY = {"stationary/covariances_commute": "the first column of K",
+            "modular/root_squares": "the modular symbol"}
+#: Checks that read only the cells off theta, with the array of the chain their fault goes into.
+OFF_THETA = {"synthesis/standard_cross_off_support": "the standard cross density"}
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +198,7 @@ def test_the_table_names_every_check_run_all_reports(reported):
     planck, mixed = reported
     assert (len(planck), len(mixed)) == (73, 69)
     assert set(FAULTS) == set(planck) | set(mixed)
+    assert set(TWINS) | set(TWINS.values()) | set(NAN_ONLY) | set(OFF_THETA) <= set(FAULTS)
     assert [check for check, tests in FAULTS.items() if not tests] == []
     for check, twin in TWINS.items():
         assert FAULTS[check] == FAULTS[twin], "a fault fails one twin without the other"
@@ -644,3 +657,67 @@ def test_a_nan_eigenvalue_fails_eigenvalue_match_and_dft_consistency_without_a_w
     assert not verdicts["stationary/eigenvalue_match"]
     assert not verdicts["stationary/dft_consistency"]
     assert [r.check for r in results if np.isnan(r.residual) and r.passed] == []
+
+
+@_EVERYWHERE
+def test_twins_give_equal_residuals_under_any_kappa_rev_fault(spectrum, n):
+    # A gain on one cell, random gains on every cell, an offset on a few,
+    # kappa_rev in the wrong order and NaNs: each twin reads the residual of
+    # the other, to the bit.
+    pipe = _pipeline(spectrum, n)
+    kappa_rev, rng = pipe.pair.kappa_rev, np.random.default_rng(n)
+    few = rng.random(n) < 0.1
+    faults = (_gain(kappa_rev, _first(kappa_rev > 0)), kappa_rev * rng.uniform(0.5, 1.5, n),
+              kappa_rev + 1e-3 * few, kappa_rev[::-1].copy(), np.where(few, np.nan, kappa_rev))
+    for faulted in faults:
+        pair = dataclasses.replace(pipe.pair, kappa_rev=faulted)
+        residuals = {f"spectra/{r.check}": r.residual for r in verification.spectra_checks(_with(pipe, pair))}
+        for check, twin in TWINS.items():
+            assert residuals[check].hex() == residuals[twin].hex(), (check, residuals[check])
+
+
+_BUILT_COLUMN = verification._column
+
+
+def _faulted(check: str, pipe: Pipeline, fault, monkeypatch) -> Pipeline:
+    """``pipe`` with ``fault`` applied to the array ``NAN_ONLY`` names for ``check``."""
+    if check == "modular/root_squares":
+        return _with(pipe, filt=dataclasses.replace(pipe.filt, symbol=fault(pipe.filt.symbol)))
+    eigenvalues = pipe.model.eigenvalues
+
+    def column(symbols, conjugate=False):
+        columns = _BUILT_COLUMN(symbols, conjugate)
+        if columns.ndim == 2 and np.array_equal(symbols[0], eigenvalues):
+            columns[0] = fault(columns[0])  # K's column is the first row the stationary suite asks for
+        return columns
+
+    monkeypatch.setattr(verification, "_column", column)
+    return pipe
+
+
+def _nan_at_one(values: np.ndarray) -> np.ndarray:
+    out = np.array(values)
+    out[1] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("check, spectrum, n", [(check, spectrum, n) for check in NAN_ONLY for spectrum, n in _SPECTRA
+                                                if spectrum == "planck" or not check.startswith("modular")])
+def test_a_nan_only_check_passes_a_finite_gain_and_fails_on_a_nan(check, spectrum, n, monkeypatch):
+    pipe = _pipeline(spectrum, n)
+    assert _passes(_faulted(check, pipe, _gain, monkeypatch), check)
+    assert _fails_each(_faulted(check, pipe, _nan_at_one, monkeypatch), check)
+
+
+@pytest.mark.parametrize("check", OFF_THETA)
+@_EVERYWHERE
+def test_an_off_theta_check_reads_no_cell_where_theta_is_the_whole_grid(check, spectrum, n):
+    # The standard cross density off by 1e-6 on every cell: Planck's theta is
+    # the whole grid, so the check reads no cell and passes; the mixed
+    # spectrum has cells off theta, where the check reads the fault.
+    pipe = _pipeline(spectrum, n)
+    filt = pipe.transmission
+    standard = dataclasses.replace(filt.standard, gamma=filt.standard.gamma + 1e-6)
+    faulted = _with(pipe, transmission=dataclasses.replace(filt, standard=standard))
+    assert pipe.pair.theta.all() == (spectrum == "planck")
+    assert _passes(faulted, check) == (spectrum == "planck")

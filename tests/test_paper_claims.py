@@ -25,7 +25,8 @@ is a limit in beta, and a check sees one spectrum.  The property for it and
 the flat-density tests stand for it.  The properties for (a), (c), (e) and
 (f) run over the API's range: Planck with beta h nu_max from 1e-6 to 700
 and, for (c), (e) and (f), tabulated spectra with exact zeros, at n up to
-2**10 + 1.
+2**10 + 1.  The property for (d) runs on the same spectra at n up to 65,
+against the dense oracles.
 """
 import importlib
 import math
@@ -39,7 +40,7 @@ import qnoise as qn
 from qnoise import verification
 from qnoise.pipeline import Pipeline
 
-from oracles import mixed_kappa
+from oracles import dense_symbol_matrix, mixed_kappa, model_views, plane_wave_matrix
 
 #: The single-mode thermal tables, then their inversions, per occupation.
 _THERMAL_TABLES = tuple(f"mode/{kind}_n={n}" for kind in ("thermal_table", "inversion")
@@ -90,7 +91,10 @@ CLAIMS = {
         "tests": ("test_acceptance::test_criterion_3_modular_structure",
                   "test_acceptance::test_criterion_4_decomposition",
                   "test_decomposition::TestSplit::test_mixed_supports_partition_exactly",
-                  "test_qsi::TestCanonicalFromVacuum::test_all_other_ordered_products_vanish_exactly"),
+                  "test_qsi::TestCanonicalFromVacuum::test_all_other_ordered_products_vanish_exactly",
+                  "test_paper_claims::test_planck_canonical_grams_are_the_output_covariances",
+                  "test_paper_claims::test_tabulated_canonical_grams_are_the_output_covariances",
+                  "test_paper_claims::test_canonical_grams_are_the_noise_covariances"),
     },
     "e": {
         "checks": ("qsi/integrator_moments", "qsi/disjoint_intervals_vanish", "qsi/isometry_nonnegative",
@@ -221,6 +225,73 @@ def test_planck_is_thermal_on_the_whole_grid_with_the_boltzmann_modular_function
     assert float((np.abs(pair.lambda_theta - boltzmann) / boltzmann).max()) <= 4 * np.finfo(float).eps
 
 
+def _canonical_gram_defects(pair) -> dict[str, float]:
+    """Claim (d) against the dense oracles: the largest entry of step * A†B - C,
+    relative to max kappa, over the Gram matrices of the canonical
+    representation and the covariances C they stand for.  The vectors A, B of
+    the output and the reverse output at the times t_j are the columns of
+    their annihilator amplitudes over the canonical pair times the plane waves
+    u_j.  C is the output's covariance, assembled from the output pair's
+    per-cell densities, or the noise's K, G or K_rev."""
+    grid = pair.grid
+    eps = 1.0 / (grid.n_points * grid.step)
+    pipe = Pipeline(pair, eps)
+    output, waves, views = pipe.output, plane_wave_matrix(grid, eps), model_views(pipe.model)
+    vectors = {"output": output.output.minus[:, None] * waves, "reverse": output.reverse.minus[:, None] * waves}
+    noise = {("output", "output"): views["K"], ("output", "reverse"): views["G"],
+             ("reverse", "output"): views["G"], ("reverse", "reverse"): views["K_rev"]}
+    norm = max(float(pair.kappa.max(initial=0.0)), 1e-300)
+    defects = {"output": 0.0, "noise": 0.0}
+    for (first, second), covariance in noise.items():
+        gram = grid.step * vectors[first].conj().T @ vectors[second]
+        for name, expected in (("output", dense_symbol_matrix(output.density(first, second), grid, eps)),
+                               ("noise", covariance)):
+            defects[name] = max(defects[name], float(np.abs(gram - expected).max()) / norm)
+    return defects
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 32), st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(-6.0, math.log10(700.0)))
+def test_planck_canonical_grams_are_the_output_covariances(half, nu_max, h, log_cold):
+    """Claim (d): the Gram matrices of the canonical representation are the
+    output's covariances, to 1e-10 of max kappa."""
+    grid = qn.make_grid(2 * half + 1, nu_max / half)
+    cold = 10.0 ** log_cold  # beta h nu_max, from 1e-6 to 700
+    assert _canonical_gram_defects(qn.planck_density(cold / (h * grid.nu_max), h, grid))["output"] <= 1e-10
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 32), st.floats(0.01, 10.0), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_tabulated_canonical_grams_are_the_output_covariances(half, step, seed, zeros):
+    """Claim (d) on tabulated spectra with exact zeros, vacuum and mixed ones among them."""
+    n = 2 * half + 1
+    rng = np.random.default_rng(seed)
+    values = np.exp(rng.uniform(-40.0, 5.0, n))
+    values[rng.random(n) < zeros] = 0.0
+    assert _canonical_gram_defects(qn.tabulated_density(values, qn.make_grid(n, step)))["output"] <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the canonical support leaves out nu = 0, "
+                                       "where the noise has kappa(0) > 0")
+def test_canonical_grams_are_the_noise_covariances():
+    """Claim (d), the noise's side: the Gram matrices are K, G and K_rev, to
+    1e-10 of max kappa, at the corners of the range above.  It fails wherever
+    kappa(0) > 0 and the pair is not a standard vacuum: the canonical support
+    is then the half-line indicator's, which leaves out the cell nu = 0, so
+    each Gram entry misses step * eps * kappa(0).  A plain loop, not a
+    hypothesis property: hypothesis reports a failure by importing libcst,
+    which warns on import."""
+    for n in (3, 5, 9, 17, 33, 65):
+        grid = qn.make_grid(n, 16.0 / (n - 1))
+        rng = np.random.default_rng(n)
+        values = np.exp(rng.uniform(-40.0, 5.0, n))
+        spectra = [qn.planck_density(cold / grid.nu_max, 1.0, grid) for cold in (1e-6, 1.0, 700.0)]
+        for zeros in (0.0, 0.2, 1.0):
+            spectra.append(qn.tabulated_density(np.where(rng.random(n) < zeros, 0.0, values), grid))
+        for pair in spectra:
+            assert _canonical_gram_defects(pair)["noise"] <= 1e-10
+
+
 def _moments_are_integrals_of_their_densities(pair, seed):
     """Claim (e): on random unions of cells D and D', every integrator and output
     moment of moment_tables is step times the sum of its density over D & D'
@@ -272,8 +343,7 @@ def _pair_is_a_filtering_of_the_canonical_vacuum(pair):
     kappa, kappa_rev and gamma to 1e-10; the pipeline's canonical pair is the
     closed form its support fixes, creation (0, 1) and annihilation (1, 0) on
     it and 0 off it, bit for bit; and recover_canonical returns that pair from
-    the output pair wherever sigma != sigma_rev.  The recovered zeros carry
-    the sign of sigma_rev**2 - sigma**2, so that pair is equal as numbers."""
+    the output pair wherever sigma != sigma_rev, bit for bit."""
     filt = qn.transmission_function(pair)
     result = qn.synthesize(filt, filt.standard)
     for reproduced, target, on in ((result.kappa_out, pair.kappa, pair.kappa > 0),
@@ -297,7 +367,7 @@ def _pair_is_a_filtering_of_the_canonical_vacuum(pair):
     assert np.array_equal(recovered.support, recoverable)
     for (operator, part), expected in closed_form.items():
         got = getattr(getattr(recovered, operator), part)
-        assert np.array_equal(got[recoverable], expected[recoverable]), (operator, part)
+        assert got[recoverable].tobytes() == expected[recoverable].tobytes(), (operator, part)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -203,9 +204,10 @@ def test_fast_length_is_the_least_5_smooth_length():
 def test_chirp_z_dft_matches_the_direct_sum(n):
     rng = np.random.default_rng(n)
     weights = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    chirp = verification._GridTables(n, 1.0, 1.0).chirp
     for sign in (-1, 1):
         expected = direct_dft(weights, sign)
-        error = np.abs(verification._dft(weights, sign) - expected).max()
+        error = np.abs(verification._dft(weights, chirp, sign) - expected).max()
         assert error <= 1e-12 * np.abs(expected).max(), sign
 
 
@@ -229,7 +231,6 @@ def test_chirp_z_transforms_pad_to_a_5_smooth_length(monkeypatch):
 
 
 def _clear_grid_tables():
-    verification._chirp.cache_clear()
     verification._kept_tables.cache_clear()
 
 
@@ -242,8 +243,9 @@ def test_run_all_stacks_its_transforms_and_shifts_by_slices(monkeypatch):
     # spectrum 1.  The chirp-z DFTs' own FFTs are counted too.  A second call
     # on the same grid reads the grid tables of the first: the chirp's FFT,
     # the kernels of qsi's isometry coefficients and the chirp-z DFT of their
-    # columns.  qsi_checks alone on a built chain then takes 6: its Gram
-    # oracle reads K, K_rev and G by their symbols and transforms nothing.
+    # columns.  qsi_checks alone on a built chain then takes 5: its Gram
+    # oracle reads K, K_rev and G by their symbols and transforms nothing, and
+    # its bridge convolves two stacks of one shape, one forward FFT call.
     _clear_grid_tables()
     calls = {}
 
@@ -269,7 +271,7 @@ def test_run_all_stacks_its_transforms_and_shifts_by_slices(monkeypatch):
         verification.run_all(pipe)
         calls.clear()
         verification.qsi_checks(pipe)
-        assert calls.get("fft", 0) + calls.get("ifft", 0) == 6, (n, calls)
+        assert calls.get("fft", 0) + calls.get("ifft", 0) == 5, (n, calls)
 
 
 def test_high_dynamic_range_planck_fails_only_the_kernel_checks():
@@ -296,29 +298,37 @@ def test_flip_involution_passes_on_high_dynamic_range_planck(cold):
 def test_run_all_leaves_no_chirp_tables_behind(monkeypatch):
     # Past n = 16,385 the chirp kernel outgrows one _DFT_BLOCK, and the grid
     # tables take about 200 bytes per grid point (200 MB at n = 2**20 + 1):
-    # no grid table is kept, and every suite run drops the chirp when it
-    # ends: run_all, each suite called alone (qnoise corr runs stationary
-    # and modular), and a suite that raises.
+    # no grid table is kept, and each suite run's tables, the chirp among
+    # them, end with it: run_all, each suite called alone (qnoise corr runs
+    # stationary and modular), and a suite that raises.
     n = 16387
     pair = qn.planck_density(1.0, 1.0, qn.make_grid(n, 16.0 / (n - 1)))
     pipe = Pipeline(pair, 1.0 / (n * pair.grid.step))
     _clear_grid_tables()
+    built = []
+
+    class Tables(verification._GridTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(verification, "_GridTables", Tables)
 
     def held_nothing():
-        return verification._chirp.cache_info().currsize == verification._kept_tables.cache_info().currsize == 0
+        return verification._kept_tables.cache_info().currsize == 0 and all(ref() is None for ref in built)
 
     verification.run_all(pair)
-    assert held_nothing()
+    assert len(built) == 5 and held_nothing()  # one set for each suite that transforms
     for suite in (verification.stationary_checks, verification.modular_checks, verification.qsi_checks):
         suite(pipe)
         assert held_nothing(), suite.__name__
 
     def failing(*args):
         # past qsi's chirp-z DFT of its isometry coefficients
-        assert verification._chirp.cache_info().currsize == 1
+        assert "chirp" in vars(built[-1]())
         raise RuntimeError("suite failed")
 
-    monkeypatch.setattr(qsi, "isometry_check", failing)
+    monkeypatch.setattr(qsi, "reflection_symmetry_check", failing)
     with pytest.raises(RuntimeError, match="suite failed"):
         verification.run_all(pipe)
     assert held_nothing()
@@ -408,8 +418,9 @@ def test_isometry_oracle_reads_the_model_symbol(setup_name, request):
     alone = {r.check: r.residual for r in verification.qsi_checks(pipe)}
     shared = {r.check: r.residual for r in verification.run_all(pipe) if r.suite == "qsi"}
     assert shared == alone
-    _, _, kernels, coefficients = verification._grid_tables(pair.grid, eps).isometry
-    zeta, xi = np.sqrt(eps) * kernels
+    tables = verification._grid_tables(pair.grid, eps)
+    zeta, xi = np.sqrt(eps) * tables.isometry[2][::2]  # the kernels of a and c, each stored twice
+    coefficients = tables.coefficients
     forward, backward = verification._isometry_grams(pipe.model, coefficients)
     assert forward == pytest.approx(gram_quadratic_form(pipe.model, zeta, xi), rel=1e-12)
     assert backward == pytest.approx(gram_quadratic_form(pipe.model, np.conj(zeta), np.conj(xi)), rel=1e-12)

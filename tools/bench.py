@@ -7,7 +7,7 @@
         prints each end-to-end metric of two files side by side, each a label or a path
     python tools/bench.py --sweep L [--root DIR]
         times the public chain and ``verification.run_all`` of the checkout DIR
-        over n and writes tools/bench/SWEEP_L.json
+        over n, traces each verify suite's peak, and writes tools/bench/SWEEP_L.json
 
 A file is a JSON object ``{"label": L, "runs": [...]}``.  A run holds the
 workload, the seed, the seconds, the checkout's commit (``git describe
@@ -34,8 +34,13 @@ pocketfft's large-prime path.  At each n, one fresh process reads every
 ``Pipeline`` stage of the pair (``equivalence.stages``) and another calls
 ``run_all(pair)``, which builds its own.  Each process imports every module
 first, then reports the wall time of that call alone and its peak RSS
-(``ru_maxrss``, the interpreter and numpy included).  The file holds the
-checkout's commit, the Python and numpy versions and one row per n.
+(``ru_maxrss``, the interpreter and numpy included).  After its peak RSS is
+read, the chain's process calls each suite of ``verification`` that reads a
+pipeline alone on the built chain, under ``tracemalloc``, and reports the
+traced peak of each call: what the suite allocates above the chain.  Up to
+n = 16,385 a suite reads the grid tables an earlier suite of the same grid
+left, so a table counts toward the first suite that builds it.  The file holds
+the checkout's commit, the Python and numpy versions and one row per n.
 """
 from __future__ import annotations
 
@@ -156,7 +161,7 @@ SWEEP_KS = range(6, 21)
 
 #: What a sweep's fresh process runs: argv[1] is "chain" or "run_all", argv[2] is n.
 _SWEEP_CHILD = """
-import json, resource, sys, time
+import json, resource, sys, time, tracemalloc
 import numpy
 from qnoise import decomposition, mode_algebra, qsi, spectra, stationary, synthesis, verification
 from qnoise.pipeline import Pipeline
@@ -174,6 +179,13 @@ else:
     out = {"checks": len(checks), "passed": sum(c.passed for c in checks)}
 seconds = time.perf_counter() - start
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+if what == "chain":
+    out["suite_peak_mb"] = {}
+    for suite in ("spectra", "stationary", "modular", "decomposition", "synthesis", "qsi"):
+        tracemalloc.start()
+        getattr(verification, suite + "_checks")(pipe)
+        out["suite_peak_mb"][suite] = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
 print(json.dumps({"seconds": seconds, "peak_rss_mb": peak, "numpy": numpy.__version__, **out}))
 """
 
@@ -210,7 +222,7 @@ def sweep(root: Path, ks=SWEEP_KS) -> dict:
             rows.append({"k": k, "kind": kind, "n": n, "chain_s": chain["seconds"],
                          "chain_peak_rss_mb": chain["peak_rss_mb"], "run_all_s": checked["seconds"],
                          "run_all_peak_rss_mb": checked["peak_rss_mb"], "checks": checked["checks"],
-                         "passed": checked["passed"]})
+                         "passed": checked["passed"], "suite_peak_mb": chain["suite_peak_mb"]})
     return {"commit": _commit(root), "python": platform.python_version(), "numpy": numpy_version,
             "cpus": os.cpu_count(), "rows": rows}
 
