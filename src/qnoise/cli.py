@@ -14,15 +14,15 @@ directory), "tol" (tolerance factor for verify), "delta" and "delta_prime"
 ``_report``, writes both check reports (corr_residuals.json, verify_report.json).
 
 Each command imports the modules it reads when it runs, so a run loads
-only its own branch of the chain.
+only its own branch of the chain.  ``_parse`` reads argv against
+``_COMMANDS`` and ``_OPTIONS``, so no argument-parsing library is loaded.
 
 Exit codes: 0 all good, 1 a mathematical check failed (verify only),
-2 input/config error.  Identical configs produce byte-identical output
+2 usage/input/config error.  Identical configs produce byte-identical output
 files; floats are printed with 17 significant digits in CSV.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -97,6 +97,14 @@ def _floats(value):
     return None if value is None else tuple(float(v) for v in value)
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object; a key given more than once is a config error."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"config keys given more than once: {sorted({k for k in keys if keys.count(k) > 1})}")
+    return dict(pairs)
+
+
 def load_config(path: str) -> RunConfig:
     """Parse and validate a flat JSON run configuration."""
     try:
@@ -104,7 +112,7 @@ def load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
-        raw = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number,
+        raw = json.loads(text, parse_constant=_finite_number, parse_float=_finite_number, object_pairs_hook=_object,
                          parse_int=lambda digits: _finite_number(digits, int))  # an integer is read as a float too
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
@@ -381,26 +389,6 @@ def cmd_verify(config: RunConfig, pipe: Pipeline, out_dir: Path) -> int:
     return 0 if all_pass else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="path to a JSON run config")
-    common.add_argument("--out", default=None, help="output directory (default ./qnoise_out)")
-    common.add_argument(
-        "--tol", type=float, default=None, help="tolerance factor for verify checks"
-    )
-    parser = argparse.ArgumentParser(
-        prog="qnoise",
-        description="Covariance-level toolkit for stationary quantum noise "
-        "and its time-reversed output process.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=help_text)
-    mode = sub.add_parser("mode", help="single-mode thermal pair tables")
-    mode.add_argument("--n", type=float, required=True, help="occupation number (>= 0)")
-    return parser
-
-
 #: The config-driven commands: (function, help text).
 _COMMANDS = {
     "spectrum": (cmd_spectrum, "tabulate the configured spectrum"),
@@ -410,24 +398,56 @@ _COMMANDS = {
     "qsi": (cmd_qsi, "stochastic integration tables"),
     "verify": (cmd_verify, "run every identity check"),
 }
+_USAGE = (f"usage: qnoise {{{','.join(_COMMANDS)}}} --config PATH [--out DIR] [--tol X]\n"
+          "       qnoise mode --n N\n\ncommands:\n"
+          + "".join(f"  {name:<10} {text}\n" for name, (_, text) in _COMMANDS.items())
+          + "  mode       single-mode thermal pair tables\n")
+#: A config-driven command's options and their types, the first required; mode's is {"--n": float}.
+#: Each grammar has one float option, so float's own message is the usage error for it.
+_OPTIONS = {"--config": str, "--out": str, "--tol": float}
+
+
+def _parse(argv: list) -> tuple[str, dict]:
+    """The command and {option: value} of argv, as ``_USAGE`` reads; a ValueError is a usage error."""
+    command, *rest = argv or [None]
+    if command not in (*_COMMANDS, "mode"):
+        raise ValueError(f"unknown command {command!r}" if argv else "a command is required")
+    options, args = {"--n": float} if command == "mode" else _OPTIONS, {}
+    while rest:
+        name, joined, value = rest.pop(0).partition("=")
+        if name not in options or name in args:
+            raise ValueError(f"{'repeated option' if name in args else 'unrecognized argument'} {name!r}")
+        if not (joined or rest):
+            raise ValueError(f"option {name} expects a value")
+        args[name] = options[name](value if joined else rest.pop(0))
+    if next(iter(options)) not in args:
+        raise ValueError(f"option {next(iter(options))} is required")
+    return command, args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE, end="")
+        return 0
     try:
-        if args.command == "mode":
-            return cmd_mode(args.n)
-        config = load_config(args.config)
-        if args.tol is not None:
-            if not (np.isfinite(args.tol) and args.tol > 0):
-                raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
-            config = replace(config, tol=float(args.tol))
+        name, args = _parse(argv)
+    except ValueError as exc:
+        print(_USAGE.partition("\n\n")[0], f"qnoise: error: {exc}", sep="\n", file=sys.stderr)
+        return 2
+    try:
+        if name == "mode":
+            return cmd_mode(args["--n"])
+        config = load_config(args["--config"])
+        tol = args.get("--tol", config.tol)
+        if not (np.isfinite(tol) and tol > 0):
+            raise ConfigError(f"--tol must be positive and finite, got {tol}")
+        config = replace(config, tol=tol)
         from .pipeline import Pipeline
         pipe = Pipeline(build_pair(config), config.eps)
-        out_dir = Path(args.out or config.out or "qnoise_out")
+        out_dir = Path(args.get("--out") or config.out or "qnoise_out")
         out_dir.mkdir(parents=True, exist_ok=True)
-        command, _ = _COMMANDS[args.command]
+        command, _ = _COMMANDS[name]
         return command(config, pipe, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -87,7 +87,7 @@ def _taken_by(model: str) -> list[str]:
 
 def _config_error(tmp_path, raw) -> str:
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
     with pytest.raises(ConfigError) as info:
         load_config(str(path))
     return str(info.value)
@@ -121,6 +121,13 @@ class TestConfigKeyTable:
         _, _, kind, wrong = CONFIG_KEYS[key]
         raw = {**MINIMAL[model], key: wrong}
         assert _config_error(tmp_path, raw) == f"config key {key!r} must be {kind}, got {wrong!r}"
+
+    @pytest.mark.parametrize("model, key", [(model, key) for model in MINIMAL for key in MINIMAL[model]])
+    def test_a_key_given_twice_is_named(self, model, key, tmp_path):
+        # json.loads alone keeps the last value of a repeated key
+        raw = MINIMAL[model]
+        text = json.dumps(raw)[:-1] + f", {json.dumps(key)}: {json.dumps(raw[key])}}}"
+        assert _config_error(tmp_path, text) == f"config keys given more than once: [{key!r}]"
 
     @pytest.mark.parametrize("model", ["pink", ["flat"], None, 1])
     def test_a_model_off_the_list_is_named_with_the_list(self, model, tmp_path):
@@ -260,6 +267,7 @@ class TestExitCodes:
             {**FLAT, "sigma2": HUGE},
             {"model": "tabulated", "values": [1, HUGE, 1], "n_points": 3, "step": 1.0},
             {**FLAT, "delta": [0, HUGE]},
+            '{"model": "flat", "sigma2": 2.0, "sigma2": 1.0, "n_points": 33, "step": 0.25}',
         ],
         ids=[
             "bool_n_points",
@@ -287,15 +295,83 @@ class TestExitCodes:
             "huge_integer_sigma2",
             "huge_integer_value",
             "huge_integer_delta",
+            "repeated_key",
         ],
     )
     @pytest.mark.filterwarnings("error")
     def test_rejected_config_exits_two(self, raw, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
+        bad.write_text(raw if isinstance(raw, str) else json.dumps(raw))
         assert run("spectrum", "--config", bad, "--out", tmp_path / "out") == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+#: Each usage error, as argv: CONFIG stands for the path of a valid config
+#: and OUT for that of an output directory that must not be made.
+USAGE_ERRORS = {
+    "no_command": [],
+    "unknown_command": ["spectra", "--config", "CONFIG", "--out", "OUT"],
+    "option_before_the_command": ["--config", "CONFIG", "spectrum", "--out", "OUT"],
+    "unknown_option": ["spectrum", "--config", "CONFIG", "--output", "OUT"],
+    "abbreviated_option": ["spectrum", "--conf", "CONFIG", "--out", "OUT"],
+    "stray_argument": ["spectrum", "--config", "CONFIG", "--out", "OUT", "extra"],
+    "option_of_mode": ["spectrum", "--config", "CONFIG", "--out", "OUT", "--n", "2"],
+    "option_of_the_config_commands": ["mode", "--n", "2", "--out", "OUT"],
+    "repeated_option": ["spectrum", "--config", "CONFIG", "--out", "OUT", "--config", "CONFIG"],
+    "repeated_joined_option": ["verify", "--config=CONFIG", "--out", "OUT", "--tol=2", "--tol=3"],
+    "repeated_n": ["mode", "--n", "2", "--n=2"],
+    "option_with_no_value": ["spectrum", "--out", "OUT", "--config"],
+    "n_with_no_value": ["mode", "--n"],
+    "missing_config": ["spectrum", "--out", "OUT"],
+    "missing_n": ["mode"],
+    "tol_not_a_float": ["verify", "--config", "CONFIG", "--out", "OUT", "--tol", "tight"],
+    "joined_tol_not_a_float": ["verify", "--config", "CONFIG", "--out", "OUT", "--tol="],
+    "n_not_a_float": ["mode", "--n", "two"],
+}
+#: Help requests: alone, after a command, and after a whole command line.
+HELP = [["-h"], ["--help"], ["spectrum", "-h"], ["mode", "--help"],
+        ["verify", "--config", "CONFIG", "--out", "OUT", "--help"]]
+
+
+def _argv(argv: list, tmp_path) -> list:
+    return [part.replace("CONFIG", str(CONFIGS["flat"])).replace("OUT", str(tmp_path / "out")) for part in argv]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+    def test_a_usage_error_exits_two_with_the_usage_and_writes_nothing(self, argv, tmp_path, capsys):
+        assert main(_argv(argv, tmp_path)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: qnoise ") and "\nqnoise: error: " in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", HELP, ids=[" ".join(argv) for argv in HELP])
+    def test_help_exits_zero_and_names_every_command(self, argv, tmp_path, capsys):
+        assert main(_argv(argv, tmp_path)) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: qnoise ") and err == ""
+        commands = {line.split()[0] for line in out.split("commands:\n")[1].splitlines()}
+        assert commands == {"spectrum", "corr", "decompose", "synth", "qsi", "verify", "mode"}
+        assert not (tmp_path / "out").exists()
+
+    def test_joined_options_write_the_same_bytes_as_spaced_ones(self, tmp_path, capsys):
+        config = CONFIGS["mixed"]
+        for command in ("spectrum", "corr", "decompose", "synth", "qsi", "verify"):
+            assert run(command, "--config", config, "--out", tmp_path / "spaced", "--tol", "2") == 0
+            assert run(command, "--tol=2", f"--out={tmp_path / 'joined'}", f"--config={config}") == 0
+        assert read_tree(tmp_path / "spaced") == read_tree(tmp_path / "joined")
+        capsys.readouterr()
+        assert run("mode", "--n", "2") == 0
+        spaced = capsys.readouterr().out
+        assert run("mode", "--n=2") == 0
+        assert capsys.readouterr().out == spaced
+
+    def test_main_without_argv_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["qnoise", "mode", "--n=2"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 2.0
 
 
 class TestDeterminism:

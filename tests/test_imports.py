@@ -1,5 +1,6 @@
-"""Load on demand: each entry point loads only the qnoise modules it reads,
-and the lazy package keeps the public namespace it always had."""
+"""Load on demand: each entry point loads only the qnoise modules it reads
+and no argument-parsing library, and the lazy package keeps the public
+namespace it always had."""
 import json
 import os
 import subprocess
@@ -33,6 +34,9 @@ SUBMODULES = sorted(
     "decomposition errors fourier mode_algebra pipeline qsi spectra stationary synthesis".split()
 )
 
+#: The argument-parsing libraries of the standard library and the modules
+#: their messages import; ``cli`` reads its own argv, so none is loaded.
+PARSING = ["argparse", "optparse", "getopt", "gettext", "locale"]
 CLI = {"cli"}
 #: What every config-driven command reads: the config's pair and its pipeline.
 CHAIN = CLI | {"errors", "pipeline", "spectra"}
@@ -62,7 +66,12 @@ def run_fresh(code: str) -> list:
 
 
 def loaded_after(code: str) -> set:
-    listing = "import json, sys\nprint(json.dumps([m[7:] for m in sys.modules if m.startswith('qnoise.')]))"
+    """The qnoise submodules and the ``PARSING`` modules loaded after ``code``."""
+    listing = (
+        "import json, sys\n"
+        "submodules = [m[7:] for m in sys.modules if m.startswith('qnoise.')]\n"
+        f"print(json.dumps(submodules + [m for m in {PARSING!r} if m in sys.modules]))"
+    )
     return set(run_fresh(f"{code}\n{listing}"))
 
 
